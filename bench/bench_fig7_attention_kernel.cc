@@ -16,29 +16,32 @@
 /// Beyond the kernel-only sweep, BM_SpaFormerSeq_* measures the cost of a
 /// whole training sequence (embeddings + T*H attention invocations,
 /// forward AND backward) at the paper configuration L=123, T=3, H=2,
-/// d_k=16: the `Baseline` variant runs the historical pipeline (dense
-/// [L*L, d_k] SRPE embedding, reference matmul kernels), the `Optimized`
-/// variant the current one (legal-pair-packed SRPE, cache-blocked
-/// matmuls). BM_ServeHotPath_* times the graph-free serving arithmetic at
-/// the same configuration — scalar-reference f64, SIMD f64, SIMD f32, and
-/// the fused serving chain (nn/fused_serving.h) in both precisions — so
-/// the per-ISA kernel speedup and the fusion speedup are visible next to
-/// the training numbers. The fused benches also report the real
-/// SpaFormer::Predict workspace arena high-water mark fused vs. unfused.
+/// d_k=16: the `Baseline` variant embeds the dense [L*L, d_k] SRPE table,
+/// the `Optimized` variant only the legal pairs (packed SRPE).
+/// BM_ServeHotPath_* times the graph-free serving arithmetic at the same
+/// configuration — a per-op composition under simd::ScalarOps (f64) and
+/// simd::VecOps (f64, f32), and the fused row kernels of the serving chain
+/// (nn/serving_kernels.h) in both precisions — so the per-ISA kernel
+/// speedup and the fusion speedup are visible next to the training
+/// numbers. The fused benches also report the real workspace arena
+/// high-water mark of SpaFormer::Predict (f64) / PredictF32 (f32).
 /// scripts/run_bench.sh drives this binary and records
 /// BENCH_attention.json (including the active ISA and the derived
 /// speedups).
 ///
 /// `--smoke` runs a tier-1 correctness check instead of timings: a tiny
-/// model served fused and unfused must produce exactly equal predictions
-/// (exit 1 on the first mismatch).
+/// model's served predictions must match the autograd forward to 1e-12 in
+/// f64 and to the 1e-3 mm f32 serving gate in f32 (exit 1 on the first
+/// violation).
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "common/simd.h"
@@ -47,8 +50,8 @@
 #include "core/spatial_context.h"
 #include "core/ssin_interpolator.h"
 #include "data/rainfall_generator.h"
-#include "nn/fused_serving.h"
 #include "nn/inference.h"
+#include "nn/serving_kernels.h"
 #include "tensor/attention_kernels.h"
 #include "tensor/ops.h"
 
@@ -142,11 +145,7 @@ void BM_PackedShielded(benchmark::State& state) {
 /// forward through value/SRPE embeddings, T encoder layers, prediction
 /// head, then full backward. Half the stations are masked, the paper's
 /// representative self-supervised masking level.
-void RunSequence(benchmark::State& state, bool packed_srpe,
-                 const MatMulConfig& matmul) {
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig(matmul);
-
+void RunSequence(benchmark::State& state, bool packed_srpe) {
   SpaFormerConfig config;  // L=123 inputs, T=3, H=2, d_k=16 defaults.
   config.packed_srpe = packed_srpe;
   Rng rng(7);
@@ -177,40 +176,27 @@ void RunSequence(benchmark::State& state, bool packed_srpe,
   // same per-sequence plan.
   state.counters["ns_per_pair"] = NsPerPair(
       plan.num_pairs() * config.num_layers * config.num_heads);
-
-  SetMatMulConfig(saved);
 }
 
 void BM_SpaFormerSeq_Baseline(benchmark::State& state) {
-  // Historical pipeline: dense [L*L, d_k] SRPE embedding + reference
-  // (branchy, non-blocked) matmul kernels.
-  RunSequence(state, /*packed_srpe=*/false,
-              MatMulConfig{/*blocked=*/false, /*num_threads=*/1});
+  // Historical pipeline: dense [L*L, d_k] SRPE embedding.
+  RunSequence(state, /*packed_srpe=*/false);
 }
 
 void BM_SpaFormerSeq_Optimized(benchmark::State& state) {
-  RunSequence(state, /*packed_srpe=*/true,
-              MatMulConfig{/*blocked=*/true, /*num_threads=*/1});
-}
-
-void BM_SpaFormerSeq_OptimizedMT(benchmark::State& state) {
-  RunSequence(state, /*packed_srpe=*/true,
-              MatMulConfig{/*blocked=*/true,
-                           /*num_threads=*/static_cast<int>(state.range(0))});
+  RunSequence(state, /*packed_srpe=*/true);
 }
 
 // ------------------------------------------------------ serving hot path
 
 /// One graph-free serving pass at the paper configuration (L=123, T=3,
-/// H=2, d_k=16, d_ff=256), composed directly from the shared kernel
-/// templates so the scalar-reference and SIMD arithmetic can be timed
+/// H=2, d_k=16, d_ff=256), composed per op from the shared kernel
+/// templates so the ScalarOps reference and SIMD arithmetic can be timed
 /// side by side, in both precisions. Mirrors the per-layer work of
 /// SpaFormer::Predict: per-head q/k/v projections, the packed shielded
 /// attention kernel, head concat + output projection, two residual layer
-/// norms and the position-wise FFN. Single thread: serving sequences are
-/// below the matmul parallel threshold, so this is the arithmetic the
-/// inference engine actually runs per sequence.
-template <typename T, typename Ops, bool kBlockedMatMul>
+/// norms and the position-wise FFN, on one thread like a serving worker.
+template <typename T, typename Ops>
 void RunServeHotPath(benchmark::State& state) {
   constexpr int kLayers = 3;
   constexpr int kHeads = 2;
@@ -233,12 +219,7 @@ void RunServeHotPath(benchmark::State& state) {
   auto matmul = [](const std::vector<T>& a, const std::vector<T>& b,
                    std::vector<T>* out, int m, int k, int n) {
     std::fill(out->begin(), out->end(), T(0));
-    if constexpr (kBlockedMatMul) {
-      simd::MatMulAccRows<T, Ops>(a.data(), b.data(), out->data(), k, n, 0,
-                                  m);
-    } else {
-      simd::MatMulAccRef(a.data(), b.data(), out->data(), m, k, n);
-    }
+    simd::MatMulAccRows<T, Ops>(a.data(), b.data(), out->data(), k, n, 0, m);
   };
 
   // Per-layer weights (identical values across layers are fine for
@@ -302,26 +283,26 @@ void RunServeHotPath(benchmark::State& state) {
 }
 
 void BM_ServeHotPath_Scalar(benchmark::State& state) {
-  // Historical serving arithmetic: branchy reference matmuls, strictly
-  // sequential reductions.
-  RunServeHotPath<double, simd::ScalarOps, /*kBlockedMatMul=*/false>(state);
+  // Kernel reference arithmetic: strictly sequential ScalarOps matmuls
+  // (MatMulAccRows<double, ScalarOps>) and reductions.
+  RunServeHotPath<double, simd::ScalarOps>(state);
 }
 
 void BM_ServeHotPath_Simd(benchmark::State& state) {
-  RunServeHotPath<double, simd::VecOps, /*kBlockedMatMul=*/true>(state);
+  RunServeHotPath<double, simd::VecOps>(state);
 }
 
 void BM_ServeHotPath_SimdF32(benchmark::State& state) {
-  RunServeHotPath<float, simd::VecOps, /*kBlockedMatMul=*/true>(state);
+  RunServeHotPath<float, simd::VecOps>(state);
 }
 
-/// The same serving pass composed from the fused kernels, exactly as
-/// EncoderLayer::InferFused runs them: one fused QKV pass over the rows,
-/// each head's attention written straight into its concat column block,
-/// output projection + residual + LayerNorm in one row-wise kernel, and
-/// the FFN with its [d_ff] hidden activation in a reusable tile. Same
-/// weights, shapes and Ops policy as RunServeHotPath<T, VecOps, true>, so
-/// the ratio of the two is the fusion speedup alone.
+/// The same serving pass composed from the fused kernels, exactly as the
+/// serving chain (nn/serving.cc) runs them: one fused QKV pass over the
+/// rows, each head's attention written straight into its concat column
+/// block, output projection + residual + LayerNorm in one row-wise kernel,
+/// and the FFN with its [d_ff] hidden activation in a reusable tile. Same
+/// weights, shapes and Ops policy as RunServeHotPath<T, VecOps>, so the
+/// ratio of the two is the fusion speedup alone.
 template <typename T>
 void RunServeHotPathFused(benchmark::State& state) {
   constexpr int kLayers = 3;
@@ -356,7 +337,7 @@ void RunServeHotPathFused(benchmark::State& state) {
   fill(&srpe, 17);
   std::fill(gamma.begin(), gamma.end(), T(1));
   std::fill(beta.begin(), beta.end(), T(0));
-  // Heads share the weight buffers (as the unfused bench does); the fused
+  // Heads share the weight buffers (as RunServeHotPath does); the fused
   // kernel takes per-head pointer tables.
   const std::vector<const T*> wq_p(kHeads, wq.data());
   const std::vector<const T*> wk_p(kHeads, wk.data());
@@ -401,60 +382,46 @@ void RunServeHotPathFused(benchmark::State& state) {
       NsPerPair(static_cast<int64_t>(pairs) * kLayers * kHeads);
 }
 
-/// Workspace arena high-water mark of one real SpaFormer::Predict at the
-/// paper serving config (L=123, m=113), fused vs. unfused — measured once
-/// on fresh workspaces and attached to the fused bench as counters so
-/// BENCH_attention.json carries the memory story next to the timings.
-struct ServeArenaBytes {
-  size_t fused = 0;
-  size_t unfused = 0;
-};
+/// Workspace arena high-water mark of one real SpaFormer::Predict (T =
+/// double) or PredictF32 (T = float) at the paper serving config (L=123,
+/// m=113), measured on a fresh workspace and attached to the fused bench
+/// of that precision as a counter so BENCH_attention.json carries the
+/// memory story next to the timings.
+template <typename T>
+size_t MeasureServeArena() {
+  RainfallGenerator generator(HkRegionConfig());  // 123 gauges.
+  SpatialDataset data = generator.GenerateHours(1, 7);
+  std::vector<int> observed_ids, query_ids;
+  for (int i = 0; i < data.num_stations(); ++i) {
+    (i < 113 ? observed_ids : query_ids).push_back(i);
+  }
+  SpatialContext context;
+  context.Build(data, observed_ids);
+  SpaFormerConfig config;  // Paper defaults.
+  Rng rng(7);
+  SpaFormer model(config, &rng);
+  InferenceWorkspace layout_ws;
+  std::shared_ptr<const SequenceLayout> layout = BuildSequenceLayout(
+      &model, context, observed_ids, query_ids, &layout_ws);
+  Tensor x({layout->length(), 1});
+  Fill(&x, 1);
 
-const ServeArenaBytes& MeasureServeArena() {
-  static const ServeArenaBytes measured = [] {
-    RainfallGenerator generator(HkRegionConfig());  // 123 gauges.
-    SpatialDataset data = generator.GenerateHours(1, 7);
-    std::vector<int> observed_ids, query_ids;
-    for (int i = 0; i < data.num_stations(); ++i) {
-      (i < 113 ? observed_ids : query_ids).push_back(i);
-    }
-    SpatialContext context;
-    context.Build(data, observed_ids);
-    SpaFormerConfig config;  // Paper defaults.
-    Rng rng(7);
-    SpaFormer model(config, &rng);
-    InferenceWorkspace layout_ws;
-    std::shared_ptr<const SequenceLayout> layout = BuildSequenceLayout(
-        &model, context, observed_ids, query_ids, &layout_ws);
-    Tensor x({layout->length(), 1});
-    Fill(&x, 1);
-
-    ServeArenaBytes out;
-    {
-      InferenceWorkspace ws;
-      model.set_fused_serving(true);
-      model.Predict(x, *layout, &ws);
-      out.fused = ws.ArenaBytes();
-    }
-    {
-      InferenceWorkspace ws;
-      model.set_fused_serving(false);
-      model.Predict(x, *layout, &ws);
-      out.unfused = ws.ArenaBytes();
-    }
-    return out;
-  }();
-  return measured;
+  InferenceWorkspace ws;
+  if constexpr (std::is_same_v<T, float>) {
+    F32WeightCache weights;
+    model.PredictF32(x, *layout, *weights.EnsureFrom(&model), &ws);
+  } else {
+    model.Predict(x, *layout, &ws);
+  }
+  return ws.ArenaBytes();
 }
 
 template <typename T>
 void RunServeHotPathFusedWithArena(benchmark::State& state) {
   RunServeHotPathFused<T>(state);
-  const ServeArenaBytes& arena = MeasureServeArena();
-  state.counters["arena_bytes_fused"] =
-      benchmark::Counter(static_cast<double>(arena.fused));
-  state.counters["arena_bytes_unfused"] =
-      benchmark::Counter(static_cast<double>(arena.unfused));
+  static const size_t arena_bytes = MeasureServeArena<T>();
+  state.counters["arena_bytes"] =
+      benchmark::Counter(static_cast<double>(arena_bytes));
 }
 
 void BM_ServeHotPath_Fused(benchmark::State& state) {
@@ -467,11 +434,14 @@ void BM_ServeHotPath_FusedF32(benchmark::State& state) {
 
 // ------------------------------------------------------------- smoke mode
 
-/// Tier-1 `--smoke`: serves a tiny untrained model fused and unfused and
-/// demands exactly equal predictions for every timestamp — the bench
-/// binary's own correctness gate, run by ctest so a fusion regression
-/// fails fast without the full benchmark suite.
-int RunFusedSmoke() {
+/// Tier-1 `--smoke`: serves a tiny untrained model and demands that every
+/// prediction match the autograd forward — to 1e-12 in f64, within the
+/// 1e-3 mm f32 serving gate in f32 — the bench binary's own correctness
+/// gate, run by ctest so a serving-chain regression fails fast without the
+/// full benchmark suite.
+int RunServingSmoke() {
+  constexpr double kF64Tol = 1e-12;
+  constexpr double kF32Gate = 1e-3;
   RainfallRegionConfig region = HkRegionConfig();
   region.num_gauges = 24;
   region.width_km = 30.0;
@@ -494,26 +464,33 @@ int RunFusedSmoke() {
   ssin_model.Prepare(data, observed_ids);  // Random weights serve fine.
 
   for (int t = 0; t < data.num_timestamps(); ++t) {
-    ssin_model.SetFusedServing(true);
-    const std::vector<double> fused = ssin_model.InterpolateTimestamp(
-        data.Values(t), observed_ids, query_ids);
-    ssin_model.SetFusedServing(false);
-    const std::vector<double> unfused = ssin_model.InterpolateTimestamp(
-        data.Values(t), observed_ids, query_ids);
-    if (fused.size() != unfused.size()) {
-      std::fprintf(stderr, "smoke FAIL: size mismatch at t=%d\n", t);
-      return 1;
-    }
-    for (size_t i = 0; i < fused.size(); ++i) {
-      if (fused[i] != unfused[i]) {
-        std::fprintf(stderr,
-                     "smoke FAIL: t=%d query %zu fused=%.17g unfused=%.17g\n",
-                     t, i, fused[i], unfused[i]);
+    const std::vector<double> reference =
+        ssin_model.InterpolateTimestampAutograd(data.Values(t), observed_ids,
+                                                query_ids);
+    for (const bool f32 : {false, true}) {
+      ssin_model.set_serving_precision(
+          f32 ? SsinInterpolator::ServingPrecision::kFloat32
+              : SsinInterpolator::ServingPrecision::kFloat64);
+      const std::vector<double> served = ssin_model.InterpolateTimestamp(
+          data.Values(t), observed_ids, query_ids);
+      if (served.size() != reference.size()) {
+        std::fprintf(stderr, "smoke FAIL: size mismatch at t=%d\n", t);
         return 1;
+      }
+      for (size_t i = 0; i < served.size(); ++i) {
+        if (!(std::fabs(served[i] - reference[i]) <=
+              (f32 ? kF32Gate : kF64Tol))) {
+          std::fprintf(stderr,
+                       "smoke FAIL: t=%d query %zu %s served=%.17g "
+                       "autograd=%.17g\n",
+                       t, i, f32 ? "f32" : "f64", served[i], reference[i]);
+          return 1;
+        }
       }
     }
   }
-  std::printf("smoke PASS: fused == unfused serving on %d timestamps\n",
+  std::printf("smoke PASS: served == autograd (f64 <= 1e-12, f32 <= 1e-3) "
+              "on %d timestamps\n",
               data.num_timestamps());
   return 0;
 }
@@ -548,10 +525,6 @@ BENCHMARK(BM_PackedShielded)
 
 BENCHMARK(BM_SpaFormerSeq_Baseline)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SpaFormerSeq_Optimized)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SpaFormerSeq_OptimizedMT)
-    ->Unit(benchmark::kMillisecond)
-    ->Arg(2)
-    ->Arg(4);
 
 BENCHMARK(BM_ServeHotPath_Scalar)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ServeHotPath_Simd)->Unit(benchmark::kMicrosecond);
@@ -562,10 +535,10 @@ BENCHMARK(BM_ServeHotPath_FusedF32)->Unit(benchmark::kMicrosecond);
 // Custom main (instead of BENCHMARK_MAIN) so the JSON context records
 // which ISA the build dispatches to — a BENCH_attention.json is then
 // self-describing about what "Simd" meant on the machine that wrote it.
-// `--smoke` short-circuits into the fused-vs-unfused correctness gate.
+// `--smoke` short-circuits into the served-vs-autograd correctness gate.
 int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) return RunFusedSmoke();
+    if (std::strcmp(argv[i], "--smoke") == 0) return RunServingSmoke();
   }
   benchmark::AddCustomContext("simd_isa", ssin::simd::IsaName());
   // The stock "library_build_type" context key describes the *benchmark

@@ -644,25 +644,9 @@ struct VecOps {
 // ------------------------------------------------------------------------
 // Shared kernel templates. These are the single implementations behind the
 // tensor-level matmul/layernorm entry points (src/tensor/ops.cc), the
-// classical-solver Matrix product (src/common/matrix.cc), and the f32
-// serving path — instantiated with VecOps in production and ScalarOps as
-// the differential-test reference.
-
-/// out[m,n] += a[m,k] * b[k,n], branchy sequential reference: skips zero a
-/// entries (the historical MatMulConfig{blocked=false} kernel).
-template <typename T>
-void MatMulAccRef(const T* a, const T* b, T* out, int m, int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    const T* a_row = a + static_cast<int64_t>(i) * k;
-    T* out_row = out + static_cast<int64_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const T aip = a_row[p];
-      if (aip == T(0)) continue;
-      const T* b_row = b + static_cast<int64_t>(p) * n;
-      for (int j = 0; j < n; ++j) out_row[j] += aip * b_row[j];
-    }
-  }
-}
+// classical-solver Matrix product (src/common/matrix.cc), and the serving
+// row kernels (src/nn/serving_kernels.h) — instantiated with VecOps in
+// production and ScalarOps as the differential-test reference.
 
 /// Blocked MatMulAcc over rows [i_lo, i_hi): the inner-product dimension is
 /// unrolled by 4 so each pass streams four resident b rows through out_row
@@ -685,21 +669,6 @@ void MatMulAccRows(const T* a, const T* b, T* out, int k, int n, int i_lo,
   }
 }
 
-/// out[m,k] += dC[m,n] * B^T (dA for C = A*B), branchy reference.
-template <typename T>
-void MatMulAccBtRef(const T* dc, const T* b, T* out, int m, int n, int k) {
-  for (int i = 0; i < m; ++i) {
-    const T* dc_row = dc + static_cast<int64_t>(i) * n;
-    T* out_row = out + static_cast<int64_t>(i) * k;
-    for (int p = 0; p < k; ++p) {
-      const T* b_row = b + static_cast<int64_t>(p) * n;
-      T sum = 0;
-      for (int j = 0; j < n; ++j) sum += dc_row[j] * b_row[j];
-      out_row[p] += sum;
-    }
-  }
-}
-
 /// Blocked MatMulAccBt over rows [i_lo, i_hi): each out element is one
 /// Ops::Dot.
 template <typename T, typename Ops>
@@ -710,21 +679,6 @@ void MatMulAccBtRows(const T* dc, const T* b, T* out, int n, int k, int i_lo,
     T* out_row = out + static_cast<int64_t>(i) * k;
     for (int p = 0; p < k; ++p) {
       out_row[p] += Ops::Dot(dc_row, b + static_cast<int64_t>(p) * n, n);
-    }
-  }
-}
-
-/// out[k,n] += A^T[k,m] * dC[m,n] (dB for C = A*B), branchy reference.
-template <typename T>
-void MatMulAccAtRef(const T* a, const T* dc, T* out, int m, int k, int n) {
-  for (int i = 0; i < m; ++i) {
-    const T* a_row = a + static_cast<int64_t>(i) * k;
-    const T* dc_row = dc + static_cast<int64_t>(i) * n;
-    for (int p = 0; p < k; ++p) {
-      const T aip = a_row[p];
-      if (aip == T(0)) continue;
-      T* out_row = out + static_cast<int64_t>(p) * n;
-      for (int j = 0; j < n; ++j) out_row[j] += aip * dc_row[j];
     }
   }
 }

@@ -1,5 +1,6 @@
 #include "core/interpolation.h"
 
+#include <cmath>
 #include <sstream>
 
 #include "common/check.h"
@@ -49,6 +50,10 @@ std::string InterpolationIdsError(const std::vector<double>& all_values,
     }
     if (static_cast<size_t>(id) >= all_values.size()) {
       return error("observed id ", id, " outside the values vector");
+    }
+    if (!std::isfinite(all_values[id])) {
+      return error("observed id ", id, " has non-finite value ",
+                   all_values[id]);
     }
     if (seen[id]) return error("duplicate observed id ", id);
     seen[id] = 1;

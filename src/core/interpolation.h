@@ -56,10 +56,12 @@ class SpatialInterpolator {
 
 /// Checks the id lists of an InterpolateTimestamp/InterpolateBatch call
 /// against the station network: every id must be in [0, num_stations),
-/// observed ids must also index `all_values`, at least one station must be
-/// observed, and no id may appear twice (within a list or across the two —
-/// an overlap would leak the queried truth into the input). Returns an
-/// empty string when valid, otherwise a message naming the offending id.
+/// observed ids must also index a finite value of `all_values` (one NaN or
+/// Inf input would turn every prediction non-finite), at least one station
+/// must be observed, and no id may appear twice (within a list or across
+/// the two — an overlap would leak the queried truth into the input).
+/// Returns an empty string when valid, otherwise a message naming the
+/// offending id.
 /// The interpolation server uses this non-aborting form to *reject* a
 /// malformed request instead of taking the process down with it.
 std::string InterpolationIdsError(const std::vector<double>& all_values,

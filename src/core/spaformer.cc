@@ -1,6 +1,5 @@
 #include "core/spaformer.h"
 
-#include "common/simd.h"
 #include "common/telemetry.h"
 #include "core/inference_engine.h"
 #include "geo/relpos.h"
@@ -56,6 +55,28 @@ AttentionConfig MakeAttentionConfig(const SpaFormerConfig& config) {
   attn.shielded = config.shielded;
   attn.packed_srpe = attn.use_srpe && config.packed_srpe;
   return attn;
+}
+
+// The f64 serving view reads the parameters in place.
+const double* ParameterValue(const Parameter* p) { return p->value.data(); }
+
+// An embedding module is either a bias-free Linear or an Fcn2.
+template <typename T>
+void ResolveEmbedding(const Linear* linear, const Fcn2* fcn,
+                      const WeightResolver<T>& resolve, ServingFcn<T>* out) {
+  if (fcn != nullptr) {
+    ResolveFcn(*fcn, resolve, out);
+    return;
+  }
+  ResolveLinear(*linear, resolve, &out->fc1);
+  out->fc2 = ServingLinear<T>();
+  out->relu = false;
+}
+
+void CheckServingInput(const Tensor& x, const SequenceLayout& layout) {
+  SSIN_CHECK_EQ(x.dim(1), 1);
+  SSIN_CHECK_EQ(layout.length(), x.dim(0));
+  SSIN_CHECK(layout.plan != nullptr);
 }
 
 }  // namespace
@@ -190,16 +211,28 @@ Var SpaFormer::ForwardWithPlan(Graph* graph, const Tensor& x,
   return prediction_.Forward(h);  // [L, 1]
 }
 
-Tensor& SpaFormer::InferEmbedding(Linear* linear, Fcn2* fcn, const Tensor& in,
-                                  InferenceWorkspace* ws) {
-  return linear != nullptr ? linear->Infer(in, ws) : fcn->Infer(in, ws);
+template <typename T>
+void SpaFormer::ResolveServingWeights(const WeightResolver<T>& resolve,
+                                      ServingWeights<T>* view) const {
+  ResolveEmbedding(value_linear_, value_fcn_, resolve,
+                   &view->value_embedding);
+  ResolveEncoder(encoder_, resolve, view);
+  ResolveFcn(prediction_, resolve, &view->head);
 }
+
+template void SpaFormer::ResolveServingWeights<double>(
+    const WeightResolver<double>&, ServingWeights<double>*) const;
+template void SpaFormer::ResolveServingWeights<float>(
+    const WeightResolver<float>&, ServingWeights<float>*) const;
 
 void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
                                      const Tensor& relpos_rows,
                                      InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.embed_positions");
   ws->Reset();
+  ServingFcn<double> position;
+  ResolveEmbedding(position_linear_, position_fcn_,
+                   WeightResolver<double>(ParameterValue), &position);
   if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
     const int length = layout->length();
     SSIN_CHECK_EQ(relpos_rows.dim(1), 2);
@@ -212,42 +245,29 @@ void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
       SSIN_CHECK_EQ(relpos_rows.dim(0), DenseRelPosRows(length));
     }
     layout->srpe =
-        InferEmbedding(position_linear_, position_fcn_, relpos_rows, ws);
+        FcnRows(position, relpos_rows.data(), relpos_rows.dim(0), ws);
   } else {
     SSIN_CHECK_EQ(layout->abspos.dim(0), layout->length());
+    SSIN_CHECK_EQ(layout->abspos.dim(1), 2);
     layout->sape =
-        InferEmbedding(position_linear_, position_fcn_, layout->abspos, ws);
+        FcnRows(position, layout->abspos.data(), layout->length(), ws);
   }
 }
 
 const Tensor& SpaFormer::Predict(const Tensor& x, const SequenceLayout& layout,
                                  InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.predict");
-  const int length = x.dim(0);
-  SSIN_CHECK_EQ(x.dim(1), 1);
-  SSIN_CHECK_EQ(layout.length(), length);
-  SSIN_CHECK(layout.plan != nullptr);
+  CheckServingInput(x, layout);
   ws->Reset();
-
-  Tensor& e = InferEmbedding(value_linear_, value_fcn_, x, ws);
-
-  const Tensor* srpe = nullptr;
-  if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
-    srpe = &layout.srpe;
-  } else {
-    // SAPE: positions enter additively, exactly as Forward's Add(e, sape).
-    e.Accumulate(layout.sape);
-  }
-
-  // Only the query (trailing) rows feed the prediction head, so the final
-  // encoder layer and the head run on those rows alone; their values are
-  // bit-identical to a full-sequence evaluation. The fused chain matches
-  // the blocked matmul arithmetic, so the non-blocked reference config
-  // falls back to the unfused composition.
-  const bool fused = config_.fused_serving && GetMatMulConfig().blocked;
-  Tensor& h = encoder_.Infer(e, srpe, *layout.plan, ws, layout.num_observed,
-                             fused);
-  return prediction_.Infer(h, ws);  // [L - num_observed, 1]
+  // The f64 view points straight at the parameters; re-resolving it per
+  // call costs a few dozen pointer stores and needs no invalidation.
+  ServingWeights<double>* w = ws->serving_weights();
+  ResolveServingWeights(WeightResolver<double>(ParameterValue), w);
+  const bool srpe =
+      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
+  return ServingForward(*w, x.data(), srpe ? &layout.srpe : nullptr,
+                        srpe ? nullptr : &layout.sape, *layout.plan,
+                        layout.num_observed, ws);
 }
 
 const TensorF32& SpaFormer::PredictF32(const Tensor& x,
@@ -255,43 +275,22 @@ const TensorF32& SpaFormer::PredictF32(const Tensor& x,
                                        const F32WeightCache::Map& w,
                                        InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.predict_f32");
-  const int length = x.dim(0);
-  SSIN_CHECK_EQ(x.dim(1), 1);
-  SSIN_CHECK_EQ(layout.length(), length);
-  SSIN_CHECK(layout.plan != nullptr);
+  CheckServingInput(x, layout);
   ws->Reset();
-
   // Narrow the input values once; everything downstream stays f32.
   TensorF32* x32 = ws->AcquireF32(x.shape());
   const double* src = x.data();
   for (int64_t i = 0; i < x.numel(); ++i) {
     x32->data()[i] = static_cast<float>(src[i]);
   }
-
-  TensorF32* e;
-  if (value_linear_ != nullptr) {
-    e = &value_linear_->InferF32(*x32, w, ws);
-  } else {
-    e = &value_fcn_->InferF32(*x32, w, ws);
-  }
-
-  const TensorF32* srpe = nullptr;
-  if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
-    SSIN_CHECK(!layout.srpe_f32.empty())
-        << "layout lacks converted f32 positions";
-    srpe = &layout.srpe_f32;
-  } else {
-    SSIN_CHECK(layout.sape_f32.SameShape(*e));
-    simd::VecOps::Add(layout.sape_f32.data(), e->data(),
-                      static_cast<int>(e->numel()));
-  }
-
-  // The f32 chain always runs the blocked row kernels, so the fused flag
-  // alone decides (no MatMulConfig interaction).
-  TensorF32& h = encoder_.InferF32(*e, srpe, *layout.plan, w, ws,
-                                   layout.num_observed,
-                                   config_.fused_serving);
-  return prediction_.InferF32(h, w, ws);  // [L - num_observed, 1]
+  const bool srpe =
+      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
+  SSIN_CHECK(!(srpe ? layout.srpe_f32 : layout.sape_f32).empty())
+      << "layout lacks converted f32 positions";
+  return ServingForward(w.view, x32->data(),
+                        srpe ? &layout.srpe_f32 : nullptr,
+                        srpe ? nullptr : &layout.sape_f32, *layout.plan,
+                        layout.num_observed, ws);
 }
 
 }  // namespace ssin

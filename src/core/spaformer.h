@@ -4,8 +4,10 @@
 #include <memory>
 #include <vector>
 
+#include "nn/inference.h"
 #include "nn/layers.h"
 #include "nn/module.h"
+#include "nn/serving.h"
 #include "nn/transformer.h"
 
 namespace ssin {
@@ -69,19 +71,6 @@ struct SpaFormerConfig {
   /// all [L*L, 2] rows — kept as the equivalence/benchmark reference.
   bool packed_srpe = true;
 
-  /// Fused serving chain (default): Predict/PredictF32 evaluate each
-  /// encoder layer with the single-pass fused kernels of
-  /// src/nn/fused_serving.h — one read of the input per QKV projection
-  /// pass, attention heads writing the concat directly, output projection
-  /// + residual + LayerNorm folded into one row-wise kernel, and the FFN
-  /// hidden activation kept in an L1 tile instead of an [L, d_ff] arena
-  /// tensor. false restores the unfused per-op composition, kept as the
-  /// bit-exact reference (per-element arithmetic is identical; the
-  /// differential harness pins fused == unfused). The fused path requires
-  /// the blocked matmul arithmetic, so it is bypassed automatically when
-  /// MatMulConfig{blocked=false} is active.
-  bool fused_serving = true;
-
   /// Named constructors for the paper's ablation variants (Table 6).
   static SpaFormerConfig Paper() { return SpaFormerConfig(); }
   static SpaFormerConfig EmbPosLinear();
@@ -126,22 +115,22 @@ class SpaFormer : public Module {
                       std::shared_ptr<const AttentionPlan> plan,
                       const Tensor& relpos_rows, const Tensor& abspos);
 
-  /// Graph-free forward for serving: evaluates the same network as Forward
-  /// with zero autograd bookkeeping, reusing the plan and pre-embedded
-  /// positions of `layout` and the activation arena of `ws` (resetting it).
-  /// Returns the [L - num_observed, 1] standardized predictions of the
-  /// query (trailing) rows — row r is sequence row num_observed + r —
-  /// valid until the workspace's next use. The final encoder layer and the
-  /// prediction head are evaluated for those rows only; every returned
-  /// value is numerically identical to Forward, which shares the kernel
-  /// implementations.
+  /// Graph-free forward for serving (the f64 instantiation of the serving
+  /// chain, nn/serving.h): evaluates the same network as Forward with zero
+  /// autograd bookkeeping, reusing the plan and pre-embedded positions of
+  /// `layout` and the activation arena of `ws` (resetting it). Returns the
+  /// [L - num_observed, 1] standardized predictions of the query (trailing)
+  /// rows — row r is sequence row num_observed + r — valid until the
+  /// workspace's next use. The final encoder layer and the prediction head
+  /// are evaluated for those rows only; every returned value matches
+  /// Forward to 1e-12 (the engine == autograd pin).
   const Tensor& Predict(const Tensor& x, const SequenceLayout& layout,
                         InferenceWorkspace* ws);
 
-  /// Float32 serving forward: the same network as Predict evaluated in
-  /// single precision — the f64 input is narrowed once, the layout's
-  /// pre-converted srpe_f32/sape_f32 feed the encoder, and every weight
-  /// comes from the converted snapshot `w` (see F32WeightCache). Returns
+  /// Float32 serving forward: the f32 instantiation of the same chain as
+  /// Predict — the f64 input is narrowed once, the layout's pre-converted
+  /// srpe_f32/sape_f32 feed the encoder, and every weight comes from the
+  /// view of the converted snapshot `w` (see F32WeightCache). Returns
   /// the [L - num_observed, 1] standardized query predictions; callers
   /// destandardize in f64. Roughly half the memory traffic and twice the
   /// SIMD lane width of Predict, at single-precision accuracy — gate with
@@ -159,12 +148,15 @@ class SpaFormer : public Module {
   void EmbedLayoutPositions(SequenceLayout* layout, const Tensor& relpos_rows,
                             InferenceWorkspace* ws);
 
-  const SpaFormerConfig& config() const { return config_; }
+  /// Points `view` at every weight the serving chain reads, through
+  /// `resolve` (T = double: the parameter values; T = float: the narrowed
+  /// copies of an F32WeightCache snapshot). Re-resolving an
+  /// already-shaped view only stores pointers.
+  template <typename T>
+  void ResolveServingWeights(const WeightResolver<T>& resolve,
+                             ServingWeights<T>* view) const;
 
-  /// Runtime toggle for the fused serving chain (config().fused_serving) —
-  /// a serving kill switch and the hook equivalence tests flip to compare
-  /// fused against unfused predictions on identical weights.
-  void set_fused_serving(bool fused) { config_.fused_serving = fused; }
+  const SpaFormerConfig& config() const { return config_; }
 
   /// Runtime toggles for neighbor-limited shielding (config().neighbor_k /
   /// config().neighbor_radius_km). Affect only plan construction for
@@ -181,9 +173,6 @@ class SpaFormer : public Module {
                                         Linear** linear, Fcn2** fcn);
 
   Var ApplyEmbedding(Linear* linear, Fcn2* fcn, Var in);
-
-  Tensor& InferEmbedding(Linear* linear, Fcn2* fcn, const Tensor& in,
-                         InferenceWorkspace* ws);
 
   SpaFormerConfig config_;
 

@@ -25,8 +25,8 @@ telemetry::Gauge* WorkspaceArenaGauge() {
   return gauge;
 }
 
-/// High-water mark of InferenceWorkspace::ArenaBytes — the number the
-/// fused serving chain drives down. `serve.arena_peak_bytes` mirrors the
+/// High-water mark of InferenceWorkspace::ArenaBytes (tier-1 ceilings in
+/// tests/inference_equivalence_test.cc). `serve.arena_peak_bytes` mirrors the
 /// peak of the most recently serving *interpolator instance*, which resets
 /// with its caches on every weight mutation (a hot-swapped smaller model
 /// must not keep reporting the old model's high-water mark);
@@ -114,16 +114,24 @@ TrainStats SsinInterpolator::ContinueTraining(
 }
 
 void SsinInterpolator::CopyParametersFrom(SsinInterpolator& source) {
-  SSIN_CHECK(prepared_ && source.prepared_);
+  SSIN_CHECK(CanCopyParametersFrom(source))
+      << "CopyParametersFrom needs two prepared interpolators with the same "
+         "architecture";
   std::vector<Parameter*> dst = model_->Parameters();
   std::vector<Parameter*> src = source.model_->Parameters();
-  SSIN_CHECK_EQ(dst.size(), src.size());
-  for (size_t i = 0; i < dst.size(); ++i) {
-    SSIN_CHECK(dst[i]->value.SameShape(src[i]->value))
-        << "architecture mismatch at " << dst[i]->name;
-    dst[i]->value = src[i]->value;
-  }
+  for (size_t i = 0; i < dst.size(); ++i) dst[i]->value = src[i]->value;
   InvalidateServingCaches();
+}
+
+bool SsinInterpolator::CanCopyParametersFrom(SsinInterpolator& source) {
+  if (!prepared_ || !source.prepared_) return false;
+  const std::vector<Parameter*> dst = model_->Parameters();
+  const std::vector<Parameter*> src = source.model_->Parameters();
+  if (dst.size() != src.size()) return false;
+  for (size_t i = 0; i < dst.size(); ++i) {
+    if (!dst[i]->value.SameShape(src[i]->value)) return false;
+  }
+  return true;
 }
 
 bool SsinInterpolator::Save(const std::string& path) {
@@ -228,16 +236,6 @@ std::vector<double> SsinInterpolator::PredictWithLayout(
     RecordArenaPeak(&arena_peak_bytes_, arena_bytes);
   }
   return out;
-}
-
-void SsinInterpolator::SetFusedServing(bool fused) {
-  SSIN_CHECK(prepared_) << "call Fit() or Prepare() first";
-  model_->set_fused_serving(fused);
-}
-
-bool SsinInterpolator::fused_serving() const {
-  SSIN_CHECK(prepared_) << "call Fit() or Prepare() first";
-  return model_->config().fused_serving;
 }
 
 void SsinInterpolator::SetNeighborK(int k) {

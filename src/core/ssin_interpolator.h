@@ -72,6 +72,12 @@ class SsinInterpolator : public SpatialInterpolator {
   /// architecture (cross-region transfer).
   void CopyParametersFrom(SsinInterpolator& source);
 
+  /// Whether CopyParametersFrom(source) would succeed: both prepared, the
+  /// same parameter count, every parameter the same shape. Writes nothing,
+  /// so a caller that must not abort (the hot-swap path) can reject a
+  /// mismatched source before the first weight is touched.
+  bool CanCopyParametersFrom(SsinInterpolator& source);
+
   /// Saves the complete interpolator state — model weights plus the
   /// model/train configuration fingerprint — to one file. The spatial
   /// context is rebuilt from the dataset on load, so a checkpoint is
@@ -188,14 +194,6 @@ class SsinInterpolator : public SpatialInterpolator {
   /// Fit()/Prepare() time.
   void set_non_negative(bool non_negative) { non_negative_ = non_negative; }
   bool non_negative() const { return non_negative_; }
-
-  /// Runtime kill switch for the fused serving chain (see
-  /// SpaFormerConfig::fused_serving; on by default). Affects Predict
-  /// arithmetic layout only — fused and unfused produce identical
-  /// predictions, which the equivalence tests pin by flipping this.
-  /// Must be called after Fit()/Prepare().
-  void SetFusedServing(bool fused);
-  bool fused_serving() const;
 
   /// Runtime switch for neighbor-limited shielding (see
   /// SpaFormerConfig::neighbor_k). 0 restores full shielding, the paper's

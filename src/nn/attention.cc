@@ -1,9 +1,6 @@
 #include "nn/attention.h"
 
-#include <algorithm>
 #include <string>
-
-#include "nn/fused_serving.h"
 
 namespace ssin {
 
@@ -41,254 +38,6 @@ Var MultiHeadSpaAttention::Forward(Var e, Var srpe,
   Var concat = head_outputs.size() == 1 ? head_outputs[0]
                                         : ConcatCols(head_outputs);
   return output_proj_->Forward(concat);
-}
-
-Tensor& MultiHeadSpaAttention::Infer(const Tensor& e, const Tensor* srpe,
-                                     const AttentionPlan& plan,
-                                     InferenceWorkspace* ws) {
-  const int length = e.dim(0);
-  if (heads_.size() == 1) {
-    auto& head = heads_[0];
-    Tensor& q = head.wq->Infer(e, ws);
-    Tensor& k = head.wk->Infer(e, ws);
-    Tensor& v = head.wv->Infer(e, ws);
-    Tensor* z = ws->Acquire({length, q.dim(1)});
-    PackedAttentionForwardInto(q, k, v, srpe, plan, config_,
-                               ws->attention_context(), z);
-    return output_proj_->Infer(*z, ws);
-  }
-  Tensor* concat = ws->Acquire({length, output_proj_->in_features()});
-  int col = 0;
-  for (auto& head : heads_) {
-    Tensor& q = head.wq->Infer(e, ws);
-    Tensor& k = head.wk->Infer(e, ws);
-    Tensor& v = head.wv->Infer(e, ws);
-    const int d = q.dim(1);
-    Tensor* z = ws->Acquire({length, d});
-    PackedAttentionForwardInto(q, k, v, srpe, plan, config_,
-                               ws->attention_context(), z);
-    // Column-block copy into the concatenation, as ConcatCols does.
-    const int total = concat->dim(1);
-    for (int i = 0; i < length; ++i) {
-      const double* src = z->data() + static_cast<int64_t>(i) * d;
-      double* dst = concat->data() + static_cast<int64_t>(i) * total + col;
-      for (int j = 0; j < d; ++j) dst[j] = src[j];
-    }
-    col += d;
-  }
-  return output_proj_->Infer(*concat, ws);
-}
-
-TensorF32& MultiHeadSpaAttention::InferF32(const TensorF32& e,
-                                           const TensorF32* srpe,
-                                           const AttentionPlan& plan,
-                                           const F32WeightCache::Map& w,
-                                           InferenceWorkspace* ws) {
-  const int length = e.dim(0);
-  const float* c = srpe != nullptr ? srpe->data() : nullptr;
-  if (heads_.size() == 1) {
-    auto& head = heads_[0];
-    TensorF32& q = head.wq->InferF32(e, w, ws);
-    TensorF32& k = head.wk->InferF32(e, w, ws);
-    TensorF32& v = head.wv->InferF32(e, w, ws);
-    TensorF32* z = ws->AcquireF32({length, q.dim(1)});
-    PackedAttentionForwardRows<float, simd::VecOps>(
-        q.data(), k.data(), v.data(), c, plan, config_.packed_srpe, q.dim(1),
-        /*tail_begin=*/0, ws->f32_scores(), /*alpha_out=*/nullptr, z->data());
-    return output_proj_->InferF32(*z, w, ws);
-  }
-  TensorF32* concat = ws->AcquireF32({length, output_proj_->in_features()});
-  int col = 0;
-  for (auto& head : heads_) {
-    TensorF32& q = head.wq->InferF32(e, w, ws);
-    TensorF32& k = head.wk->InferF32(e, w, ws);
-    TensorF32& v = head.wv->InferF32(e, w, ws);
-    const int d = q.dim(1);
-    TensorF32* z = ws->AcquireF32({length, d});
-    PackedAttentionForwardRows<float, simd::VecOps>(
-        q.data(), k.data(), v.data(), c, plan, config_.packed_srpe, d,
-        /*tail_begin=*/0, ws->f32_scores(), /*alpha_out=*/nullptr, z->data());
-    const int total = concat->dim(1);
-    for (int i = 0; i < length; ++i) {
-      const float* src = z->data() + static_cast<int64_t>(i) * d;
-      float* dst = concat->data() + static_cast<int64_t>(i) * total + col;
-      for (int j = 0; j < d; ++j) dst[j] = src[j];
-    }
-    col += d;
-  }
-  return output_proj_->InferF32(*concat, w, ws);
-}
-
-void MultiHeadSpaAttention::InferConcatFused(const Tensor& e,
-                                             const Tensor* srpe,
-                                             const AttentionPlan& plan,
-                                             int tail_begin,
-                                             InferenceWorkspace* ws,
-                                             Tensor* concat) {
-  const int length = e.dim(0);
-  const int dm = e.dim(1);
-  const int H = num_heads();
-  const int d = head_dim();
-  const int nq = length - tail_begin;
-  // Head-major projection arenas: q [H, nq, d]; kv [2H, L, d] with k_h at
-  // block 2h and v_h at block 2h+1. Two slots replace the 3H per-head
-  // tensors of the unfused chain.
-  Tensor* q = ws->Acquire({H * nq, d});
-  Tensor* kv = ws->Acquire({2 * H * length, d});
-  std::vector<const double*>* wp = ws->weight_ptrs();
-  wp->resize(3 * static_cast<size_t>(H));
-  const double** wq = wp->data();
-  const double** wk = wq + H;
-  const double** wv = wk + H;
-  for (int h = 0; h < H; ++h) {
-    wq[h] = heads_[h].wq->weight_param()->value.data();
-    wk[h] = heads_[h].wk->weight_param()->value.data();
-    wv[h] = heads_[h].wv->weight_param()->value.data();
-  }
-  fused::FusedQkvProjectRows<double, simd::VecOps>(
-      e.data(), length, dm, tail_begin, wq, wk, wv, H, d, q->data(),
-      kv->data());
-  const double* c = srpe != nullptr ? srpe->data() : nullptr;
-  std::vector<double>* scores = &ws->attention_context()->scores;
-  for (int h = 0; h < H; ++h) {
-    PackedAttentionForwardRowsStrided<double, simd::VecOps>(
-        q->data() + static_cast<int64_t>(h) * nq * d,
-        kv->data() + static_cast<int64_t>(2 * h) * length * d,
-        kv->data() + static_cast<int64_t>(2 * h + 1) * length * d, c, plan,
-        config_.packed_srpe, d, tail_begin, scores, /*alpha_out=*/nullptr,
-        concat->data() + static_cast<int64_t>(h) * d,
-        /*z_stride=*/static_cast<int64_t>(H) * d);
-  }
-}
-
-void MultiHeadSpaAttention::InferConcatFusedF32(const TensorF32& e,
-                                                const TensorF32* srpe,
-                                                const AttentionPlan& plan,
-                                                int tail_begin,
-                                                const F32WeightCache::Map& w,
-                                                InferenceWorkspace* ws,
-                                                TensorF32* concat) {
-  const int length = e.dim(0);
-  const int dm = e.dim(1);
-  const int H = num_heads();
-  const int d = head_dim();
-  const int nq = length - tail_begin;
-  TensorF32* q = ws->AcquireF32({H * nq, d});
-  TensorF32* kv = ws->AcquireF32({2 * H * length, d});
-  std::vector<const float*>* wp = ws->weight_ptrs_f32();
-  wp->resize(3 * static_cast<size_t>(H));
-  const float** wq = wp->data();
-  const float** wk = wq + H;
-  const float** wv = wk + H;
-  for (int h = 0; h < H; ++h) {
-    wq[h] = w.at(heads_[h].wq->weight_param()).data();
-    wk[h] = w.at(heads_[h].wk->weight_param()).data();
-    wv[h] = w.at(heads_[h].wv->weight_param()).data();
-  }
-  fused::FusedQkvProjectRows<float, simd::VecOps>(
-      e.data(), length, dm, tail_begin, wq, wk, wv, H, d, q->data(),
-      kv->data());
-  const float* c = srpe != nullptr ? srpe->data() : nullptr;
-  for (int h = 0; h < H; ++h) {
-    PackedAttentionForwardRowsStrided<float, simd::VecOps>(
-        q->data() + static_cast<int64_t>(h) * nq * d,
-        kv->data() + static_cast<int64_t>(2 * h) * length * d,
-        kv->data() + static_cast<int64_t>(2 * h + 1) * length * d, c, plan,
-        config_.packed_srpe, d, tail_begin, ws->f32_scores(),
-        /*alpha_out=*/nullptr,
-        concat->data() + static_cast<int64_t>(h) * d,
-        /*z_stride=*/static_cast<int64_t>(H) * d);
-  }
-}
-
-Tensor& MultiHeadSpaAttention::InferTail(const Tensor& e, const Tensor* srpe,
-                                         const AttentionPlan& plan,
-                                         int tail_begin,
-                                         InferenceWorkspace* ws) {
-  const int length = e.dim(0);
-  const int num_queries = length - tail_begin;
-  // Query rows are contiguous at the end of the sequence; project q from
-  // a row-window copy so each head's wq matmul runs on num_queries rows.
-  Tensor* e_tail = ws->Acquire({num_queries, e.dim(1)});
-  std::copy(e.data() + static_cast<int64_t>(tail_begin) * e.dim(1),
-            e.data() + static_cast<int64_t>(length) * e.dim(1),
-            e_tail->data());
-  if (heads_.size() == 1) {
-    auto& head = heads_[0];
-    Tensor& q = head.wq->Infer(*e_tail, ws);
-    Tensor& k = head.wk->Infer(e, ws);
-    Tensor& v = head.wv->Infer(e, ws);
-    Tensor* z = ws->Acquire({num_queries, q.dim(1)});
-    PackedAttentionTailForwardInto(q, k, v, srpe, plan, tail_begin, config_,
-                                   ws->attention_context(), z);
-    return output_proj_->Infer(*z, ws);
-  }
-  Tensor* concat = ws->Acquire({num_queries, output_proj_->in_features()});
-  int col = 0;
-  for (auto& head : heads_) {
-    Tensor& q = head.wq->Infer(*e_tail, ws);
-    Tensor& k = head.wk->Infer(e, ws);
-    Tensor& v = head.wv->Infer(e, ws);
-    const int d = q.dim(1);
-    Tensor* z = ws->Acquire({num_queries, d});
-    PackedAttentionTailForwardInto(q, k, v, srpe, plan, tail_begin, config_,
-                                   ws->attention_context(), z);
-    const int total = concat->dim(1);
-    for (int i = 0; i < num_queries; ++i) {
-      const double* src = z->data() + static_cast<int64_t>(i) * d;
-      double* dst = concat->data() + static_cast<int64_t>(i) * total + col;
-      for (int j = 0; j < d; ++j) dst[j] = src[j];
-    }
-    col += d;
-  }
-  return output_proj_->Infer(*concat, ws);
-}
-
-TensorF32& MultiHeadSpaAttention::InferTailF32(const TensorF32& e,
-                                               const TensorF32* srpe,
-                                               const AttentionPlan& plan,
-                                               int tail_begin,
-                                               const F32WeightCache::Map& w,
-                                               InferenceWorkspace* ws) {
-  const int length = e.dim(0);
-  const int num_queries = length - tail_begin;
-  const float* c = srpe != nullptr ? srpe->data() : nullptr;
-  TensorF32* e_tail = ws->AcquireF32({num_queries, e.dim(1)});
-  std::copy(e.data() + static_cast<int64_t>(tail_begin) * e.dim(1),
-            e.data() + static_cast<int64_t>(length) * e.dim(1),
-            e_tail->data());
-  if (heads_.size() == 1) {
-    auto& head = heads_[0];
-    TensorF32& q = head.wq->InferF32(*e_tail, w, ws);
-    TensorF32& k = head.wk->InferF32(e, w, ws);
-    TensorF32& v = head.wv->InferF32(e, w, ws);
-    TensorF32* z = ws->AcquireF32({num_queries, q.dim(1)});
-    PackedAttentionForwardRows<float, simd::VecOps>(
-        q.data(), k.data(), v.data(), c, plan, config_.packed_srpe, q.dim(1),
-        tail_begin, ws->f32_scores(), /*alpha_out=*/nullptr, z->data());
-    return output_proj_->InferF32(*z, w, ws);
-  }
-  TensorF32* concat =
-      ws->AcquireF32({num_queries, output_proj_->in_features()});
-  int col = 0;
-  for (auto& head : heads_) {
-    TensorF32& q = head.wq->InferF32(*e_tail, w, ws);
-    TensorF32& k = head.wk->InferF32(e, w, ws);
-    TensorF32& v = head.wv->InferF32(e, w, ws);
-    const int d = q.dim(1);
-    TensorF32* z = ws->AcquireF32({num_queries, d});
-    PackedAttentionForwardRows<float, simd::VecOps>(
-        q.data(), k.data(), v.data(), c, plan, config_.packed_srpe, d,
-        tail_begin, ws->f32_scores(), /*alpha_out=*/nullptr, z->data());
-    const int total = concat->dim(1);
-    for (int i = 0; i < num_queries; ++i) {
-      const float* src = z->data() + static_cast<int64_t>(i) * d;
-      float* dst = concat->data() + static_cast<int64_t>(i) * total + col;
-      for (int j = 0; j < d; ++j) dst[j] = src[j];
-    }
-    col += d;
-  }
-  return output_proj_->InferF32(*concat, w, ws);
 }
 
 }  // namespace ssin

@@ -32,53 +32,13 @@ class MultiHeadSpaAttention : public Module {
   /// upstream (SpaFormer::Forward) and shared by every layer and head.
   Var Forward(Var e, Var srpe, std::shared_ptr<const AttentionPlan> plan);
 
-  /// Graph-free forward: same projections and the same packed attention
-  /// kernel as Forward, evaluated into workspace storage. `srpe` may be
-  /// null when the config has use_srpe=false.
-  Tensor& Infer(const Tensor& e, const Tensor* srpe,
-                const AttentionPlan& plan, InferenceWorkspace* ws);
-
-  /// Attention outputs for the trailing queries [tail_begin, L) only,
-  /// [L-tail_begin, d_model]. Keys/values still span all of `e`, so row r
-  /// is bit-identical to row tail_begin+r of Infer; the query projection
-  /// and per-query work of the leading rows are skipped.
-  Tensor& InferTail(const Tensor& e, const Tensor* srpe,
-                    const AttentionPlan& plan, int tail_begin,
-                    InferenceWorkspace* ws);
-
-  /// Float32 serving forwards, structurally identical to Infer/InferTail
-  /// with projections from the converted weight snapshot `w` and the f32
-  /// attention kernel (the softmax weights are not recorded — serving
-  /// never reads them back).
-  TensorF32& InferF32(const TensorF32& e, const TensorF32* srpe,
-                      const AttentionPlan& plan, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
-  TensorF32& InferTailF32(const TensorF32& e, const TensorF32* srpe,
-                          const AttentionPlan& plan, int tail_begin,
-                          const F32WeightCache::Map& w,
-                          InferenceWorkspace* ws);
-
-  /// Fused serving forward up to (and excluding) the output projection:
-  /// fills `concat` [L - tail_begin, num_heads*d_k] with every head's
-  /// attention output in its column block. All head q/k/v projections run
-  /// in one pass over e's rows (FusedQkvProjectRows), and each head's
-  /// packed attention writes its concat columns directly via the strided
-  /// kernel — no per-head z tensors, no column copy. Row r corresponds to
-  /// query tail_begin + r (pass 0 for the full sequence); keys/values span
-  /// all of e either way, so every element matches Infer/InferTail exactly.
-  /// The caller (EncoderLayer::InferFused) finishes the sublayer with the
-  /// fused epilogue (output projection + residual + LayerNorm).
-  void InferConcatFused(const Tensor& e, const Tensor* srpe,
-                        const AttentionPlan& plan, int tail_begin,
-                        InferenceWorkspace* ws, Tensor* concat);
-  void InferConcatFusedF32(const TensorF32& e, const TensorF32* srpe,
-                           const AttentionPlan& plan, int tail_begin,
-                           const F32WeightCache::Map& w,
-                           InferenceWorkspace* ws, TensorF32* concat);
-
   const AttentionConfig& config() const { return config_; }
   int num_heads() const { return static_cast<int>(heads_.size()); }
   int head_dim() const { return heads_[0].wq->out_features(); }
+  /// Head h's bias-free [d_model, d_k] projections, and W^O.
+  const Linear& query(int h) const { return *heads_[h].wq; }
+  const Linear& key(int h) const { return *heads_[h].wk; }
+  const Linear& value(int h) const { return *heads_[h].wv; }
   const Linear& output_proj() const { return *output_proj_; }
 
  private:

@@ -1,7 +1,5 @@
 #include "nn/inference.h"
 
-#include "nn/module.h"
-
 namespace ssin {
 
 size_t InferenceWorkspace::ArenaBytes() const {
@@ -45,22 +43,17 @@ TensorF32* InferenceWorkspace::AcquireF32(const std::vector<int>& shape) {
   return t;
 }
 
-std::shared_ptr<const F32WeightCache::Map> F32WeightCache::EnsureFrom(
-    Module* module) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (snapshot_ != nullptr) return snapshot_;
-  }
-  // Convert outside the lock — parameters are stable while serving — then
-  // publish; if two threads race, the second build wins and both maps hold
-  // identical values.
-  auto map = std::make_shared<Map>();
-  for (Parameter* p : module->Parameters()) {
-    map->emplace(p, TensorF32::FromTensor(p->value));
-  }
+std::shared_ptr<const F32WeightCache::Snapshot> F32WeightCache::Current()
+    const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return snapshot_;
+}
+
+std::shared_ptr<const F32WeightCache::Snapshot> F32WeightCache::Publish(
+    std::shared_ptr<const Snapshot> built) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (snapshot_ == nullptr) {
-    snapshot_ = std::move(map);
+    snapshot_ = std::move(built);
     conversions_.fetch_add(1, std::memory_order_relaxed);
   }
   return snapshot_;

@@ -7,22 +7,21 @@
 #include <unordered_map>
 #include <vector>
 
-#include "tensor/attention_kernels.h"
+#include "nn/module.h"
+#include "nn/serving.h"
 #include "tensor/tensor.h"
 
 namespace ssin {
 
-class Module;
-struct Parameter;
-
 /// Reusable activation buffers for one graph-free forward pass.
 ///
-/// The inference path (Module::Infer / SpaFormer::Predict) evaluates the
-/// network without an autograd Graph: no tape nodes, no backward closures,
-/// no gradient buffers. Intermediate activations instead come from this
-/// bump-allocated arena: Acquire() hands out tensors in call order and
-/// Reset() rewinds the cursor, so after the first sequence every subsequent
-/// forward pass with the same shapes runs allocation-free. A workspace is
+/// The serving chain (nn/serving.h, behind SpaFormer::Predict/PredictF32)
+/// evaluates the network without an autograd Graph: no tape nodes, no
+/// backward closures, no gradient buffers. Intermediate activations
+/// instead come from this bump-allocated arena: Acquire() hands out
+/// tensors in call order and Reset() rewinds the cursor, so after the
+/// first sequence every subsequent forward pass with the same shapes runs
+/// allocation-free. A workspace is
 /// single-threaded by design — batched serving keeps one per thread-pool
 /// slot.
 ///
@@ -44,35 +43,31 @@ class InferenceWorkspace {
   }
 
   /// Next arena tensor, reshaped to `shape` if it does not match.
-  /// Contents are unspecified (kernels that accumulate must clear it —
-  /// MatMulInto and PackedAttentionForwardInto do). The returned pointer
-  /// stays valid until the workspace is destroyed; the *contents* are
-  /// valid until the next Reset().
+  /// Contents are unspecified (kernels that accumulate must clear it — the
+  /// serving row kernels do). The returned pointer stays valid until the
+  /// workspace is destroyed; the *contents* are valid until the next
+  /// Reset().
   Tensor* Acquire(const std::vector<int>& shape);
 
   /// Float32 sibling of Acquire, backed by its own slot vector and cursor.
   TensorF32* AcquireF32(const std::vector<int>& shape);
 
-  /// Shared attention scratch (softmax weights + scores). Inference never
-  /// reads it back, so one context serves every layer/head invocation.
-  AttentionContext* attention_context() { return &attention_context_; }
-
-  /// Per-query score scratch for the f32 attention kernel (the f64 kernel
-  /// keeps its scratch inside the AttentionContext).
+  /// Per-query score scratch of the attention kernel, one per precision;
+  /// one buffer serves every layer/head invocation.
+  std::vector<double>* f64_scores() { return &f64_scores_; }
   std::vector<float>* f32_scores() { return &f32_scores_; }
 
-  /// Reusable flat scratch for the fused serving kernels' per-row tiles
-  /// (FFN hidden + epilogue temporaries). Grows monotonically, never
-  /// shrinks; contents are unspecified. Unlike Acquire there is no cursor —
-  /// each fused layer invocation re-slices the same buffer, which is what
-  /// keeps the [L, d_ff] hidden activation out of the arena entirely.
+  /// Reusable flat scratch for the serving kernels' per-row tiles (FFN
+  /// hidden + epilogue temporaries). Grows monotonically, never shrinks;
+  /// contents are unspecified. Unlike Acquire there is no cursor — each
+  /// encoder layer re-slices the same buffer, which is what keeps the
+  /// [L, d_ff] hidden activation out of the arena entirely.
   double* ScratchF64(size_t n);
   float* ScratchF32(size_t n);
 
-  /// Reusable pointer-table scratch for the fused QKV projection (the
-  /// per-head weight pointers), one per precision.
-  std::vector<const double*>* weight_ptrs() { return &weight_ptrs_; }
-  std::vector<const float*>* weight_ptrs_f32() { return &weight_ptrs_f32_; }
+  /// Storage for the f64 serving view, which SpaFormer::Predict re-resolves
+  /// on every call (pointer stores only once the table has its shape).
+  ServingWeights<double>* serving_weights() { return &serving_weights_; }
 
   /// Arena slots allocated so far (test hook: steady-state forward passes
   /// must not grow it).
@@ -80,7 +75,7 @@ class InferenceWorkspace {
   size_t num_f32_slots() const { return f32_slots_.size(); }
 
   /// Total bytes held by the arena tensors (both precisions) plus the
-  /// fused-kernel scratch tiles (telemetry: serve.workspace_arena_bytes
+  /// row-kernel scratch tiles (telemetry: serve.workspace_arena_bytes
   /// gauges the per-call value, serve.arena_peak_bytes the process peak).
   size_t ArenaBytes() const;
 
@@ -91,32 +86,40 @@ class InferenceWorkspace {
   std::vector<std::unique_ptr<TensorF32>> f32_slots_;
   size_t cursor_ = 0;
   size_t f32_cursor_ = 0;
-  AttentionContext attention_context_;
+  std::vector<double> f64_scores_;
   std::vector<float> f32_scores_;
   std::vector<double> scratch_f64_;
   std::vector<float> scratch_f32_;
-  std::vector<const double*> weight_ptrs_;
-  std::vector<const float*> weight_ptrs_f32_;
+  ServingWeights<double> serving_weights_;
 };
 
-/// Float32 snapshots of a module's trained f64 parameters, converted once
-/// and shared immutably by every f32 forward pass.
+/// Float32 serving weights, converted once per weight generation and
+/// shared immutably by every f32 forward pass.
 ///
-/// The snapshot is keyed by Parameter pointer — the InferF32 chain looks
-/// its weights up with the same Parameter* it trains through, so there is
-/// no separate naming scheme to keep in sync. Like cached SequenceLayouts,
-/// a snapshot bakes in the weights it was converted from: the owning
-/// interpolator must Clear() on every weight mutation (training, load,
-/// parameter copy), and the hit/invalidation counters let tests pin that
-/// contract. Cleared snapshots stay alive for in-flight passes via
+/// A snapshot narrows every parameter of the served model and resolves the
+/// ServingWeights<float> view over those copies when it is built, so the
+/// request path reads weights through plain pointers. Like cached
+/// SequenceLayouts, a snapshot bakes in the weights it was converted from:
+/// the owning interpolator must Clear() on every weight mutation (training,
+/// load, parameter copy), and the hit/invalidation counters let tests pin
+/// that contract. Cleared snapshots stay alive for in-flight passes via
 /// shared_ptr.
 class F32WeightCache {
  public:
-  using Map = std::unordered_map<const Parameter*, TensorF32>;
+  struct Snapshot {
+    /// Narrowed copy of each parameter; the storage `view` points into.
+    std::unordered_map<const Parameter*, TensorF32> tensors;
+    ServingWeights<float> view;
+  };
+  using Map = Snapshot;  ///< The name existing callers use.
 
-  /// The current snapshot, converting `module`'s parameters first if none
-  /// exists (double-checked under a mutex; safe for concurrent servers).
-  std::shared_ptr<const Map> EnsureFrom(Module* module);
+  /// The current snapshot, building it from `model` first if none exists
+  /// (double-checked under a mutex; safe for concurrent servers). `model`
+  /// is the served network: a Module that resolves its serving view via
+  /// ResolveServingWeights(const WeightResolver<float>&,
+  /// ServingWeights<float>*) — SpaFormer.
+  template <typename Model>
+  std::shared_ptr<const Snapshot> EnsureFrom(Model* model);
 
   /// Drops the snapshot (a weight-mutation invalidation).
   void Clear();
@@ -133,11 +136,35 @@ class F32WeightCache {
   }
 
  private:
+  std::shared_ptr<const Snapshot> Current() const;
+  /// Installs `built` unless a racing build won; returns the installed one.
+  std::shared_ptr<const Snapshot> Publish(
+      std::shared_ptr<const Snapshot> built);
+
   mutable std::mutex mutex_;
-  std::shared_ptr<const Map> snapshot_;
+  std::shared_ptr<const Snapshot> snapshot_;
   std::atomic<int64_t> conversions_{0};
   std::atomic<int64_t> invalidations_{0};
 };
+
+template <typename Model>
+std::shared_ptr<const F32WeightCache::Snapshot> F32WeightCache::EnsureFrom(
+    Model* model) {
+  if (std::shared_ptr<const Snapshot> current = Current()) return current;
+  // Convert outside the lock — parameters are stable while serving — then
+  // publish; if two threads race, the first build wins and both hold
+  // identical values.
+  auto built = std::make_shared<Snapshot>();
+  for (Parameter* p : model->Parameters()) {
+    built->tensors.emplace(p, TensorF32::FromTensor(p->value));
+  }
+  const auto& tensors = built->tensors;
+  model->ResolveServingWeights(
+      WeightResolver<float>(
+          [&tensors](const Parameter* p) { return tensors.at(p).data(); }),
+      &built->view);
+  return Publish(std::move(built));
+}
 
 }  // namespace ssin
 

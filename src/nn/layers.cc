@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "common/simd.h"
-
 namespace ssin {
 
 Linear::Linear(int in_features, int out_features, bool bias, Rng* rng)
@@ -27,43 +25,6 @@ Var Linear::Forward(Var x) {
   return out;
 }
 
-Tensor& Linear::Infer(const Tensor& x, InferenceWorkspace* ws) {
-  Tensor* out = ws->Acquire({x.dim(0), out_features_});
-  MatMulInto(x, weight_->value, out);
-  if (bias_ != nullptr) {
-    // Same arithmetic as AddRow: out[i][j] = (xW)[i][j] + bias[j].
-    const int m = out->dim(0), n = out->dim(1);
-    const double* b = bias_->value.data();
-    for (int i = 0; i < m; ++i) {
-      double* row = out->data() + static_cast<int64_t>(i) * n;
-      for (int j = 0; j < n; ++j) row[j] += b[j];
-    }
-  }
-  return *out;
-}
-
-TensorF32& Linear::InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                            InferenceWorkspace* ws) {
-  const int m = x.dim(0);
-  TensorF32* out = ws->AcquireF32({m, out_features_});
-  const TensorF32& weight = w.at(weight_);
-  out->Fill(0.0f);
-  // Serving sequences are small (hundreds of rows), so the row loop runs
-  // inline rather than through the f64 path's thread-pool dispatch.
-  simd::MatMulAccRows<float, simd::VecOps>(x.data(), weight.data(),
-                                           out->data(), in_features_,
-                                           out_features_, 0, m);
-  if (bias_ != nullptr) {
-    const float* b = w.at(bias_).data();
-    for (int i = 0; i < m; ++i) {
-      simd::VecOps::Add(b, out->data() + static_cast<int64_t>(i) *
-                               out_features_,
-                        out_features_);
-    }
-  }
-  return *out;
-}
-
 Fcn2::Fcn2(int in_features, int hidden, int out_features, bool relu,
            bool bias, Rng* rng)
     : first_(in_features, hidden, bias, rng),
@@ -79,26 +40,6 @@ Var Fcn2::Forward(Var x) {
   return second_.Forward(h);
 }
 
-Tensor& Fcn2::Infer(const Tensor& x, InferenceWorkspace* ws) {
-  // The in-place ReLU writes max(h, 0) over the hidden activations —
-  // elementwise identical to the autograd Relu's fresh output tensor.
-  Tensor& h = first_.Infer(x, ws);
-  if (relu_) {
-    double* d = h.data();
-    for (int64_t i = 0; i < h.numel(); ++i) {
-      if (d[i] < 0.0) d[i] = 0.0;
-    }
-  }
-  return second_.Infer(h, ws);
-}
-
-TensorF32& Fcn2::InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                          InferenceWorkspace* ws) {
-  TensorF32& h = first_.InferF32(x, w, ws);
-  if (relu_) simd::VecOps::Relu(h.data(), static_cast<int>(h.numel()));
-  return second_.InferF32(h, w, ws);
-}
-
 LayerNormLayer::LayerNormLayer(int features, double eps) : eps_(eps) {
   gamma_ = RegisterParameter("gamma", Tensor({features}, 1.0));
   beta_ = RegisterParameter("beta", Tensor({features}));
@@ -107,24 +48,6 @@ LayerNormLayer::LayerNormLayer(int features, double eps) : eps_(eps) {
 Var LayerNormLayer::Forward(Var x) {
   Graph* g = x.graph;
   return LayerNorm(x, gamma_->Bind(g), beta_->Bind(g), eps_);
-}
-
-Tensor& LayerNormLayer::Infer(const Tensor& x, InferenceWorkspace* ws) {
-  Tensor* out = ws->Acquire(x.shape());
-  LayerNormInto(x, gamma_->value, beta_->value, eps_, out);
-  return *out;
-}
-
-TensorF32& LayerNormLayer::InferF32(const TensorF32& x,
-                                    const F32WeightCache::Map& w,
-                                    InferenceWorkspace* ws) {
-  SSIN_CHECK_EQ(x.rank(), 2);
-  TensorF32* out = ws->AcquireF32(x.shape());
-  simd::LayerNormRows<float, simd::VecOps>(
-      x.data(), w.at(gamma_).data(), w.at(beta_).data(),
-      static_cast<float>(eps_), x.dim(0), x.dim(1), out->data(),
-      /*xhat=*/nullptr, /*inv_std=*/nullptr);
-  return *out;
 }
 
 }  // namespace ssin

@@ -1,9 +1,6 @@
 #ifndef SSIN_NN_LAYERS_H_
 #define SSIN_NN_LAYERS_H_
 
-#include <string>
-
-#include "nn/inference.h"
 #include "nn/module.h"
 #include "tensor/ops.h"
 
@@ -18,24 +15,11 @@ class Linear : public Module {
 
   Var Forward(Var x);
 
-  /// Graph-free forward into workspace storage. Runs the same kernels as
-  /// Forward (MatMulInto + the AddRow arithmetic), so the result is
-  /// numerically identical to Forward's value on the same input.
-  Tensor& Infer(const Tensor& x, InferenceWorkspace* ws);
-
-  /// Float32 serving forward: same kernel shapes as Infer, computed in
-  /// single precision against the converted weights in `w` (a
-  /// F32WeightCache snapshot of this module's parameters).
-  TensorF32& InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
-
   int in_features() const { return in_features_; }
   int out_features() const { return out_features_; }
 
-  /// Raw parameter access for the fused serving kernels, which read the
-  /// weights directly instead of going through Infer. bias_param() is null
-  /// for bias-free layers. The f32 chain uses the Parameter pointer as the
-  /// F32WeightCache key, exactly like InferF32 does.
+  /// Raw parameter access for the serving view (nn/serving.h), which reads
+  /// the weights directly. bias_param() is null for bias-free layers.
   const Parameter* weight_param() const { return weight_; }
   const Parameter* bias_param() const { return bias_; }
 
@@ -59,14 +43,7 @@ class Fcn2 : public Module {
 
   Var Forward(Var x);
 
-  /// Graph-free forward; see Linear::Infer.
-  Tensor& Infer(const Tensor& x, InferenceWorkspace* ws);
-
-  /// Float32 serving forward; see Linear::InferF32.
-  TensorF32& InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
-
-  /// Sublayer access for the fused serving kernels.
+  /// Sublayer access for the serving view.
   const Linear& first() const { return first_; }
   const Linear& second() const { return second_; }
   bool relu() const { return relu_; }
@@ -84,14 +61,7 @@ class LayerNormLayer : public Module {
 
   Var Forward(Var x);
 
-  /// Graph-free forward; see Linear::Infer.
-  Tensor& Infer(const Tensor& x, InferenceWorkspace* ws);
-
-  /// Float32 serving forward; see Linear::InferF32.
-  TensorF32& InferF32(const TensorF32& x, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
-
-  /// Raw parameter access for the fused serving kernels.
+  /// Raw parameter access for the serving view.
   const Parameter* gamma_param() const { return gamma_; }
   const Parameter* beta_param() const { return beta_; }
   double eps() const { return eps_; }

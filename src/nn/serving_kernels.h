@@ -1,5 +1,5 @@
-#ifndef SSIN_NN_FUSED_SERVING_H_
-#define SSIN_NN_FUSED_SERVING_H_
+#ifndef SSIN_NN_SERVING_KERNELS_H_
+#define SSIN_NN_SERVING_KERNELS_H_
 
 #include <cmath>
 #include <cstdint>
@@ -7,15 +7,17 @@
 #include "common/simd.h"
 
 /// \file
-/// Fused serving kernels for the graph-free Infer path.
+/// Row kernels of the graph-free serving chain (nn/serving.h).
 ///
-/// The unfused serving chain materializes every intermediate — per-head
+/// A per-op composition would materialize every intermediate — per-head
 /// q/k/v projections, per-head attention outputs, the head concatenation,
-/// the FFN hidden activation [L, d_ff] — in the InferenceWorkspace bump
-/// arena, so at serving sizes the hot path is bandwidth-bound: each stage
-/// streams a full [L, *] tensor out to memory and the next stage streams
-/// it back in. The kernels here fuse the chain row-wise:
+/// the FFN hidden activation [L, d_ff] — so at serving sizes the forward
+/// would be bandwidth-bound: each stage streams a full [L, *] tensor out to
+/// memory and the next stage streams it back in. The kernels here fuse the
+/// chain row-wise:
 ///
+///   LinearRows                 per row: x_row · W (+ bias) — the
+///                              embedding and prediction-head layers
 ///   FusedQkvProjectRows        one pass over the input rows computes every
 ///                              head's q/k/v projection (one read of x per
 ///                              row instead of 3*H)
@@ -27,18 +29,17 @@
 ///                              hidden activation in a reusable L1 tile
 ///                              instead of a full [L, d_ff] arena tensor
 ///
-/// Bit-exactness contract: every kernel reproduces, per output element, the
-/// exact arithmetic sequence of the unfused composition it replaces — the
+/// Arithmetic contract: every kernel reproduces, per output element, the
+/// exact arithmetic sequence of the per-op composition it replaces — the
 /// inner row product is the same zero-then-Axpy4/Axpy sequence as
-/// MatMulInto's blocked path (simd::MatMulAccRows), the residual adds
-/// execute in the same operand order as Tensor::Accumulate / Ops::Add, and
-/// the LayerNorm row body is simd::LayerNormRows verbatim. Only the
-/// *interleaving across elements* changes, so for a given Ops policy the
-/// fused chain is bit-identical to the unfused chain (the one exception is
-/// the sign of exact-zero ReLU outputs: Ops::Relu may flip -0.0 to +0.0
-/// where the historical f64 branch keeps -0.0 — value-equal under ==).
-/// tests/kernel_differential_test.cc pins each kernel against the unfused
-/// ScalarOps composition before any caller may use it.
+/// MatMulInto (simd::MatMulAccRows), the residual adds execute in the same
+/// operand order as Tensor::Accumulate / Ops::Add, and the LayerNorm row
+/// body is simd::LayerNormRows verbatim. Only the *interleaving across
+/// elements* changes, so for a given Ops policy a kernel is bit-identical
+/// to the composition (the one exception is the sign of exact-zero ReLU
+/// outputs: Ops::Relu may flip -0.0 to +0.0 where a branchy ReLU keeps
+/// -0.0 — value-equal under ==). tests/kernel_differential_test.cc pins
+/// each kernel against the ScalarOps composition.
 ///
 /// Determinism: every output element is written by exactly one call in a
 /// fixed order, and the kernels run inline on the serving thread — results
@@ -50,8 +51,8 @@ namespace fused {
 /// One output row of a matmul: out_row[n] = x_row[k] · w[k,n], zeroing
 /// out_row first. Per-element this is exactly MatMulInto's Fill(0) +
 /// simd::MatMulAccRows inner sequence (Axpy4 over groups of four w rows,
-/// Axpy remainder), so a fused caller matches the unfused tensor-level
-/// matmul bit for bit under the same Ops policy.
+/// Axpy remainder), so a row kernel matches the tensor-level matmul bit for
+/// bit under the same Ops policy.
 template <typename T, typename Ops>
 inline void MatVecRowInto(const T* x_row, const T* w, int k, int n,
                           T* out_row) {
@@ -76,6 +77,21 @@ inline void LayerNormRow(const T* x_row, const T* gamma, const T* beta,
   const T istd = T(1) / std::sqrt(var + eps);
   Ops::NormScale(x_row, mean, istd, gamma, beta, out_row,
                  /*xhat=*/static_cast<T*>(nullptr), n);
+}
+
+/// Dense layer over `rows` rows of x [rows, k]: out_row = x_row · w [k, n]
+/// (+ bias), bias may be null. Per element this is MatMulInto followed by
+/// the AddRow bias add — the embedding and prediction-head layers of the
+/// serving chain.
+template <typename T, typename Ops>
+void LinearRows(const T* x, int rows, int k, const T* w, const T* bias,
+                int n, T* out) {
+  for (int i = 0; i < rows; ++i) {
+    T* out_row = out + static_cast<int64_t>(i) * n;
+    MatVecRowInto<T, Ops>(x + static_cast<int64_t>(i) * k, w, k, n,
+                          out_row);
+    if (bias != nullptr) Ops::Add(bias, out_row, n);
+  }
 }
 
 /// Fused multi-head QKV projection: one pass over the `length` rows of
@@ -152,7 +168,7 @@ void FusedAttentionEpilogueRows(const T* concat, int rows, int k,
 ///
 /// `hidden` (d_ff elements) and `tmp` (d elements) are caller-provided
 /// scratch tiles reused across rows — the [rows, d_ff] hidden activation,
-/// the dominant term of the unfused arena high-water mark, is never
+/// which would dominate the arena high-water mark, is never
 /// materialized. b1/b2 may be null.
 template <typename T, typename Ops>
 void FusedFfnRows(const T* x, int rows, int d, int d_ff, const T* w1,
@@ -175,4 +191,4 @@ void FusedFfnRows(const T* x, int rows, int d, int d_ff, const T* w1,
 }  // namespace fused
 }  // namespace ssin
 
-#endif  // SSIN_NN_FUSED_SERVING_H_
+#endif  // SSIN_NN_SERVING_KERNELS_H_

@@ -2,24 +2,9 @@
 
 #include <string>
 
-#include "common/simd.h"
 #include "common/telemetry.h"
-#include "nn/fused_serving.h"
 
 namespace ssin {
-
-namespace {
-
-inline const double* BiasData(const Parameter* p) {
-  return p != nullptr ? p->value.data() : nullptr;
-}
-
-inline const float* BiasDataF32(const Parameter* p,
-                                const F32WeightCache::Map& w) {
-  return p != nullptr ? w.at(p).data() : nullptr;
-}
-
-}  // namespace
 
 EncoderLayer::EncoderLayer(int d_model, int num_heads, int d_k, int d_ff,
                            const AttentionConfig& config, Rng* rng)
@@ -46,165 +31,6 @@ Var EncoderLayer::Forward(Var x, Var srpe,
   return norm2_.Forward(Add(x, ff));
 }
 
-Tensor& EncoderLayer::Infer(const Tensor& x, const Tensor* srpe,
-                            const AttentionPlan& plan,
-                            InferenceWorkspace* ws) {
-  // Residual sums run in place on the sublayer output (IEEE addition is
-  // commutative, so x + attn and attn += x round identically).
-  Tensor* attn;
-  {
-    SSIN_TRACE_SPAN("encoder.attention");
-    attn = &attention_.Infer(x, srpe, plan, ws);
-  }
-  SSIN_TRACE_SPAN("encoder.ffn");
-  attn->Accumulate(x);
-  Tensor& x1 = norm1_.Infer(*attn, ws);
-  Tensor& ff = ffn_.Infer(x1, ws);
-  ff.Accumulate(x1);
-  return norm2_.Infer(ff, ws);
-}
-
-Tensor& EncoderLayer::InferTail(const Tensor& x, const Tensor* srpe,
-                                const AttentionPlan& plan, int tail_begin,
-                                InferenceWorkspace* ws) {
-  const int d = x.dim(1);
-  Tensor* attn;
-  {
-    SSIN_TRACE_SPAN("encoder.attention");
-    attn = &attention_.InferTail(x, srpe, plan, tail_begin, ws);
-  }
-  SSIN_TRACE_SPAN("encoder.ffn");
-  // Residual against the matching trailing rows of x; row r pairs with
-  // sequence row tail_begin + r, so the sums round exactly as in Infer.
-  const int num_queries = attn->dim(0);
-  for (int r = 0; r < num_queries; ++r) {
-    const double* x_row =
-        x.data() + static_cast<int64_t>(tail_begin + r) * d;
-    double* a_row = attn->data() + static_cast<int64_t>(r) * d;
-    for (int e = 0; e < d; ++e) a_row[e] += x_row[e];
-  }
-  Tensor& x1 = norm1_.Infer(*attn, ws);
-  Tensor& ff = ffn_.Infer(x1, ws);
-  ff.Accumulate(x1);
-  return norm2_.Infer(ff, ws);
-}
-
-TensorF32& EncoderLayer::InferF32(const TensorF32& x, const TensorF32* srpe,
-                                  const AttentionPlan& plan,
-                                  const F32WeightCache::Map& w,
-                                  InferenceWorkspace* ws) {
-  TensorF32* attn;
-  {
-    SSIN_TRACE_SPAN("encoder.attention");
-    attn = &attention_.InferF32(x, srpe, plan, w, ws);
-  }
-  SSIN_TRACE_SPAN("encoder.ffn");
-  simd::VecOps::Add(x.data(), attn->data(), static_cast<int>(attn->numel()));
-  TensorF32& x1 = norm1_.InferF32(*attn, w, ws);
-  TensorF32& ff = ffn_.InferF32(x1, w, ws);
-  simd::VecOps::Add(x1.data(), ff.data(), static_cast<int>(ff.numel()));
-  return norm2_.InferF32(ff, w, ws);
-}
-
-TensorF32& EncoderLayer::InferTailF32(const TensorF32& x,
-                                      const TensorF32* srpe,
-                                      const AttentionPlan& plan,
-                                      int tail_begin,
-                                      const F32WeightCache::Map& w,
-                                      InferenceWorkspace* ws) {
-  const int d = x.dim(1);
-  TensorF32* attn;
-  {
-    SSIN_TRACE_SPAN("encoder.attention");
-    attn = &attention_.InferTailF32(x, srpe, plan, tail_begin, w, ws);
-  }
-  SSIN_TRACE_SPAN("encoder.ffn");
-  const int num_queries = attn->dim(0);
-  for (int r = 0; r < num_queries; ++r) {
-    simd::VecOps::Add(x.data() + static_cast<int64_t>(tail_begin + r) * d,
-                      attn->data() + static_cast<int64_t>(r) * d, d);
-  }
-  TensorF32& x1 = norm1_.InferF32(*attn, w, ws);
-  TensorF32& ff = ffn_.InferF32(x1, w, ws);
-  simd::VecOps::Add(x1.data(), ff.data(), static_cast<int>(ff.numel()));
-  return norm2_.InferF32(ff, w, ws);
-}
-
-Tensor& EncoderLayer::InferFused(const Tensor& x, const Tensor* srpe,
-                                 const AttentionPlan& plan, int tail_begin,
-                                 InferenceWorkspace* ws) {
-  const int length = x.dim(0);
-  const int dm = x.dim(1);
-  const int nq = length - tail_begin;
-  const Linear& wo = attention_.output_proj();
-  const Linear& fc1 = ffn_.first();
-  const Linear& fc2 = ffn_.second();
-  const int d_ff = fc1.out_features();
-  Tensor* concat = ws->Acquire({nq, wo.in_features()});
-  {
-    SSIN_TRACE_SPAN("encoder.attention");
-    attention_.InferConcatFused(x, srpe, plan, tail_begin, ws, concat);
-  }
-  SSIN_TRACE_SPAN("encoder.ffn");
-  // One scratch slab serves both fused sublayers: [d_ff] hidden tile +
-  // [dm] row temporary.
-  double* hidden = ws->ScratchF64(static_cast<size_t>(d_ff) + dm);
-  double* tmp = hidden + d_ff;
-  Tensor* x1 = ws->Acquire({nq, dm});
-  fused::FusedAttentionEpilogueRows<double, simd::VecOps>(
-      concat->data(), nq, wo.in_features(), wo.weight_param()->value.data(),
-      BiasData(wo.bias_param()), dm,
-      x.data() + static_cast<int64_t>(tail_begin) * dm,
-      norm1_.gamma_param()->value.data(), norm1_.beta_param()->value.data(),
-      norm1_.eps(), tmp, x1->data());
-  Tensor* out = ws->Acquire({nq, dm});
-  fused::FusedFfnRows<double, simd::VecOps>(
-      x1->data(), nq, dm, d_ff, fc1.weight_param()->value.data(),
-      BiasData(fc1.bias_param()), fc2.weight_param()->value.data(),
-      BiasData(fc2.bias_param()), ffn_.relu(),
-      norm2_.gamma_param()->value.data(), norm2_.beta_param()->value.data(),
-      norm2_.eps(), hidden, tmp, out->data());
-  return *out;
-}
-
-TensorF32& EncoderLayer::InferFusedF32(const TensorF32& x,
-                                       const TensorF32* srpe,
-                                       const AttentionPlan& plan,
-                                       int tail_begin,
-                                       const F32WeightCache::Map& w,
-                                       InferenceWorkspace* ws) {
-  const int length = x.dim(0);
-  const int dm = x.dim(1);
-  const int nq = length - tail_begin;
-  const Linear& wo = attention_.output_proj();
-  const Linear& fc1 = ffn_.first();
-  const Linear& fc2 = ffn_.second();
-  const int d_ff = fc1.out_features();
-  TensorF32* concat = ws->AcquireF32({nq, wo.in_features()});
-  {
-    SSIN_TRACE_SPAN("encoder.attention");
-    attention_.InferConcatFusedF32(x, srpe, plan, tail_begin, w, ws, concat);
-  }
-  SSIN_TRACE_SPAN("encoder.ffn");
-  float* hidden = ws->ScratchF32(static_cast<size_t>(d_ff) + dm);
-  float* tmp = hidden + d_ff;
-  TensorF32* x1 = ws->AcquireF32({nq, dm});
-  fused::FusedAttentionEpilogueRows<float, simd::VecOps>(
-      concat->data(), nq, wo.in_features(), w.at(wo.weight_param()).data(),
-      BiasDataF32(wo.bias_param(), w), dm,
-      x.data() + static_cast<int64_t>(tail_begin) * dm,
-      w.at(norm1_.gamma_param()).data(), w.at(norm1_.beta_param()).data(),
-      static_cast<float>(norm1_.eps()), tmp, x1->data());
-  TensorF32* out = ws->AcquireF32({nq, dm});
-  fused::FusedFfnRows<float, simd::VecOps>(
-      x1->data(), nq, dm, d_ff, w.at(fc1.weight_param()).data(),
-      BiasDataF32(fc1.bias_param(), w), w.at(fc2.weight_param()).data(),
-      BiasDataF32(fc2.bias_param(), w), ffn_.relu(),
-      w.at(norm2_.gamma_param()).data(), w.at(norm2_.beta_param()).data(),
-      static_cast<float>(norm2_.eps()), hidden, tmp, out->data());
-  return *out;
-}
-
 Encoder::Encoder(int num_layers, int d_model, int num_heads, int d_k,
                  int d_ff, const AttentionConfig& config, Rng* rng) {
   SSIN_CHECK_GE(num_layers, 1);
@@ -222,68 +48,6 @@ Var Encoder::Forward(Var x, Var srpe,
     x = layer->Forward(x, srpe, plan);
   }
   return x;
-}
-
-Tensor& Encoder::Infer(const Tensor& x, const Tensor* srpe,
-                       const AttentionPlan& plan, InferenceWorkspace* ws,
-                       int tail_begin, bool fused) {
-  const Tensor* cur = &x;
-  const size_t full_layers =
-      tail_begin >= 0 ? layers_.size() - 1 : layers_.size();
-  Tensor* out = nullptr;
-  if (fused) {
-    for (size_t t = 0; t < full_layers; ++t) {
-      out = &layers_[t]->InferFused(*cur, srpe, plan, /*tail_begin=*/0, ws);
-      cur = out;
-    }
-    if (tail_begin >= 0) {
-      out = &layers_.back()->InferFused(*cur, srpe, plan, tail_begin, ws);
-    }
-    SSIN_CHECK(out != nullptr);
-    return *out;
-  }
-  for (size_t t = 0; t < full_layers; ++t) {
-    out = &layers_[t]->Infer(*cur, srpe, plan, ws);
-    cur = out;
-  }
-  if (tail_begin >= 0) {
-    out = &layers_.back()->InferTail(*cur, srpe, plan, tail_begin, ws);
-  }
-  SSIN_CHECK(out != nullptr);
-  return *out;
-}
-
-TensorF32& Encoder::InferF32(const TensorF32& x, const TensorF32* srpe,
-                             const AttentionPlan& plan,
-                             const F32WeightCache::Map& w,
-                             InferenceWorkspace* ws, int tail_begin,
-                             bool fused) {
-  const TensorF32* cur = &x;
-  const size_t full_layers =
-      tail_begin >= 0 ? layers_.size() - 1 : layers_.size();
-  TensorF32* out = nullptr;
-  if (fused) {
-    for (size_t t = 0; t < full_layers; ++t) {
-      out = &layers_[t]->InferFusedF32(*cur, srpe, plan, /*tail_begin=*/0, w,
-                                       ws);
-      cur = out;
-    }
-    if (tail_begin >= 0) {
-      out = &layers_.back()->InferFusedF32(*cur, srpe, plan, tail_begin, w,
-                                           ws);
-    }
-    SSIN_CHECK(out != nullptr);
-    return *out;
-  }
-  for (size_t t = 0; t < full_layers; ++t) {
-    out = &layers_[t]->InferF32(*cur, srpe, plan, w, ws);
-    cur = out;
-  }
-  if (tail_begin >= 0) {
-    out = &layers_.back()->InferTailF32(*cur, srpe, plan, tail_begin, w, ws);
-  }
-  SSIN_CHECK(out != nullptr);
-  return *out;
 }
 
 }  // namespace ssin

@@ -21,44 +21,11 @@ class EncoderLayer : public Module {
 
   Var Forward(Var x, Var srpe, std::shared_ptr<const AttentionPlan> plan);
 
-  /// Graph-free forward; numerically identical to Forward (residual sums
-  /// are IEEE addition in the same pairing, sublayers share kernels).
-  Tensor& Infer(const Tensor& x, const Tensor* srpe,
-                const AttentionPlan& plan, InferenceWorkspace* ws);
-
-  /// Evaluates this layer only for the trailing rows [tail_begin, L):
-  /// keys/values still span all of x, so the output rows are bit-identical
-  /// to the corresponding rows of Infer. Returns [L-tail_begin, d_model].
-  Tensor& InferTail(const Tensor& x, const Tensor* srpe,
-                    const AttentionPlan& plan, int tail_begin,
-                    InferenceWorkspace* ws);
-
-  /// Float32 serving forwards mirroring Infer/InferTail against the
-  /// converted weight snapshot `w`.
-  TensorF32& InferF32(const TensorF32& x, const TensorF32* srpe,
-                      const AttentionPlan& plan, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws);
-  TensorF32& InferTailF32(const TensorF32& x, const TensorF32* srpe,
-                          const AttentionPlan& plan, int tail_begin,
-                          const F32WeightCache::Map& w,
-                          InferenceWorkspace* ws);
-
-  /// Fused serving forward (see src/nn/fused_serving.h): the attention
-  /// epilogue (head concat + output projection + residual + LayerNorm) and
-  /// the whole FFN sublayer run as single row-wise kernels, and the FFN
-  /// hidden activation lives in an L1 scratch tile instead of an [L, d_ff]
-  /// arena tensor. tail_begin >= 1 evaluates only the trailing rows
-  /// [tail_begin, L) (pass 0 for the full sequence — the tail variant is
-  /// the same code path, unified). Per-element arithmetic is identical to
-  /// Infer/InferTail, which remain the bit-exact reference (gated by
-  /// SpaFormerConfig::fused_serving).
-  Tensor& InferFused(const Tensor& x, const Tensor* srpe,
-                     const AttentionPlan& plan, int tail_begin,
-                     InferenceWorkspace* ws);
-  TensorF32& InferFusedF32(const TensorF32& x, const TensorF32* srpe,
-                           const AttentionPlan& plan, int tail_begin,
-                           const F32WeightCache::Map& w,
-                           InferenceWorkspace* ws);
+  /// Sublayer access for the serving view (nn/serving.h).
+  const MultiHeadSpaAttention& attention() const { return attention_; }
+  const Fcn2& ffn() const { return ffn_; }
+  const LayerNormLayer& norm1() const { return norm1_; }
+  const LayerNormLayer& norm2() const { return norm2_; }
 
  private:
   MultiHeadSpaAttention attention_;
@@ -76,24 +43,8 @@ class Encoder : public Module {
   /// `plan` is shared (not rebuilt) across all layers of the stack.
   Var Forward(Var x, Var srpe, std::shared_ptr<const AttentionPlan> plan);
 
-  /// Graph-free forward through the whole stack; see EncoderLayer::Infer.
-  /// When tail_begin >= 0, the final layer runs its tail variant so the
-  /// result holds only the trailing rows [tail_begin, L) — the rows a
-  /// prediction head reads during serving. Rows are bit-identical to a
-  /// full Infer. `fused` selects the fused serving chain
-  /// (EncoderLayer::InferFused) for every layer; false runs the unfused
-  /// reference composition.
-  Tensor& Infer(const Tensor& x, const Tensor* srpe,
-                const AttentionPlan& plan, InferenceWorkspace* ws,
-                int tail_begin = -1, bool fused = false);
-
-  /// Float32 serving forward through the stack; see Infer.
-  TensorF32& InferF32(const TensorF32& x, const TensorF32* srpe,
-                      const AttentionPlan& plan, const F32WeightCache::Map& w,
-                      InferenceWorkspace* ws, int tail_begin = -1,
-                      bool fused = false);
-
   int num_layers() const { return static_cast<int>(layers_.size()); }
+  const EncoderLayer& layer(int t) const { return *layers_[t]; }
 
  private:
   std::vector<std::unique_ptr<EncoderLayer>> layers_;

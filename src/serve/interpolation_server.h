@@ -43,7 +43,8 @@ enum class SubmitStatus {
   kAccepted,        ///< Queued; the future will be fulfilled.
   kQueueFull,       ///< Rejected by admission control — retry/shed load.
   kUnknownModel,    ///< No model registered under that name.
-  kInvalidRequest,  ///< Ids out of range, duplicated, or overlapping.
+  kInvalidRequest,  ///< Ids out of range, duplicated or overlapping, or a
+                    ///< non-finite observed value.
   kShutdown,        ///< The server no longer accepts requests.
 };
 

@@ -74,6 +74,10 @@ bool ModelRegistry::Promote(const std::string& name,
     std::lock_guard<std::mutex> lock(entry->state_mu);
     standby = entry->standby;
   }
+  // Reject a mismatched source before the first write: a failed promotion
+  // leaves both buffers and promotions() untouched. Only shapes are read,
+  // which in-flight readers of the standby never change.
+  if (!standby.model->CanCopyParametersFrom(source)) return false;
   // The standby was the active model two promotions ago, and a batch
   // dispatched back then may still hold it — copying weights under a
   // reader would race. Acquire() only ever pins `active` (under state_mu,

@@ -46,11 +46,11 @@ class ModelRegistry {
   /// Zero-drop hot-swap: copies `source`'s weights into `name`'s standby
   /// buffer and promotes it to active. Waits (bounded spin) until no
   /// in-flight dispatch still reads the standby from a promotion two swaps
-  /// ago before touching its weights. Returns false for an unknown name;
-  /// aborts (SSIN_CHECK) on architecture mismatch, like
-  /// CopyParametersFrom. `source` must be quiescent (not training) for the
-  /// duration of the call. Concurrent promotions of the same model
-  /// serialize.
+  /// ago before touching its weights. Returns false — touching neither
+  /// buffer nor promotions() — for an unknown name or a `source` whose
+  /// architecture differs from the registered model's (or that is not
+  /// prepared). `source` must be quiescent (not training) for the duration
+  /// of the call. Concurrent promotions of the same model serialize.
   bool Promote(const std::string& name, SsinInterpolator& source);
 
   bool Contains(const std::string& name) const;

@@ -181,31 +181,6 @@ void PackedAttentionForwardInto(const Tensor& q, const Tensor& k,
       z_out->data());
 }
 
-void PackedAttentionTailForwardInto(const Tensor& q, const Tensor& k,
-                                    const Tensor& v, const Tensor* c,
-                                    const AttentionPlan& plan, int tail_begin,
-                                    const AttentionConfig& cfg,
-                                    AttentionContext* ctx, Tensor* z_out) {
-  SSIN_CHECK_EQ(k.rank(), 2);
-  SSIN_CHECK(k.SameShape(v));
-  const int length = k.dim(0);
-  const int d = k.dim(1);
-  SSIN_CHECK(tail_begin >= 0 && tail_begin <= length);
-  const int num_queries = length - tail_begin;
-  SSIN_CHECK_EQ(q.dim(0), num_queries);
-  SSIN_CHECK_EQ(q.dim(1), d);
-  CheckForwardShapes(k, c, plan, cfg);
-
-  if (z_out->rank() != 2 || z_out->dim(0) != num_queries ||
-      z_out->dim(1) != d) {
-    *z_out = Tensor({num_queries, d});
-  }
-  PackedAttentionForwardRows<double, simd::VecOps>(
-      q.data(), k.data(), v.data(), cfg.use_srpe ? c->data() : nullptr, plan,
-      cfg.packed_srpe, d, tail_begin, &ctx->scores, /*alpha_out=*/nullptr,
-      z_out->data());
-}
-
 void PackedAttentionBackward(const Tensor& q, const Tensor& k,
                              const Tensor& v, const Tensor* c,
                              const AttentionPlan& plan,

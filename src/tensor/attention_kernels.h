@@ -160,10 +160,10 @@ void PackedAttentionForwardRowsStrided(const T* q, const T* k, const T* v,
   }
 }
 
-/// Contiguous-output wrapper: z rows are packed with stride d. The fused
-/// serving chain calls the strided core directly so each head writes its
-/// column block of the concat tensor (stride num_heads*d) in place —
-/// identical arithmetic, no per-head z tensor and no copy.
+/// Contiguous-output wrapper: z rows are packed with stride d. The serving
+/// chain calls the strided core directly so each head writes its column
+/// block of the concat tensor (stride num_heads*d) in place — identical
+/// arithmetic, no per-head z tensor and no copy.
 template <typename T, typename Ops>
 void PackedAttentionForwardRows(const T* q, const T* k, const T* v,
                                 const T* c, const AttentionPlan& plan,
@@ -188,28 +188,14 @@ Tensor PackedAttentionForward(const Tensor& q, const Tensor& k,
                               const AttentionConfig& cfg,
                               AttentionContext* ctx);
 
-/// Allocation-free variant for reusable workspaces (the inference engine's
-/// per-thread buffers): *z is resized to [L,d] and overwritten. Identical
-/// arithmetic to PackedAttentionForward, which is implemented on top of it.
+/// Allocation-free variant for reusable buffers: *z is resized to [L,d] and
+/// overwritten. Identical arithmetic to PackedAttentionForward, which is
+/// implemented on top of it.
 void PackedAttentionForwardInto(const Tensor& q, const Tensor& k,
                                 const Tensor& v, const Tensor* c,
                                 const AttentionPlan& plan,
                                 const AttentionConfig& cfg,
                                 AttentionContext* ctx, Tensor* z);
-
-/// Tail variant for inference: computes attention outputs only for the
-/// trailing queries [tail_begin, L) — the unobserved rows a prediction
-/// head actually reads. Keys/values still span the full sequence, so the
-/// result rows are bit-identical to the corresponding rows of
-/// PackedAttentionForwardInto; only rows nobody consumes are skipped.
-/// q holds the projected queries of the tail rows only: [L-tail_begin,d];
-/// k,v: [L,d]. *z is resized to [L-tail_begin,d]; row r is query
-/// tail_begin+r.
-void PackedAttentionTailForwardInto(const Tensor& q, const Tensor& k,
-                                    const Tensor& v, const Tensor* c,
-                                    const AttentionPlan& plan, int tail_begin,
-                                    const AttentionConfig& cfg,
-                                    AttentionContext* ctx, Tensor* z);
 
 /// Backward of PackedAttentionForward. dz: [L,d] upstream gradient.
 /// Accumulates into dq/dk/dv (and dc when non-null and cfg.use_srpe; dc

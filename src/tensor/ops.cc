@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/simd.h"
-#include "common/thread_pool.h"
 
 namespace ssin {
 
@@ -20,124 +19,36 @@ Graph* CommonGraph(Var a, Var b) {
 // ------------------------------------------------------------------ matmul
 //
 // Three accumulate-kernels back MatMul: the forward product and the two
-// backward products. Each has a branchy serial reference implementation
-// (the historical kernels, kept for differential testing) and a
-// cache-blocked unrolled implementation selected by MatMulConfig. The
-// kernel bodies live in common/simd.h, shared with the f32 serving path
-// and the differential tests; the blocked ones are instantiated with
-// simd::VecOps so their inner loops run on the build's SIMD ISA. The
-// blocked kernels additionally support row-block parallelism on a shared
-// pool; every output element is always produced by exactly one thread with
-// a fixed inner order, so results are bit-identical across thread counts.
-
-MatMulConfig g_matmul_config;                       // Set at startup only.
-std::unique_ptr<ThreadPool> g_matmul_pool;          // Non-null iff threads>1.
-
-// Work (in multiply-adds) below which fanning out to the pool costs more
-// than it saves.
-constexpr int64_t kMinParallelMadds = 1 << 15;
-
-// out[m,n] += a[m,k] * b[k,n], reference: skips zero a entries.
-void MatMulAccRef(const Tensor& a, const Tensor& b, Tensor* out) {
-  simd::MatMulAccRef(a.data(), b.data(), out->data(), a.dim(0), a.dim(1),
-                     b.dim(1));
-}
-
-void MatMulAccRows(const Tensor& a, const Tensor& b, Tensor* out, int i_lo,
-                   int i_hi) {
-  simd::MatMulAccRows<double, simd::VecOps>(a.data(), b.data(), out->data(),
-                                            a.dim(1), b.dim(1), i_lo, i_hi);
-}
-
-// out[m,k] += dC[m,n] * B^T (dA for C = A*B), reference.
-void MatMulAccBtRef(const Tensor& dc, const Tensor& b, Tensor* out) {
-  simd::MatMulAccBtRef(dc.data(), b.data(), out->data(), dc.dim(0),
-                       dc.dim(1), b.dim(0));
-}
-
-void MatMulAccBtRows(const Tensor& dc, const Tensor& b, Tensor* out,
-                     int i_lo, int i_hi) {
-  simd::MatMulAccBtRows<double, simd::VecOps>(
-      dc.data(), b.data(), out->data(), dc.dim(1), b.dim(0), i_lo, i_hi);
-}
-
-// out[k,n] += A^T[k,m] * dC[m,n] (dB for C = A*B), reference.
-void MatMulAccAtRef(const Tensor& a, const Tensor& dc, Tensor* out) {
-  simd::MatMulAccAtRef(a.data(), dc.data(), out->data(), a.dim(0), a.dim(1),
-                       dc.dim(1));
-}
-
-void MatMulAccAtCols(const Tensor& a, const Tensor& dc, Tensor* out,
-                     int p_lo, int p_hi) {
-  simd::MatMulAccAtCols<double, simd::VecOps>(a.data(), dc.data(),
-                                              out->data(), a.dim(0),
-                                              a.dim(1), dc.dim(1), p_lo,
-                                              p_hi);
-}
-
-// Fans contiguous row blocks of `body(lo, hi)` across the shared matmul
-// pool when the product is big enough; otherwise runs inline. `madds` is
-// the total multiply-add count of the product. One call per worker keeps
-// each block's operand reuse intact.
-template <typename Body>
-void ForRowBlocks(int rows, int64_t madds, const Body& body) {
-  if (g_matmul_pool != nullptr && madds >= kMinParallelMadds && rows > 1) {
-    const int64_t chunks = g_matmul_pool->num_threads();
-    g_matmul_pool->ParallelFor(chunks, [&](int64_t c, int /*slot*/) {
-      const int lo = static_cast<int>(rows * c / chunks);
-      const int hi = static_cast<int>(rows * (c + 1) / chunks);
-      if (lo < hi) body(lo, hi);
-    });
-  } else {
-    body(0, rows);
-  }
-}
+// backward products. Their bodies live in common/simd.h, shared with the
+// serving row kernels and the differential tests, instantiated here with
+// simd::VecOps so the inner loops run on the build's SIMD ISA. Each output
+// element is produced by one call in a fixed order.
 
 // out[m,n] += a[m,k] * b[k,n]
 void MatMulAcc(const Tensor& a, const Tensor& b, Tensor* out) {
-  if (!g_matmul_config.blocked) {
-    MatMulAccRef(a, b, out);
-    return;
-  }
-  const int64_t madds = static_cast<int64_t>(a.dim(0)) * a.dim(1) * b.dim(1);
-  ForRowBlocks(a.dim(0), madds, [&](int lo, int hi) {
-    MatMulAccRows(a, b, out, lo, hi);
-  });
+  simd::MatMulAccRows<double, simd::VecOps>(a.data(), b.data(), out->data(),
+                                            a.dim(1), b.dim(1), 0, a.dim(0));
 }
 
 // out[m,k] += dC[m,n] * B^T  (i.e. dA for C = A*B)
 void MatMulAccBt(const Tensor& dc, const Tensor& b, Tensor* out) {
-  if (!g_matmul_config.blocked) {
-    MatMulAccBtRef(dc, b, out);
-    return;
-  }
-  const int64_t madds =
-      static_cast<int64_t>(dc.dim(0)) * dc.dim(1) * b.dim(0);
-  ForRowBlocks(dc.dim(0), madds, [&](int lo, int hi) {
-    MatMulAccBtRows(dc, b, out, lo, hi);
-  });
+  simd::MatMulAccBtRows<double, simd::VecOps>(
+      dc.data(), b.data(), out->data(), dc.dim(1), b.dim(0), 0, dc.dim(0));
 }
 
 // out[k,n] += A^T[k,m] * dC[m,n]  (i.e. dB for C = A*B)
 void MatMulAccAt(const Tensor& a, const Tensor& dc, Tensor* out) {
-  if (!g_matmul_config.blocked) {
-    MatMulAccAtRef(a, dc, out);
-    return;
-  }
-  // Output rows are indexed by the reduction-free dimension k, so blocks
-  // partition k (not m): every (p, j) is owned by one block.
-  const int64_t madds =
-      static_cast<int64_t>(a.dim(0)) * a.dim(1) * dc.dim(1);
-  ForRowBlocks(a.dim(1), madds, [&](int lo, int hi) {
-    MatMulAccAtCols(a, dc, out, lo, hi);
-  });
+  simd::MatMulAccAtCols<double, simd::VecOps>(a.data(), dc.data(),
+                                              out->data(), a.dim(0),
+                                              a.dim(1), dc.dim(1), 0,
+                                              a.dim(1));
 }
 
 // Shared forward half of LayerNorm: writes the normalized, scaled output
-// and optionally the saved statistics the backward pass needs. One
-// implementation (simd::LayerNormRows, vectorized per the build's ISA)
-// serves both the autograd op and the graph-free LayerNormInto so the two
-// paths cannot drift numerically.
+// and optionally the saved statistics the backward pass needs, via
+// simd::LayerNormRows (vectorized per the build's ISA) — the row body the
+// serving kernels replay (fused::LayerNormRow), so autograd and serving
+// cannot drift numerically.
 void LayerNormForward(const Tensor& x, const Tensor& gamma,
                       const Tensor& beta, double eps, Tensor* out,
                       Tensor* xhat, std::vector<double>* inv_std) {
@@ -165,25 +76,6 @@ void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out) {
   }
   MatMulAcc(a, b, out);
 }
-
-void LayerNormInto(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                   double eps, Tensor* out) {
-  if (!out->SameShape(x)) *out = Tensor(x.shape());
-  LayerNormForward(x, gamma, beta, eps, out, /*xhat=*/nullptr,
-                   /*inv_std=*/nullptr);
-}
-
-void SetMatMulConfig(const MatMulConfig& config) {
-  g_matmul_config = config;
-  if (config.num_threads == 1) {
-    g_matmul_pool.reset();
-  } else {
-    g_matmul_pool = std::make_unique<ThreadPool>(
-        ThreadPool::ResolveThreadCount(config.num_threads));
-  }
-}
-
-MatMulConfig GetMatMulConfig() { return g_matmul_config; }
 
 Var MatMul(Var a, Var b) {
   Graph* g = CommonGraph(a, b);

@@ -14,45 +14,14 @@
 
 namespace ssin {
 
-/// Selects the implementation of the dense matmul kernels behind MatMul
-/// (the forward product and both backward products).
-struct MatMulConfig {
-  /// true: cache-blocked, unrolled kernels without per-element branches.
-  /// Reductions are reassociated by the unrolling, so results match the
-  /// reference to <=1e-12 (bit-identical across thread counts, since each
-  /// output element is still produced by exactly one thread in a fixed
-  /// order). false: the original branchy serial reference kernels.
-  bool blocked = true;
-  /// Worker threads for row-block parallelism. 1 = calling thread only
-  /// (the default; matmuls inside data-parallel training workers run
-  /// inline anyway via the pool's nested-call semantics). 0 = one per
-  /// hardware thread. Only matmuls above an internal size threshold fan
-  /// out, so tiny products never pay pool overhead.
-  int num_threads = 1;
-};
-
-/// Installs the process-wide matmul configuration (creates or drops the
-/// shared row-block pool as needed). Not thread-safe against concurrently
-/// executing graphs: call it at startup or between training/eval runs.
-void SetMatMulConfig(const MatMulConfig& config);
-MatMulConfig GetMatMulConfig();
-
-/// Matrix product: a [m,k] x b [k,n] -> [m,n].
+/// Matrix product: a [m,k] x b [k,n] -> [m,n]. The forward and both
+/// backward products run the blocked simd::VecOps kernels of
+/// common/simd.h inline on the calling thread.
 Var MatMul(Var a, Var b);
 
-/// Graph-free kernels backing the inference engine. Each one runs the
-/// *same* arithmetic as the forward half of the matching autograd op (they
-/// share the kernel implementations), so a graph-free forward pass is
-/// numerically identical to an autograd forward over the same inputs.
-///
-/// out is resized to [a.dim(0), b.dim(1)] and overwritten with a*b
-/// (honors the process-wide MatMulConfig, like MatMul).
+/// The forward half of MatMul without a graph: out is resized to
+/// [a.dim(0), b.dim(1)] and overwritten with a*b.
 void MatMulInto(const Tensor& a, const Tensor& b, Tensor* out);
-
-/// out is resized to x's shape and overwritten with the layer norm of x
-/// over its last dimension — the forward half of LayerNorm below.
-void LayerNormInto(const Tensor& x, const Tensor& gamma, const Tensor& beta,
-                   double eps, Tensor* out);
 
 /// Elementwise sum of two same-shape tensors.
 Var Add(Var a, Var b);

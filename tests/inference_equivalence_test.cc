@@ -1,7 +1,8 @@
-/// Pins the contract of the graph-free inference engine: SpaFormer::Predict
+/// Pins the contract of the graph-free serving chain: SpaFormer::Predict
 /// (through SsinInterpolator::InterpolateTimestamp / InterpolateBatch)
-/// reproduces the autograd reference forward to <= 1e-12 across SRPE
-/// layouts, fill modes and thread counts, and the layout cache serves
+/// reproduces the autograd reference forward to <= 1e-12 across the
+/// Table 6 ablation variants, SRPE layouts, fill modes and thread counts
+/// (PredictF32 within the f32 serving gate), and the layout cache serves
 /// repeated station sets without rebuilding plans or embeddings — until a
 /// weight mutation invalidates it.
 
@@ -10,17 +11,19 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/telemetry.h"
 #include "core/inference_engine.h"
+#include "core/spatial_context.h"
 #include "core/ssin_interpolator.h"
 #include "data/rainfall_generator.h"
 #include "eval/runner.h"
 #include "nn/inference.h"
 #include "tensor/attention_kernels.h"
-#include "tensor/ops.h"
 
 namespace ssin {
 namespace {
@@ -33,10 +36,11 @@ RainfallRegionConfig TinyRegion() {
   return config;
 }
 
-SpaFormerConfig TinyModel(bool packed_srpe) {
-  SpaFormerConfig config;
+// Tiny dimensions over `config`'s architecture switches (embeddings,
+// position mode, shielding, head count).
+SpaFormerConfig TinyModel(bool packed_srpe,
+                          SpaFormerConfig config = SpaFormerConfig()) {
   config.num_layers = 2;
-  config.num_heads = 2;
   config.d_model = 8;
   config.d_k = 8;
   config.d_ff = 32;
@@ -69,12 +73,47 @@ struct Fixture {
   std::vector<int> query_ids;
 };
 
+// Accuracy budget for f32 serving on the tiny fixture, in output units
+// (mm): single-precision arithmetic through a 2-layer encoder stays well
+// under this, and a regression (e.g. accidental f32 accumulation in the
+// destandardize path) blows through it.
+constexpr double kF32ServingGate = 1e-3;
+
 // ------------------------------------------- engine == autograd reference
 
 struct EquivalenceParams {
+  std::string variant;  ///< Table 6 ablation (or head-count) variant.
+  SpaFormerConfig model;
   bool packed_srpe;
   bool mean_fill;
 };
+
+// Every Table 6 named constructor plus a single-head model, each with
+// packed and dense SRPE and both fill modes: the linear-embedding, SAPE,
+// unshielded and one-head paths of the serving chain all stay pinned.
+std::vector<EquivalenceParams> AllEquivalenceParams() {
+  SpaFormerConfig one_head;
+  one_head.num_heads = 1;
+  const std::vector<std::pair<std::string, SpaFormerConfig>> variants = {
+      {"Paper", SpaFormerConfig::Paper()},
+      {"EmbPosLinear", SpaFormerConfig::EmbPosLinear()},
+      {"EmbInputLinear", SpaFormerConfig::EmbInputLinear()},
+      {"EmbBothLinear", SpaFormerConfig::EmbBothLinear()},
+      {"WithSape", SpaFormerConfig::WithSape()},
+      {"WithoutShield", SpaFormerConfig::WithoutShield()},
+      {"NaiveTransformer", SpaFormerConfig::NaiveTransformer()},
+      {"OneHead", one_head},
+  };
+  std::vector<EquivalenceParams> params;
+  for (const auto& [name, config] : variants) {
+    for (bool packed_srpe : {true, false}) {
+      for (bool mean_fill : {true, false}) {
+        params.push_back({name, config, packed_srpe, mean_fill});
+      }
+    }
+  }
+  return params;
+}
 
 class InferenceEquivalence
     : public ::testing::TestWithParam<EquivalenceParams> {};
@@ -82,18 +121,26 @@ class InferenceEquivalence
 TEST_P(InferenceEquivalence, EngineMatchesAutogradReference) {
   const EquivalenceParams p = GetParam();
   Fixture f;
-  SsinInterpolator ssin(TinyModel(p.packed_srpe), FastTraining(p.mean_fill));
+  SsinInterpolator ssin(TinyModel(p.packed_srpe, p.model),
+                        FastTraining(p.mean_fill));
   ssin.Fit(f.data, f.observed_ids);
 
   for (int t = 0; t < 6; ++t) {
     const std::vector<double> reference = ssin.InterpolateTimestampAutograd(
         f.data.Values(t), f.observed_ids, f.query_ids);
+    ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat64);
     const std::vector<double> engine = ssin.InterpolateTimestamp(
         f.data.Values(t), f.observed_ids, f.query_ids);
+    ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
+    const std::vector<double> engine_f32 = ssin.InterpolateTimestamp(
+        f.data.Values(t), f.observed_ids, f.query_ids);
     ASSERT_EQ(reference.size(), engine.size());
+    ASSERT_EQ(reference.size(), engine_f32.size());
     for (size_t q = 0; q < reference.size(); ++q) {
       EXPECT_NEAR(engine[q], reference[q], 1e-12)
           << "timestamp " << t << " query " << q;
+      EXPECT_NEAR(engine_f32[q], reference[q], kF32ServingGate)
+          << "f32 timestamp " << t << " query " << q;
     }
   }
 }
@@ -101,7 +148,8 @@ TEST_P(InferenceEquivalence, EngineMatchesAutogradReference) {
 TEST_P(InferenceEquivalence, BatchMatchesSerialAcrossThreadCounts) {
   const EquivalenceParams p = GetParam();
   Fixture f;
-  SsinInterpolator ssin(TinyModel(p.packed_srpe), FastTraining(p.mean_fill));
+  SsinInterpolator ssin(TinyModel(p.packed_srpe, p.model),
+                        FastTraining(p.mean_fill));
   ssin.Fit(f.data, f.observed_ids);
 
   std::vector<const std::vector<double>*> batch;
@@ -128,13 +176,11 @@ TEST_P(InferenceEquivalence, BatchMatchesSerialAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    SrpeLayoutsAndFillModes, InferenceEquivalence,
-    ::testing::Values(EquivalenceParams{true, true},
-                      EquivalenceParams{true, false},
-                      EquivalenceParams{false, true},
-                      EquivalenceParams{false, false}),
+    AblationsLayoutsAndFillModes, InferenceEquivalence,
+    ::testing::ValuesIn(AllEquivalenceParams()),
     [](const ::testing::TestParamInfo<EquivalenceParams>& info) {
-      return std::string(info.param.packed_srpe ? "Packed" : "Dense") +
+      return info.param.variant +
+             (info.param.packed_srpe ? "Packed" : "Dense") +
              (info.param.mean_fill ? "MeanFill" : "ZeroFill");
     });
 
@@ -178,23 +224,6 @@ TEST(InferenceEquivalenceTelemetry, TelemetryOnChangesNoPrediction) {
     // enabled sweeps.
     EXPECT_GE(telemetry::GetHistogram("serve.predict_us")->Snapshot().count,
               static_cast<int64_t>(2 * batch.size()));
-  }
-}
-
-TEST(InferenceEquivalenceSape, SapeAblationAlsoMatches) {
-  Fixture f;
-  SpaFormerConfig config = TinyModel(/*packed_srpe=*/true);
-  config.position_mode = SpaFormerConfig::PositionMode::kSape;
-  SsinInterpolator ssin(config, FastTraining(/*mean_fill=*/true));
-  ssin.Fit(f.data, f.observed_ids);
-
-  const std::vector<double> reference = ssin.InterpolateTimestampAutograd(
-      f.data.Values(0), f.observed_ids, f.query_ids);
-  const std::vector<double> engine = ssin.InterpolateTimestamp(
-      f.data.Values(0), f.observed_ids, f.query_ids);
-  ASSERT_EQ(reference.size(), engine.size());
-  for (size_t q = 0; q < reference.size(); ++q) {
-    EXPECT_NEAR(engine[q], reference[q], 1e-12);
   }
 }
 
@@ -265,12 +294,6 @@ TEST(LayoutCacheBehavior, WeightMutationsInvalidate) {
 }
 
 // ------------------------------------------------- float32 serving mode
-
-// Accuracy budget for f32 serving on the tiny fixture, in output units
-// (mm): single-precision arithmetic through a 2-layer encoder stays well
-// under this, and a regression (e.g. accidental f32 accumulation in the
-// destandardize path) blows through it.
-constexpr double kF32ServingGate = 1e-3;
 
 TEST(F32ServingTest, GatedEnableMatchesF64WithinBudget) {
   Fixture f;
@@ -507,111 +530,40 @@ TEST(ServingArenaPeak, EmptyQueryStillObservesLatency) {
             count_before + 1);
 }
 
-// ------------------------------------------------- fused serving chain
+// ------------------------------------------------- arena footprint
 
-TEST(FusedServingTest, FusedMatchesUnfusedExactlyBothPrecisions) {
-  Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
-  ssin.Fit(f.data, f.observed_ids);
-  EXPECT_TRUE(ssin.fused_serving());  // On by default.
-
-  // f64: the fused kernels replay the unfused blocked arithmetic
-  // per-element, so predictions agree exactly (value equality — the only
-  // representational slack is the sign of exact-zero ReLU outputs).
-  for (int t = 0; t < f.data.num_timestamps(); ++t) {
-    ssin.SetFusedServing(true);
-    const std::vector<double> fused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ssin.SetFusedServing(false);
-    const std::vector<double> unfused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ASSERT_EQ(fused.size(), unfused.size());
-    for (size_t q = 0; q < fused.size(); ++q) {
-      EXPECT_EQ(fused[q], unfused[q]) << "timestamp " << t << " query " << q;
-    }
-  }
-
-  // f32 serving: same contract at the narrower precision.
-  ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
-  for (int t = 0; t < f.data.num_timestamps(); ++t) {
-    ssin.SetFusedServing(true);
-    const std::vector<double> fused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ssin.SetFusedServing(false);
-    const std::vector<double> unfused = ssin.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ASSERT_EQ(fused.size(), unfused.size());
-    for (size_t q = 0; q < fused.size(); ++q) {
-      EXPECT_EQ(fused[q], unfused[q]) << "timestamp " << t << " query " << q;
-    }
-  }
-}
-
-TEST(FusedServingTest, NonBlockedMatMulConfigBypassesFusion) {
-  // The fused chain reproduces the *blocked* matmul arithmetic; under the
-  // branchy reference configuration Predict must fall back to the unfused
-  // composition, so the fused flag changes nothing at all.
-  Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
-  ssin.Fit(f.data, f.observed_ids);
-
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig({/*blocked=*/false, /*num_threads=*/1});
-  ssin.SetFusedServing(true);
-  const std::vector<double> flagged = ssin.InterpolateTimestamp(
-      f.data.Values(0), f.observed_ids, f.query_ids);
-  ssin.SetFusedServing(false);
-  const std::vector<double> unflagged = ssin.InterpolateTimestamp(
-      f.data.Values(0), f.observed_ids, f.query_ids);
-  SetMatMulConfig(saved);
-  ssin.SetFusedServing(true);
-
-  ASSERT_EQ(flagged.size(), unflagged.size());
-  for (size_t q = 0; q < flagged.size(); ++q) {
-    EXPECT_EQ(flagged[q], unflagged[q]);
-  }
-}
-
-TEST(FusedServingTest, ArenaShrinksAtPaperConfig) {
-  // The point of the fusion: at the paper's serving geometry (L=123,
-  // m=113, d_ff=256) the fused chain must cut the workspace arena
-  // high-water mark by at least 30% — the [L, d_ff] FFN hidden tensors and
-  // the per-head q/k/v/z tensors no longer hit the arena.
-  if (!telemetry::CompiledIn()) GTEST_SKIP() << "telemetry compiled out";
-
+TEST(ServingArenaPeak, PaperConfigStaysUnderCeilings) {
+  // Workspace arena high-water mark of one prediction at the paper's
+  // serving geometry (L=123, m=113, d_ff=256), per precision. The
+  // ceilings are the footprint of the serving chain as built: the FFN
+  // hidden activation lives in a [d_ff] row tile and the per-head q/k/v
+  // projections in two head-major slots, so any new [L, *] intermediate
+  // in the arena breaks them.
   RainfallGenerator generator(HkRegionConfig());  // 123 gauges.
-  SpatialDataset data = generator.GenerateHours(2, 7);
+  SpatialDataset data = generator.GenerateHours(1, 7);
   std::vector<int> observed_ids, query_ids;
   for (int i = 0; i < data.num_stations(); ++i) {
     (i < 113 ? observed_ids : query_ids).push_back(i);
   }
-  ASSERT_EQ(113u, observed_ids.size());
+  SpatialContext context;
+  context.Build(data, observed_ids);
+  Rng rng(7);
+  SpaFormer model(SpaFormerConfig::Paper(), &rng);
+  InferenceWorkspace layout_ws;
+  std::shared_ptr<const SequenceLayout> layout = BuildSequenceLayout(
+      &model, context, observed_ids, query_ids, &layout_ws);
+  const Tensor x({layout->length(), 1});
 
-  SsinInterpolator ssin(SpaFormerConfig::Paper(),
-                        FastTraining(/*mean_fill=*/true));
-  ssin.Prepare(data, observed_ids);  // Serving needs no trained weights.
+  InferenceWorkspace f64_ws;
+  model.Predict(x, *layout, &f64_ws);
+  EXPECT_GT(f64_ws.ArenaBytes(), 0u);
+  EXPECT_LE(f64_ws.ArenaBytes(), 420560u);
 
-  telemetry::SetEnabled(true);
-  ssin.SetFusedServing(true);
-  ssin.InterpolateTimestamp(data.Values(0), observed_ids, query_ids);
-  const double fused_bytes =
-      telemetry::GetGauge("serve.workspace_arena_bytes")->Value();
-  ssin.SetFusedServing(false);
-  ssin.InterpolateTimestamp(data.Values(0), observed_ids, query_ids);
-  const double unfused_bytes =
-      telemetry::GetGauge("serve.workspace_arena_bytes")->Value();
-  const double peak_bytes =
-      telemetry::GetGauge("serve.arena_peak_bytes")->Value();
-  telemetry::SetEnabled(false);
-  ssin.SetFusedServing(true);
-
-  EXPECT_GT(fused_bytes, 0.0);
-  EXPECT_LE(fused_bytes, 0.7 * unfused_bytes)
-      << "fused=" << fused_bytes << " unfused=" << unfused_bytes;
-  // The process-wide peak saw at least the larger of the two calls.
-  EXPECT_GE(peak_bytes, unfused_bytes);
+  F32WeightCache f32_weights;
+  InferenceWorkspace f32_ws;
+  model.PredictF32(x, *layout, *f32_weights.EnsureFrom(&model), &f32_ws);
+  EXPECT_GT(f32_ws.ArenaBytes(), 0u);
+  EXPECT_LE(f32_ws.ArenaBytes(), 210772u);
 }
 
 // ------------------------------------------------- workspace + validation

@@ -1,6 +1,7 @@
-// Differential tests for the SIMD serving kernels (common/simd.h): every
-// vectorized kernel is pinned against the sequential scalar reference over
-// randomized shape/sparsity sweeps.
+// Differential tests for the SIMD kernels (common/simd.h) and the serving
+// row kernels (nn/serving_kernels.h): every vectorized kernel is pinned
+// against the sequential simd::ScalarOps reference over randomized
+// shape/sparsity sweeps.
 //
 // Tolerances. The vectorized f64 kernels reassociate reductions
 // (vector-lane partial sums), so they are not bit-identical to the
@@ -8,8 +9,7 @@
 // magnitude. The f32 kernels get 1e-5 scaled — float has ~1.2e-7 ULP and
 // the longest reductions here accumulate a few hundred terms. Both
 // policies are deterministic, so the row-split tests demand bit-equality:
-// splitting the row range (what the thread pool does) must not change a
-// single bit.
+// splitting the row range must not change a single bit.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "common/simd.h"
-#include "nn/fused_serving.h"
+#include "nn/serving_kernels.h"
 #include "tensor/attention_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -51,22 +51,17 @@ void CheckMatMulAccOnce(int m, int k, int n, double sparsity, Rng* rng) {
   // Non-zero initial out: the kernels accumulate.
   const std::vector<T> init = RandomVector<T>(int64_t{m} * n, rng);
 
-  std::vector<T> ref = init;
-  simd::MatMulAccRef(a.data(), b.data(), ref.data(), m, k, n);
-
   std::vector<T> scalar = init;
   simd::MatMulAccRows<T, simd::ScalarOps>(a.data(), b.data(), scalar.data(),
                                           k, n, 0, m);
   std::vector<T> vec = init;
   simd::MatMulAccRows<T, simd::VecOps>(a.data(), b.data(), vec.data(), k, n,
                                        0, m);
+  EXPECT_LE(MaxAbsDiff(scalar, vec), ScaledTol(scalar, PolicyTol<T>()))
+      << m << "x" << k << "x" << n;
 
-  const double tol = ScaledTol(ref, PolicyTol<T>());
-  EXPECT_LE(MaxAbsDiff(ref, scalar), tol) << m << "x" << k << "x" << n;
-  EXPECT_LE(MaxAbsDiff(ref, vec), tol) << m << "x" << k << "x" << n;
-
-  // Row-split determinism: computing [0,split) and [split,m) separately is
-  // exactly what ForRowBlocks does across threads — must be bit-identical.
+  // Row-split determinism: computing [0,split) and [split,m) separately
+  // must be bit-identical to one pass.
   if (m > 1) {
     const int split = m / 2;
     std::vector<T> split_out = init;
@@ -84,18 +79,14 @@ void CheckMatMulAccBtOnce(int m, int n, int k, double sparsity, Rng* rng) {
   const std::vector<T> b = RandomVector<T>(int64_t{k} * n, rng, sparsity);
   const std::vector<T> init = RandomVector<T>(int64_t{m} * k, rng);
 
-  std::vector<T> ref = init;
-  simd::MatMulAccBtRef(dc.data(), b.data(), ref.data(), m, n, k);
   std::vector<T> scalar = init;
   simd::MatMulAccBtRows<T, simd::ScalarOps>(dc.data(), b.data(),
                                             scalar.data(), n, k, 0, m);
   std::vector<T> vec = init;
   simd::MatMulAccBtRows<T, simd::VecOps>(dc.data(), b.data(), vec.data(), n,
                                          k, 0, m);
-
-  const double tol = ScaledTol(ref, PolicyTol<T>());
-  EXPECT_LE(MaxAbsDiff(ref, scalar), tol) << m << "x" << n << "x" << k;
-  EXPECT_LE(MaxAbsDiff(ref, vec), tol) << m << "x" << n << "x" << k;
+  EXPECT_LE(MaxAbsDiff(scalar, vec), ScaledTol(scalar, PolicyTol<T>()))
+      << m << "x" << n << "x" << k;
 
   if (m > 1) {
     const int split = m / 2;
@@ -114,18 +105,14 @@ void CheckMatMulAccAtOnce(int m, int k, int n, double sparsity, Rng* rng) {
   const std::vector<T> dc = RandomVector<T>(int64_t{m} * n, rng, sparsity);
   const std::vector<T> init = RandomVector<T>(int64_t{k} * n, rng);
 
-  std::vector<T> ref = init;
-  simd::MatMulAccAtRef(a.data(), dc.data(), ref.data(), m, k, n);
   std::vector<T> scalar = init;
   simd::MatMulAccAtCols<T, simd::ScalarOps>(a.data(), dc.data(),
                                             scalar.data(), m, k, n, 0, k);
   std::vector<T> vec = init;
   simd::MatMulAccAtCols<T, simd::VecOps>(a.data(), dc.data(), vec.data(), m,
                                          k, n, 0, k);
-
-  const double tol = ScaledTol(ref, PolicyTol<T>());
-  EXPECT_LE(MaxAbsDiff(ref, scalar), tol) << m << "x" << k << "x" << n;
-  EXPECT_LE(MaxAbsDiff(ref, vec), tol) << m << "x" << k << "x" << n;
+  EXPECT_LE(MaxAbsDiff(scalar, vec), ScaledTol(scalar, PolicyTol<T>()))
+      << m << "x" << k << "x" << n;
 
   // This kernel splits over *output* rows p (the k dimension).
   if (k > 1) {
@@ -160,7 +147,7 @@ TEST(KernelDifferentialTest, MatMulFamilyDenseF64) {
 }
 
 TEST(KernelDifferentialTest, MatMulFamilySparseF64) {
-  // Sparse operands drive the reference through its zero-skip branch.
+  // Sparse operands: exact zeros inside the unrolled Axpy4 groups.
   RunMatMulSweep<double>(/*sparsity=*/0.6, /*seed=*/0xA2);
 }
 
@@ -188,39 +175,33 @@ TEST(KernelDifferentialTest, RandomizedShapeFuzz) {
   }
 }
 
-// Tensor-level entry points: blocked + threaded MatMulInto against the
-// branchy reference configuration, at 1 and 4 threads. The large shape
-// clears the internal parallelism threshold so 4 threads genuinely fan
-// out; results must be bit-identical across thread counts.
-TEST(KernelDifferentialTest, MatMulIntoMatchesReferenceAcrossThreadCounts) {
-  const MatMulConfig saved = GetMatMulConfig();
+// Tensor-level entry point: MatMulInto (the forward product behind MatMul)
+// against the ScalarOps composition it replaces — zero the output, then
+// accumulate a*b row by row with the sequential primitives.
+TEST(KernelDifferentialTest, MatMulIntoMatchesScalarOpsComposition) {
   Rng rng(0xBEEF);
   for (const auto& dims : std::vector<std::vector<int>>{
            {1, 1, 1}, {5, 3, 7}, {33, 17, 9}, {96, 64, 80}}) {
     const int m = dims[0], k = dims[1], n = dims[2];
     Tensor a({m, k}, RandomVector<double>(int64_t{m} * k, &rng, 0.3));
     Tensor b({k, n}, RandomVector<double>(int64_t{k} * n, &rng, 0.3));
-    Tensor ref({m, n}), blocked1({m, n}), blocked4({m, n});
+    Tensor out;
+    MatMulInto(a, b, &out);
+    ASSERT_EQ(out.dim(0), m);
+    ASSERT_EQ(out.dim(1), n);
 
-    SetMatMulConfig({/*blocked=*/false, /*num_threads=*/1});
-    MatMulInto(a, b, &ref);
-    SetMatMulConfig({/*blocked=*/true, /*num_threads=*/1});
-    MatMulInto(a, b, &blocked1);
-    SetMatMulConfig({/*blocked=*/true, /*num_threads=*/4});
-    MatMulInto(a, b, &blocked4);
+    std::vector<double> ref(static_cast<size_t>(m) * n, 0.0);
+    simd::MatMulAccRows<double, simd::ScalarOps>(a.data(), b.data(),
+                                                 ref.data(), k, n, 0, m);
+    const std::vector<double> got(out.data(), out.data() + out.numel());
+    EXPECT_LE(MaxAbsDiff(ref, got), ScaledTol(ref, kF64Tol))
+        << m << "x" << k << "x" << n;
 
-    double ref_max = 0.0;
-    for (int64_t i = 0; i < ref.numel(); ++i) {
-      ref_max = std::max(ref_max, std::fabs(ref[i]));
-    }
-    const double tol = kF64Tol * std::max(1.0, ref_max);
-    for (int64_t i = 0; i < ref.numel(); ++i) {
-      EXPECT_NEAR(ref[i], blocked1[i], tol);
-      EXPECT_EQ(blocked1[i], blocked4[i])
-          << "thread-count variance at " << i;
-    }
+    // A reused output tensor is zeroed, not accumulated into.
+    MatMulInto(a, b, &out);
+    EXPECT_TRUE(BitEqual(got, std::vector<double>(
+                                  out.data(), out.data() + out.numel())));
   }
-  SetMatMulConfig(saved);
 }
 
 // ---------------------------------------------------------------------------
@@ -365,18 +346,59 @@ TEST(KernelDifferentialTest, AttentionPaperConfig) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused serving kernels (nn/fused_serving.h). Each fused kernel claims
-// per-element bit-identity with the unfused blocked composition under the
-// same Ops policy — the primary pins below are therefore exact (memcmp),
-// not tolerance-based. Cross-policy (fused VecOps vs. unfused ScalarOps)
-// gets the usual scaled tolerance budget.
+// Serving row kernels (nn/serving_kernels.h). Each kernel claims
+// per-element bit-identity with the per-op composition under the same Ops
+// policy — the primary pins below are therefore exact (memcmp), not
+// tolerance-based. Cross-policy (kernel VecOps vs. ScalarOps) gets the
+// usual scaled tolerance budget.
 
-// Unfused reference for one matmul under policy Ops: exactly what
-// MatMulInto's blocked path computes (Fill(0) + MatMulAccRows).
+// Per-op reference for one matmul under policy Ops: exactly what
+// MatMulInto computes (Fill(0) + MatMulAccRows).
 template <typename T, typename Ops>
-void UnfusedMatMul(const T* a, const T* b, int m, int k, int n, T* out) {
+void PerOpMatMul(const T* a, const T* b, int m, int k, int n, T* out) {
   std::fill(out, out + int64_t{m} * n, T(0));
   simd::MatMulAccRows<T, Ops>(a, b, out, k, n, 0, m);
+}
+
+template <typename T>
+void CheckLinearRowsOnce(int rows, int k, int n, bool bias, Rng* rng) {
+  const std::vector<T> x = RandomVector<T>(int64_t{rows} * k, rng);
+  const std::vector<T> w = RandomVector<T>(int64_t{k} * n, rng);
+  const std::vector<T> b = RandomVector<T>(n, rng);
+  const T* b_ptr = bias ? b.data() : nullptr;
+
+  std::vector<T> out(static_cast<size_t>(rows) * n);
+  fused::LinearRows<T, simd::VecOps>(x.data(), rows, k, w.data(), b_ptr, n,
+                                     out.data());
+
+  // Per-op composition: tensor matmul, then the AddRow bias add.
+  std::vector<T> ref(out.size());
+  PerOpMatMul<T, simd::VecOps>(x.data(), w.data(), rows, k, n, ref.data());
+  for (int i = 0; i < rows && bias; ++i) {
+    simd::VecOps::Add(b.data(), ref.data() + static_cast<int64_t>(i) * n, n);
+  }
+  EXPECT_TRUE(BitEqual(ref, out))
+      << rows << "x" << k << "x" << n << " bias=" << bias;
+
+  std::vector<T> out_scalar(out.size());
+  fused::LinearRows<T, simd::ScalarOps>(x.data(), rows, k, w.data(), b_ptr,
+                                        n, out_scalar.data());
+  EXPECT_LE(MaxAbsDiff(out, out_scalar),
+            ScaledTol(out_scalar, PolicyTol<T>()));
+}
+
+TEST(KernelDifferentialTest, LinearRowsSweep) {
+  Rng rng(0xE0);
+  for (int rows : {0, 1, 2, 5, 23}) {
+    for (int k : {1, 2, 5, 16}) {
+      for (int n : {1, 3, 16, 17}) {
+        for (bool bias : {true, false}) {
+          CheckLinearRowsOnce<double>(rows, k, n, bias, &rng);
+          CheckLinearRowsOnce<float>(rows, k, n, bias, &rng);
+        }
+      }
+    }
+  }
 }
 
 template <typename T>
@@ -409,24 +431,24 @@ void CheckFusedQkvOnce(int length, int dm, int d, int num_heads,
   EXPECT_LE(MaxAbsDiff(kv, kv_scalar), ScaledTol(kv_scalar, PolicyTol<T>()));
   EXPECT_LE(MaxAbsDiff(q, q_scalar), ScaledTol(q_scalar, PolicyTol<T>()));
 
-  // Same-policy unfused references (per-head tensor matmuls) must be
-  // bit-identical — this is the claim that lets the serving path swap the
-  // fused kernel in without changing a single prediction bit.
+  // Same-policy per-op references (per-head tensor matmuls) must be
+  // bit-identical — the claim that lets the serving chain run the fused
+  // kernel without changing a single prediction bit.
   std::vector<T> ref(head);
   for (int h = 0; h < num_heads && head > 0; ++h) {
-    UnfusedMatMul<T, simd::VecOps>(x.data(), wk[h].data(), length, dm, d,
+    PerOpMatMul<T, simd::VecOps>(x.data(), wk[h].data(), length, dm, d,
                                    ref.data());
     EXPECT_EQ(0, std::memcmp(ref.data(), kv.data() + (2 * h) * head,
                              head * sizeof(T)))
         << "k head " << h << " L=" << length << " dm=" << dm << " d=" << d;
-    UnfusedMatMul<T, simd::VecOps>(x.data(), wv[h].data(), length, dm, d,
+    PerOpMatMul<T, simd::VecOps>(x.data(), wv[h].data(), length, dm, d,
                                    ref.data());
     EXPECT_EQ(0, std::memcmp(ref.data(), kv.data() + (2 * h + 1) * head,
                              head * sizeof(T)))
         << "v head " << h;
     if (nq > 0) {
       std::vector<T> ref_q(static_cast<size_t>(nq) * d);
-      UnfusedMatMul<T, simd::VecOps>(x.data() + int64_t{tail_begin} * dm,
+      PerOpMatMul<T, simd::VecOps>(x.data() + int64_t{tail_begin} * dm,
                                      wq[h].data(), nq, dm, d, ref_q.data());
       EXPECT_EQ(0, std::memcmp(ref_q.data(),
                                q.data() + static_cast<size_t>(h) * nq * d,
@@ -472,10 +494,10 @@ void CheckFusedEpilogueOnce(int rows, int k, int n, bool bias, Rng* rng) {
       concat.data(), rows, k, wo.data(), bias_ptr, n, residual.data(),
       gamma.data(), beta.data(), eps, tmp.data(), out.data());
 
-  // Unfused composition under the same policy: tensor matmul, then the
+  // Per-op composition under the same policy: tensor matmul, then the
   // bias / residual element adds, then the batched LayerNorm. Bit-exact.
   std::vector<T> proj(out.size());
-  UnfusedMatMul<T, simd::VecOps>(concat.data(), wo.data(), rows, k, n,
+  PerOpMatMul<T, simd::VecOps>(concat.data(), wo.data(), rows, k, n,
                                  proj.data());
   for (int i = 0; i < rows; ++i) {
     T* row = proj.data() + static_cast<int64_t>(i) * n;
@@ -532,11 +554,11 @@ void CheckFusedFfnOnce(int rows, int d, int d_ff, bool relu, bool bias,
       x.data(), rows, d, d_ff, w1.data(), b1_ptr, w2.data(), b2_ptr, relu,
       gamma.data(), beta.data(), eps, hidden.data(), tmp.data(), out.data());
 
-  // Unfused composition: full [rows, d_ff] hidden tensor, batched adds,
+  // Per-op composition: full [rows, d_ff] hidden tensor, batched adds,
   // batched ReLU, batched LayerNorm — the arena-hungry chain the fused
   // kernel replaces. Same policy, bit-exact.
   std::vector<T> h(static_cast<size_t>(rows) * d_ff);
-  UnfusedMatMul<T, simd::VecOps>(x.data(), w1.data(), rows, d, d_ff,
+  PerOpMatMul<T, simd::VecOps>(x.data(), w1.data(), rows, d, d_ff,
                                  h.data());
   for (int i = 0; i < rows; ++i) {
     T* row = h.data() + static_cast<int64_t>(i) * d_ff;
@@ -544,7 +566,7 @@ void CheckFusedFfnOnce(int rows, int d, int d_ff, bool relu, bool bias,
     if (relu) simd::VecOps::Relu(row, d_ff);
   }
   std::vector<T> proj(out.size());
-  UnfusedMatMul<T, simd::VecOps>(h.data(), w2.data(), rows, d_ff, d,
+  PerOpMatMul<T, simd::VecOps>(h.data(), w2.data(), rows, d_ff, d,
                                  proj.data());
   for (int i = 0; i < rows; ++i) {
     T* row = proj.data() + static_cast<int64_t>(i) * d;
@@ -587,7 +609,7 @@ TEST(KernelDifferentialTest, FusedFfnSweep) {
 
 // Strided attention output: each head writing its column block of the
 // [L, H*d] concat directly must be bit-identical to the contiguous kernel
-// plus an explicit column copy (the unfused chain's layout).
+// plus an explicit column copy.
 template <typename T>
 void CheckStridedAttentionOnce(int length, int num_observed, int d,
                                int num_heads, int tail_begin, Rng* rng) {
@@ -646,10 +668,14 @@ TEST(KernelDifferentialTest, StridedAttentionMatchesContiguous) {
   }
 }
 
-// Paper-config geometry for the whole fused chain: L=123, m=113, H=2,
+// Paper-config geometry for the whole serving chain: L=123, m=113, H=2,
 // d_model=d_k=16, d_ff=256 — the exact shapes SpaFormer serves.
 TEST(KernelDifferentialTest, FusedServingPaperConfig) {
   Rng rng(0xE5);
+  CheckLinearRowsOnce<double>(123, 1, 16, /*bias=*/true, &rng);
+  CheckLinearRowsOnce<float>(123, 1, 16, /*bias=*/true, &rng);
+  CheckLinearRowsOnce<double>(10, 16, 1, /*bias=*/true, &rng);
+  CheckLinearRowsOnce<float>(10, 16, 1, /*bias=*/true, &rng);
   CheckFusedQkvOnce<double>(123, 16, 16, 2, /*tail_begin=*/113, &rng);
   CheckFusedQkvOnce<float>(123, 16, 16, 2, /*tail_begin=*/113, &rng);
   CheckFusedEpilogueOnce<double>(123, 32, 16, /*bias=*/false, &rng);

@@ -1,5 +1,4 @@
-/// Equivalence contract of the legal-pair-sparse SRPE pipeline and the
-/// blocked matmul kernels:
+/// Equivalence contract of the legal-pair-sparse SRPE pipeline:
 ///
 ///  * Training with packed_srpe (the default) reproduces the dense
 ///    [L*L, d_k] reference pipeline — epoch losses, evaluation metrics and
@@ -8,9 +7,6 @@
 ///    only the fp association of the position-embedding backward differs.
 ///  * One SpaFormer::Forward builds exactly one AttentionPlan, no matter
 ///    how many layers and heads consume it, and backward builds none.
-///  * The cache-blocked (and optionally thread-parallel) matmul kernels
-///    agree with the serial reference to reassociation tolerance, and are
-///    bit-identical across matmul thread counts.
 
 #include <gtest/gtest.h>
 
@@ -164,96 +160,6 @@ TEST(AttentionPlanLifecycle, DensePipelineAlsoBuildsOnce) {
   Graph graph;
   model.Forward(&graph, x, relpos, abspos, observed);
   EXPECT_EQ(AttentionPlanBuildCount() - before, 1);
-}
-
-// ------------------------------------------------------- matmul kernels
-
-struct MatMulResult {
-  double loss = 0.0;
-  Tensor da, db;
-};
-
-/// loss = sum((A B)^2) under the given matmul kernel configuration;
-/// backward exercises all three kernels (fwd, dA = g B^T, dB = A^T g).
-MatMulResult RunMatMul(const Tensor& a, const Tensor& b,
-                       const MatMulConfig& config) {
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig(config);
-  MatMulResult result;
-  result.da = Tensor(a.shape());
-  result.db = Tensor(b.shape());
-  Graph g;
-  Var va = g.Leaf(a, &result.da);
-  Var vb = g.Leaf(b, &result.db);
-  Var z = MatMul(va, vb);
-  Var loss = Sum(Mul(z, z));
-  g.Backward(loss);
-  result.loss = loss.value()[0];
-  SetMatMulConfig(saved);
-  return result;
-}
-
-TEST(BlockedMatMulTest, MatchesReferenceAndIsThreadCountInvariant) {
-  Rng rng(23);
-  // Odd sizes exercise the unroll tails; zeros exercise the removed
-  // aip == 0 fast path of the reference kernel.
-  Tensor a = Tensor::Randn({37, 19}, &rng);
-  Tensor b = Tensor::Randn({19, 23}, &rng);
-  for (int64_t i = 0; i < a.numel(); i += 7) a[i] = 0.0;
-
-  const MatMulResult ref =
-      RunMatMul(a, b, MatMulConfig{/*blocked=*/false, /*num_threads=*/1});
-  const MatMulResult blocked =
-      RunMatMul(a, b, MatMulConfig{/*blocked=*/true, /*num_threads=*/1});
-  const MatMulResult threaded =
-      RunMatMul(a, b, MatMulConfig{/*blocked=*/true, /*num_threads=*/4});
-
-  // Blocked kernels reassociate the p-sum: equal to fp tolerance.
-  EXPECT_NEAR(blocked.loss, ref.loss, 1e-9 * (1.0 + std::fabs(ref.loss)));
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_NEAR(blocked.da[i], ref.da[i], 1e-9) << "da[" << i << "]";
-  }
-  for (int64_t i = 0; i < b.numel(); ++i) {
-    EXPECT_NEAR(blocked.db[i], ref.db[i], 1e-9) << "db[" << i << "]";
-  }
-
-  // Each output element is owned by exactly one row block with a fixed
-  // inner order: thread count cannot change a single bit.
-  EXPECT_EQ(threaded.loss, blocked.loss);
-  for (int64_t i = 0; i < a.numel(); ++i) {
-    EXPECT_EQ(threaded.da[i], blocked.da[i]) << "da[" << i << "]";
-  }
-  for (int64_t i = 0; i < b.numel(); ++i) {
-    EXPECT_EQ(threaded.db[i], blocked.db[i]) << "db[" << i << "]";
-  }
-}
-
-TEST(BlockedMatMulTest, ParallelMatMulDuringParallelTrainingIsSafe) {
-  // Matmul worker threads + data-parallel training workers together: the
-  // nested ParallelFor contract makes in-worker matmuls run inline, so
-  // this must stay deterministic (and TSan-clean; this test is in the
-  // run_tsan.sh target set).
-  RainfallGenerator gen(TinyRegion());
-  SpatialDataset data = gen.GenerateHours(10, 6);
-
-  const TrainResult plain = TrainOnce(data, /*packed_srpe=*/true,
-                                      /*num_threads=*/4, /*dynamic=*/true);
-
-  const MatMulConfig saved = GetMatMulConfig();
-  SetMatMulConfig(MatMulConfig{/*blocked=*/true, /*num_threads=*/2});
-  const TrainResult with_matmul_pool =
-      TrainOnce(data, /*packed_srpe=*/true, /*num_threads=*/4,
-                /*dynamic=*/true);
-  SetMatMulConfig(saved);
-
-  ASSERT_EQ(plain.epoch_loss.size(), with_matmul_pool.epoch_loss.size());
-  for (size_t e = 0; e < plain.epoch_loss.size(); ++e) {
-    EXPECT_EQ(plain.epoch_loss[e], with_matmul_pool.epoch_loss[e]);
-  }
-  ASSERT_EQ(plain.params.size(), with_matmul_pool.params.size());
-  for (size_t i = 0; i < plain.params.size(); ++i) {
-    EXPECT_EQ(plain.params[i], with_matmul_pool.params[i]);
-  }
 }
 
 }  // namespace

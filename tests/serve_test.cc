@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -206,6 +207,58 @@ TEST(ModelRegistryTest, PromoteSwapsActiveAndCountsSwaps) {
                 f.expected_b[0], "promoted model");
 }
 
+TEST(ModelRegistryTest, PromoteRejectsArchitectureMismatchUntouched) {
+  ServeFixture& f = Fixture();
+  ModelRegistry registry;
+  auto [active, standby] = f.MakeBuffers();
+  SsinInterpolator* standby_raw = standby.get();
+  registry.Register("hk", std::move(active), std::move(standby));
+  std::vector<Tensor> standby_before;
+  for (Parameter* p : standby_raw->model()->Parameters()) {
+    standby_before.push_back(p->value);
+  }
+
+  // d_model differs at the very first tensor; d_ff only after the
+  // embeddings and attention weights already matched (the case that used
+  // to leave a half-overwritten standby); num_layers changes the count.
+  SpaFormerConfig wide = TinyModel();
+  wide.d_model = 12;
+  SpaFormerConfig wide_ffn = TinyModel();
+  wide_ffn.d_ff = 64;
+  SpaFormerConfig deep = TinyModel();
+  deep.num_layers = 3;
+  for (const SpaFormerConfig& config : {wide, wide_ffn, deep}) {
+    SsinInterpolator mismatched(config, FastTraining(13));
+    mismatched.Prepare(f.data, f.observed_ids);
+    EXPECT_FALSE(registry.Promote("hk", mismatched));
+  }
+  SsinInterpolator unprepared(TinyModel(), FastTraining(13));
+  EXPECT_FALSE(registry.Promote("hk", unprepared));
+  EXPECT_EQ(registry.promotions(), 0);
+
+  ExpectExactly(registry.Acquire("hk")->InterpolateTimestamp(
+                    f.data.Values(0), f.observed_ids, f.query_ids),
+                f.expected_a[0], "active after rejected promotions");
+  const std::vector<Parameter*> standby_after =
+      standby_raw->model()->Parameters();
+  ASSERT_EQ(standby_after.size(), standby_before.size());
+  for (size_t i = 0; i < standby_after.size(); ++i) {
+    const Tensor& before = standby_before[i];
+    const Tensor& after = standby_after[i]->value;
+    ASSERT_TRUE(after.SameShape(before)) << standby_after[i]->name;
+    for (int64_t j = 0; j < before.numel(); ++j) {
+      EXPECT_EQ(after[j], before[j]) << standby_after[i]->name << "[" << j
+                                     << "]";
+    }
+  }
+
+  // A matching source still promotes afterwards.
+  EXPECT_TRUE(registry.Promote("hk", *f.source_b));
+  ExpectExactly(registry.Acquire("hk")->InterpolateTimestamp(
+                    f.data.Values(0), f.observed_ids, f.query_ids),
+                f.expected_b[0], "promoted model");
+}
+
 TEST(ModelRegistryTest, MultipleResidentModelsServeIndependently) {
   ServeFixture& f = Fixture();
   ModelRegistry registry;
@@ -355,6 +408,36 @@ TEST(InterpolationServerTest, MalformedRequestsRejectedAtAdmission) {
   // A well-formed request still sails through after the rejections.
   ExpectExactly(server.Interpolate(f.RequestFor(0)), f.expected_a[0],
                 "post-rejection request");
+}
+
+TEST(InterpolationServerTest, NonFiniteObservedValuesRejectedAtAdmission) {
+  ServeFixture& f = Fixture();
+  InterpolationServer server;
+  auto [active, standby] = f.MakeBuffers();
+  server.registry().Register("hk", std::move(active), std::move(standby));
+
+  // One NaN or infinite observed value would turn every prediction of the
+  // request non-finite: an invalid request, not a served result.
+  std::future<std::vector<double>> future;
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Request request = f.RequestFor(0);
+    request.all_values[f.observed_ids[3]] = bad;
+    EXPECT_EQ(server.Submit(std::move(request), &future),
+              SubmitStatus::kInvalidRequest)
+        << bad;
+  }
+  EXPECT_EQ(server.rejected_total(), 3);
+
+  // Values at query stations are never read (they are what gets
+  // predicted), so a non-finite one there is served normally.
+  Request query_nan = f.RequestFor(0);
+  query_nan.all_values[f.query_ids[0]] =
+      std::numeric_limits<double>::quiet_NaN();
+  ExpectExactly(server.Interpolate(std::move(query_nan)), f.expected_a[0],
+                "non-finite query value");
+  EXPECT_EQ(server.rejected_total(), 3);
 }
 
 TEST(InterpolationServerTest, ShutdownDrainsAcceptedThenRejects) {
