@@ -13,11 +13,11 @@
 /// [L*L, d] SRPE table alone exceeds a GB, which is exactly the paper's
 /// point.
 ///
-/// Beyond the kernel-only sweep, BM_SpaFormerSeq_* measures the cost of a
-/// whole training sequence (embeddings + T*H attention invocations,
-/// forward AND backward) at the paper configuration L=123, T=3, H=2,
-/// d_k=16: the `Baseline` variant embeds the dense [L*L, d_k] SRPE table,
-/// the `Optimized` variant only the legal pairs (packed SRPE).
+/// Beyond the kernel-only sweep, BM_SpaFormerSeq_Optimized measures the
+/// cost of a whole training sequence (embeddings + T*H attention
+/// invocations, forward AND backward, through SpaFormer::ForwardWithPlan)
+/// at the paper configuration L=123, T=3, H=2, d_k=16; the SRPE embedding
+/// runs over the legal pairs only.
 /// BM_ServeHotPath_* times the graph-free serving arithmetic at the same
 /// configuration — a per-op composition under simd::ScalarOps (f64) and
 /// simd::VecOps (f64, f32), and the fused row kernels of the serving chain
@@ -126,7 +126,6 @@ void BM_PackedShielded(benchmark::State& state) {
   Fill(&v, 3);
   Fill(&c, 4);
   AttentionConfig cfg;
-  cfg.packed_srpe = true;
   AttentionContext ctx;
   for (auto _ : state) {
     Tensor z = PackedAttentionForward(q, k, v, &c, plan, cfg, &ctx);
@@ -142,32 +141,35 @@ void BM_PackedShielded(benchmark::State& state) {
 // ------------------------------------------------- full-sequence training
 
 /// One training step's compute for a single sequence (no optimizer):
-/// forward through value/SRPE embeddings, T encoder layers, prediction
-/// head, then full backward. Half the stations are masked, the paper's
-/// representative self-supervised masking level.
-void RunSequence(benchmark::State& state, bool packed_srpe) {
+/// plan build, forward through value/SRPE embeddings, T encoder layers,
+/// prediction head, then full backward. Half the stations are masked, the
+/// paper's representative self-supervised masking level.
+void BM_SpaFormerSeq_Optimized(benchmark::State& state) {
   SpaFormerConfig config;  // L=123 inputs, T=3, H=2, d_k=16 defaults.
-  config.packed_srpe = packed_srpe;
   Rng rng(7);
   SpaFormer model(config, &rng);
 
   const int length = kObserved;
-  Tensor x({length, 1}), relpos({length * length, 2});
+  std::vector<uint8_t> observed(length, 1);
+  for (int i = 0; i < length; i += 2) observed[i] = 0;
+  AttentionPlan plan;
+  BuildAttentionPlan(observed, config.shielded, &plan);
+
+  Tensor x({length, 1}), relpos({static_cast<int>(plan.num_pairs()), 2});
   Tensor abspos({length, 2}), target({length, 1});
   Fill(&x, 1);
   Fill(&relpos, 2);
   Fill(&abspos, 3);
   Fill(&target, 4);
-  std::vector<uint8_t> observed(length, 1);
-  for (int i = 0; i < length; i += 2) observed[i] = 0;
-
-  AttentionPlan plan;
-  BuildAttentionPlan(observed, config.shielded, &plan);
 
   for (auto _ : state) {
     model.ZeroGrad();
+    // Training builds one plan per (dynamically masked) sequence.
+    auto step_plan = std::make_shared<AttentionPlan>();
+    BuildAttentionPlan(observed, config.shielded, step_plan.get());
     Graph graph;
-    Var pred = model.Forward(&graph, x, relpos, abspos, observed);
+    Var pred =
+        model.ForwardWithPlan(&graph, x, std::move(step_plan), relpos, abspos);
     Var loss = MseLoss(pred, target);
     graph.Backward(loss);
     benchmark::DoNotOptimize(loss.value()[0]);
@@ -176,15 +178,6 @@ void RunSequence(benchmark::State& state, bool packed_srpe) {
   // same per-sequence plan.
   state.counters["ns_per_pair"] = NsPerPair(
       plan.num_pairs() * config.num_layers * config.num_heads);
-}
-
-void BM_SpaFormerSeq_Baseline(benchmark::State& state) {
-  // Historical pipeline: dense [L*L, d_k] SRPE embedding.
-  RunSequence(state, /*packed_srpe=*/false);
-}
-
-void BM_SpaFormerSeq_Optimized(benchmark::State& state) {
-  RunSequence(state, /*packed_srpe=*/true);
 }
 
 // ------------------------------------------------------ serving hot path
@@ -253,9 +246,8 @@ void RunServeHotPath(benchmark::State& state) {
         matmul(x, wk, &k, length, d, d);
         matmul(x, wv, &v, length, d, d);
         PackedAttentionForwardRows<T, Ops>(
-            q.data(), k.data(), v.data(), srpe.data(), plan,
-            /*packed_srpe=*/true, d, /*tail_begin=*/0, &scores,
-            /*alpha_out=*/nullptr, z.data());
+            q.data(), k.data(), v.data(), srpe.data(), plan, d,
+            /*tail_begin=*/0, &scores, /*alpha_out=*/nullptr, z.data());
         for (int i = 0; i < length; ++i) {
           std::copy(z.begin() + static_cast<int64_t>(i) * d,
                     z.begin() + static_cast<int64_t>(i + 1) * d,
@@ -362,8 +354,8 @@ void RunServeHotPathFused(benchmark::State& state) {
             q.data() + static_cast<size_t>(head) * numel,
             kv.data() + static_cast<size_t>(2 * head) * numel,
             kv.data() + static_cast<size_t>(2 * head + 1) * numel,
-            srpe.data(), plan, /*packed_srpe=*/true, d, /*tail_begin=*/0,
-            &scores, /*alpha_out=*/nullptr,
+            srpe.data(), plan, d, /*tail_begin=*/0, &scores,
+            /*alpha_out=*/nullptr,
             concat.data() + static_cast<int64_t>(head) * d,
             /*z_stride=*/int64_t{kHeads} * d);
       }
@@ -523,7 +515,6 @@ BENCHMARK(BM_PackedShielded)
     ->Arg(7000)
     ->Iterations(5);
 
-BENCHMARK(BM_SpaFormerSeq_Baseline)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SpaFormerSeq_Optimized)->Unit(benchmark::kMillisecond);
 
 BENCHMARK(BM_ServeHotPath_Scalar)->Unit(benchmark::kMicrosecond);

@@ -298,7 +298,13 @@ int main(int argc, char** argv) {
       request.all_values = setup.data.Values(t);
       request.observed_ids = setup.split.train_ids;
       request.query_ids = setup.split.test_ids;
-      const std::vector<double> served = server.Interpolate(request);
+      std::vector<double> served;
+      const SubmitStatus status = server.Interpolate(request, &served);
+      if (status != SubmitStatus::kAccepted) {
+        std::printf("FAIL: smoke request at timestamp %d rejected (%s)\n", t,
+                    SubmitStatusName(status));
+        return 1;
+      }
       const std::vector<double> direct = reference.InterpolateTimestamp(
           setup.data.Values(t), setup.split.train_ids,
           setup.split.test_ids);

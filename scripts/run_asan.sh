@@ -44,8 +44,9 @@ echo "== geo_test (ASan+UBSan) =="
 "${BUILD_DIR}/tests/geo_test"
 
 echo "== knn_shielding_test (ASan+UBSan) =="
-# Neighbor-limited plans index packed SRPE rows through int64 pair rows;
-# every gather and the on-demand RelposForPairs path must be clean.
+# Neighbor-limited plans address SRPE rows by legal-pair index, and
+# RelposForPairs decodes their int64 (query, key) codes; every gather
+# must be clean.
 "${BUILD_DIR}/tests/knn_shielding_test"
 
 echo "== serve_test (ASan+UBSan) =="

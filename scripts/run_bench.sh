@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs the recorded benchmark suites:
 #  * the attention kernel sweep (paper Figure 7 plus the full-sequence
-#    packed-vs-dense SRPE pipeline comparison at the paper configuration
-#    L=123, T=3, H=2, d_k=16) -> BENCH_attention.json, including a
+#    training-step cost at the paper configuration L=123, T=3, H=2,
+#    d_k=16) -> BENCH_attention.json, including a
 #    "serve_hot_path" summary with the active SIMD ISA, the
 #    scalar-vs-SIMD / f64-vs-f32 serving-kernel speedups, and a "fused"
 #    block with the fused-kernel speedups and the real Predict /

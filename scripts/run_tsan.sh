@@ -12,9 +12,8 @@ BUILD_DIR="${1:-build-tsan}"
 
 cmake -B "${BUILD_DIR}" -S . -DSSIN_THREAD_SANITIZER=ON
 cmake --build "${BUILD_DIR}" -j --target thread_pool_test \
-  parallel_equivalence_test packed_srpe_equivalence_test \
-  inference_equivalence_test telemetry_test kernel_differential_test \
-  serve_test knn_shielding_test
+  parallel_equivalence_test inference_equivalence_test telemetry_test \
+  kernel_differential_test serve_test knn_shielding_test
 
 echo "== thread_pool_test (TSan) =="
 "${BUILD_DIR}/tests/thread_pool_test"
@@ -23,14 +22,14 @@ echo "== telemetry_test (TSan) =="
 "${BUILD_DIR}/tests/telemetry_test"
 
 echo "== parallel_equivalence_test (TSan) =="
+# Four-thread data-parallel training against the serial run
+# (ParallelTrainingEquivalence.FourThreadsMatchSerial).
 "${BUILD_DIR}/tests/parallel_equivalence_test"
 
-echo "== packed_srpe_equivalence_test (TSan) =="
-"${BUILD_DIR}/tests/packed_srpe_equivalence_test"
-
 echo "== kernel_differential_test (TSan) =="
-# Exercises the threaded MatMulInto dispatch (1 vs 4 threads) over the
-# SIMD kernels.
+# Single-threaded: the SIMD and serving row kernels against the ScalarOps
+# reference, run on the instrumented build (no threading of its own since
+# MatMul lost its thread pool).
 "${BUILD_DIR}/tests/kernel_differential_test"
 
 echo "== inference_equivalence_test (TSan) =="
@@ -41,9 +40,8 @@ echo "== inference_equivalence_test (TSan) =="
 echo "== knn_shielding_test (TSan) =="
 # SetNeighborK flips plan construction while the layout cache may be read
 # from serving threads; the parallel trainer builds per-item limited plans
-# concurrently. Death tests fork, which TSan dislikes; skip them.
-"${BUILD_DIR}/tests/knn_shielding_test" \
-  --gtest_filter=-SpatialContextDeathTest.*
+# concurrently.
+"${BUILD_DIR}/tests/knn_shielding_test"
 
 echo "== serve_test (TSan) =="
 # The serving core's whole point is concurrency: admission vs batcher vs

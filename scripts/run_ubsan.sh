@@ -32,8 +32,8 @@ echo "== inference_equivalence_test (UBSan) =="
 "${BUILD_DIR}/tests/inference_equivalence_test"
 
 echo "== geo_test (UBSan) =="
-# Grid-cell index arithmetic (negative offsets, clamped casts) and the
-# int64 dense-shape math must be UB-free, including the overflow guards.
+# Grid-cell index arithmetic (negative offsets, clamped casts) must be
+# UB-free.
 "${BUILD_DIR}/tests/geo_test"
 
 echo "== knn_shielding_test (UBSan) =="

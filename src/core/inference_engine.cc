@@ -59,10 +59,7 @@ Tensor RelposRowsForPlan(const SpatialContext& context,
   if (config.position_mode != SpaFormerConfig::PositionMode::kSrpe) {
     return Tensor();
   }
-  if (config.packed_srpe) {
-    return context.RelposForPairs(node_ids, plan.pair_rows);
-  }
-  return context.RelposFor(node_ids);
+  return context.RelposForPairs(node_ids, plan.pair_rows);
 }
 
 std::shared_ptr<const SequenceLayout> BuildSequenceLayout(

@@ -44,9 +44,9 @@ struct SequenceLayout {
   /// builds and zero afterwards, never the dense [L*L, 2].
   Tensor abspos;
 
-  /// Pre-embedded positions: srpe is [num_pairs, d_k] (packed) or
-  /// [L*L, d_k] (dense) in SRPE mode; sape is [L, d_model] in SAPE mode.
-  /// The unused one stays empty.
+  /// Pre-embedded positions: srpe is [num_pairs, d_k], indexed by legal
+  /// pair, in SRPE mode; sape is [L, d_model] in SAPE mode. The unused one
+  /// stays empty.
   Tensor srpe;
   Tensor sape;
 
@@ -79,10 +79,9 @@ std::shared_ptr<const AttentionPlan> BuildSequencePlan(
     const std::vector<int>& node_ids, const std::vector<uint8_t>& observed);
 
 /// Standardized relative positions for exactly the rows
-/// SpaFormer::ForwardWithPlan consumes under `config`: packed-SRPE —
-/// [plan.num_pairs(), 2] legal-pair rows; dense-SRPE — the [L*L, 2]
-/// reference layout (subject to the kMaxDenseRelposLength cap); SAPE —
-/// an empty tensor (no relative positions at all).
+/// SpaFormer::ForwardWithPlan consumes under `config`: SRPE —
+/// [plan.num_pairs(), 2] legal-pair rows; SAPE — an empty tensor (no
+/// relative positions at all).
 Tensor RelposRowsForPlan(const SpatialContext& context,
                          const std::vector<int>& node_ids,
                          const AttentionPlan& plan,

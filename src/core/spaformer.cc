@@ -2,7 +2,6 @@
 
 #include "common/telemetry.h"
 #include "core/inference_engine.h"
-#include "geo/relpos.h"
 
 namespace ssin {
 
@@ -53,7 +52,6 @@ AttentionConfig MakeAttentionConfig(const SpaFormerConfig& config) {
   attn.use_srpe =
       config.position_mode == SpaFormerConfig::PositionMode::kSrpe;
   attn.shielded = config.shielded;
-  attn.packed_srpe = attn.use_srpe && config.packed_srpe;
   return attn;
 }
 
@@ -122,48 +120,6 @@ Var SpaFormer::ApplyEmbedding(Linear* linear, Fcn2* fcn, Var in) {
   return linear != nullptr ? linear->Forward(in) : fcn->Forward(in);
 }
 
-Var SpaFormer::Forward(Graph* graph, const Tensor& x, const Tensor& relpos,
-                       const Tensor& abspos,
-                       const std::vector<uint8_t>& observed) {
-  const int length = x.dim(0);
-  SSIN_CHECK_EQ(static_cast<int>(observed.size()), length);
-  // The dense entry point has no station geometry to derive neighbor
-  // lists from; neighbor-limited callers go through ForwardWithPlan.
-  SSIN_CHECK_EQ(config_.neighbor_k, 0)
-      << "Forward cannot apply neighbor-limited shielding; build a limited "
-         "plan and call ForwardWithPlan";
-  SSIN_CHECK_EQ(config_.neighbor_radius_km, 0.0)
-      << "Forward cannot apply radius-limited shielding; build a limited "
-         "plan and call ForwardWithPlan";
-
-  // One legal-pair plan per sequence, shared by every layer/head kernel
-  // invocation and kept alive by the backward closures that capture it.
-  auto plan = std::make_shared<AttentionPlan>();
-  BuildAttentionPlan(observed, config_.shielded, plan.get());
-
-  Tensor relpos_rows;
-  if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
-    SSIN_CHECK_EQ(relpos.dim(0), DenseRelPosRows(length));
-    SSIN_CHECK_EQ(relpos.dim(1), 2);
-    if (config_.packed_srpe) {
-      // Gather the legal pairs' rows so the position embedding (and its
-      // backward) runs on num_pairs rows instead of L*L.
-      const int num_pairs = static_cast<int>(plan->num_pairs());
-      relpos_rows = Tensor({num_pairs, 2});
-      const double* src = relpos.data();
-      double* dst = relpos_rows.data();
-      for (int t = 0; t < num_pairs; ++t) {
-        const double* row = src + plan->pair_rows[t] * 2;
-        dst[2 * t] = row[0];
-        dst[2 * t + 1] = row[1];
-      }
-    } else {
-      relpos_rows = relpos;
-    }
-  }
-  return ForwardWithPlan(graph, x, std::move(plan), relpos_rows, abspos);
-}
-
 Var SpaFormer::ForwardWithPlan(Graph* graph, const Tensor& x,
                                std::shared_ptr<const AttentionPlan> plan,
                                const Tensor& relpos_rows,
@@ -184,17 +140,8 @@ Var SpaFormer::ForwardWithPlan(Graph* graph, const Tensor& x,
   Var srpe;  // Stays invalid in SAPE mode.
   if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
     SSIN_TRACE_SPAN("spaformer.srpe");
+    SSIN_CHECK_EQ(relpos_rows.dim(0), plan->num_pairs());
     SSIN_CHECK_EQ(relpos_rows.dim(1), 2);
-    if (config_.packed_srpe) {
-      SSIN_CHECK_EQ(relpos_rows.dim(0), plan->num_pairs());
-    } else {
-      // The dense reference embeds all L*L rows; refuse sequences where
-      // that working set is no longer sane instead of OOM-ing.
-      SSIN_CHECK_LE(length, kMaxDenseRelposLength)
-          << "dense SRPE embeds [L*L, d_k] rows; enable packed_srpe for "
-             "networks this large";
-      SSIN_CHECK_EQ(relpos_rows.dim(0), DenseRelPosRows(length));
-    }
     srpe = ApplyEmbedding(position_linear_, position_fcn_,
                           graph->Constant(relpos_rows));
   } else {
@@ -234,16 +181,8 @@ void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
   ResolveEmbedding(position_linear_, position_fcn_,
                    WeightResolver<double>(ParameterValue), &position);
   if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
-    const int length = layout->length();
+    SSIN_CHECK_EQ(relpos_rows.dim(0), layout->plan->num_pairs());
     SSIN_CHECK_EQ(relpos_rows.dim(1), 2);
-    if (config_.packed_srpe) {
-      SSIN_CHECK_EQ(relpos_rows.dim(0), layout->plan->num_pairs());
-    } else {
-      SSIN_CHECK_LE(length, kMaxDenseRelposLength)
-          << "dense SRPE embeds [L*L, d_k] rows; enable packed_srpe for "
-             "networks this large";
-      SSIN_CHECK_EQ(relpos_rows.dim(0), DenseRelPosRows(length));
-    }
     layout->srpe =
         FcnRows(position, relpos_rows.data(), relpos_rows.dim(0), ws);
   } else {

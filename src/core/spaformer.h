@@ -41,15 +41,16 @@ struct SpaFormerConfig {
   /// Shielded attention (paper) vs. full self-attention (ablation).
   bool shielded = true;
 
-  /// Neighbor-limited shielding (ROADMAP item 3). 0 — the default — is
-  /// full shielding, the paper's exact §3.3.3 semantics and the bit-exact
-  /// reference. k > 0 caps every query's legal observed keys at its k
-  /// spatially nearest (self always stays legal), so attention-plan pair
-  /// counts and packed-SRPE rows grow O(L*k) instead of O(L*m) — the knob
-  /// that makes 1k–10k-station networks tractable. Requires shielded and
-  /// the plan-based entry points (ForwardWithPlan / the serving layouts);
-  /// when k >= num_observed the limited plan is identical to the full one,
-  /// pair for pair, so results are bit-identical.
+  /// Neighbor-limited shielding. 0 — the default — is full shielding, the
+  /// paper's exact §3.3.3 semantics and the bit-exact reference. k > 0
+  /// caps every query's legal observed keys at its k spatially nearest
+  /// (self always stays legal), so attention-plan pair counts and SRPE
+  /// rows grow O(L*k) instead of O(L*m) — the knob that makes 1k–10k-
+  /// station networks tractable. Requires shielded; applied by
+  /// BuildSequencePlan, which every caller of ForwardWithPlan and the
+  /// serving layouts share. When k >= num_observed the limited plan is
+  /// identical to the full one, pair for pair, so results are
+  /// bit-identical.
   int neighbor_k = 0;
 
   /// Radius-based neighbor selection (the distance-based sibling of
@@ -59,17 +60,10 @@ struct SpaFormerConfig {
   /// kilometers on road-metric networks; self always stays legal). May be
   /// combined with neighbor_k: the radius filters first, then k caps the
   /// survivors at the k nearest. Same requirements as neighbor_k
-  /// (shielded, plan-based entry points); when every observed station lies
-  /// within the radius the plan is identical to full shielding, pair for
-  /// pair.
+  /// (shielded, applied by BuildSequencePlan); when every observed station
+  /// lies within the radius the plan is identical to full shielding, pair
+  /// for pair.
   double neighbor_radius_km = 0.0;
-
-  /// Legal-pair-sparse SRPE pipeline (default): only the relative
-  /// positions of the sequence's legal attention pairs are embedded, and
-  /// the attention kernels index the packed [num_pairs, d_k] SRPE tensor
-  /// by pair. false restores the historical dense pipeline that embeds
-  /// all [L*L, 2] rows — kept as the equivalence/benchmark reference.
-  bool packed_srpe = true;
 
   /// Named constructors for the paper's ablation variants (Table 6).
   static SpaFormerConfig Paper() { return SpaFormerConfig(); }
@@ -84,46 +78,44 @@ struct SpaFormerConfig {
 /// The SpaFormer spatial interpolator model (paper §3.3): Input Embedding
 /// Module, Spatial Relative Position Embedding Module, Interpolation
 /// Transformer Module, and Prediction Module.
+///
+/// SRPE has one layout: the position embedding runs over the relative
+/// positions of the sequence's legal attention pairs only, and the
+/// attention kernels read its [num_pairs, d_k] output by legal-pair index
+/// (paper §3.3.3 scores only the O(mL) legal pairs). ForwardWithPlan is
+/// the one autograd entry; Predict/PredictF32 are the graph-free serving
+/// chain over a prebuilt SequenceLayout.
 class SpaFormer : public Module {
  public:
   SpaFormer(const SpaFormerConfig& config, Rng* rng);
 
-  /// Runs the model on one sequence.
+  /// Runs the model on one sequence under a caller-built attention plan
+  /// (BuildSequencePlan: full, unshielded or neighbor-limited).
   ///
-  /// x:        [L, 1] standardized input values (masked/query nodes
-  ///           pre-filled; see BuildMaskedSequence).
-  /// relpos:   [L*L, 2] standardized relative positions (SRPE mode).
-  /// abspos:   [L, 2] standardized absolute coordinates (SAPE mode).
-  /// observed: per-node observation flags for the shielded attention.
+  /// x:           [L, 1] standardized input values (masked/query nodes
+  ///              pre-filled; see BuildMaskedSequence).
+  /// plan:        the sequence's legal-pair plan, shared by every layer and
+  ///              head and kept alive by the backward closures.
+  /// relpos_rows: SRPE mode — [plan->num_pairs(), 2], row t = standardized
+  ///              relpos of legal pair t (RelposRowsForPlan /
+  ///              SpatialContext::RelposForPairs); SAPE mode — ignored
+  ///              (pass an empty tensor).
+  /// abspos:      [L, 2] standardized absolute coordinates (SAPE mode).
   /// Returns predictions, shape [L, 1], in standardized space.
-  Var Forward(Graph* graph, const Tensor& x, const Tensor& relpos,
-              const Tensor& abspos, const std::vector<uint8_t>& observed);
-
-  /// Plan-based forward — the scalable entry point: the caller supplies
-  /// the attention plan (full or neighbor-limited) and the relative
-  /// positions for exactly the rows the configuration consumes, so no
-  /// dense [L*L] tensor is ever required.
-  ///
-  /// relpos_rows: packed-SRPE mode — [plan->num_pairs(), 2], row t =
-  /// standardized relpos of legal pair t (SpatialContext::RelposForPairs);
-  /// dense-SRPE mode — the historical [L*L, 2] layout; SAPE mode —
-  /// ignored (pass an empty tensor). Forward() is a wrapper over this:
-  /// it builds the full-shielding plan and gathers the packed rows from
-  /// its dense relpos argument, so both entry points are bit-identical
-  /// for full shielding.
   Var ForwardWithPlan(Graph* graph, const Tensor& x,
                       std::shared_ptr<const AttentionPlan> plan,
                       const Tensor& relpos_rows, const Tensor& abspos);
 
   /// Graph-free forward for serving (the f64 instantiation of the serving
-  /// chain, nn/serving.h): evaluates the same network as Forward with zero
-  /// autograd bookkeeping, reusing the plan and pre-embedded positions of
-  /// `layout` and the activation arena of `ws` (resetting it). Returns the
+  /// chain, nn/serving.h): evaluates the same network as ForwardWithPlan
+  /// with zero autograd bookkeeping, reusing the plan and pre-embedded
+  /// positions of `layout` and the activation arena of `ws` (resetting
+  /// it). Returns the
   /// [L - num_observed, 1] standardized predictions of the query (trailing)
   /// rows — row r is sequence row num_observed + r — valid until the
   /// workspace's next use. The final encoder layer and the prediction head
   /// are evaluated for those rows only; every returned value matches
-  /// Forward to 1e-12 (the engine == autograd pin).
+  /// ForwardWithPlan to 1e-12 (the engine == autograd pin).
   const Tensor& Predict(const Tensor& x, const SequenceLayout& layout,
                         InferenceWorkspace* ws);
 
@@ -139,12 +131,12 @@ class SpaFormer : public Module {
                               const F32WeightCache::Map& w,
                               InferenceWorkspace* ws);
 
-  /// Fills layout->srpe (SRPE mode; packed or dense per the config) or
-  /// layout->sape (SAPE mode) by running the position-embedding module
-  /// with the *current* weights. `relpos_rows` follows the ForwardWithPlan
-  /// contract: packed [num_pairs, 2], dense [L*L, 2], or empty in SAPE
-  /// mode (which embeds layout->abspos instead). The layout's abspos/plan
-  /// must already be set.
+  /// Fills layout->srpe ([num_pairs, d_k], SRPE mode) or layout->sape
+  /// (SAPE mode) by running the position-embedding module with the
+  /// *current* weights. `relpos_rows` follows the ForwardWithPlan
+  /// contract: [num_pairs, 2] legal-pair rows, or empty in SAPE mode
+  /// (which embeds layout->abspos instead). The layout's abspos/plan must
+  /// already be set.
   void EmbedLayoutPositions(SequenceLayout* layout, const Tensor& relpos_rows,
                             InferenceWorkspace* ws);
 

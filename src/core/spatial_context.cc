@@ -15,9 +15,8 @@ void SpatialContext::Build(const SpatialDataset& data,
   travel_ = has_travel_ ? data.travel_distance() : Matrix();
 
   // Global standardization statistics over the training sub-network, in
-  // one streaming pass: the old implementation materialized every pair
-  // into transient vectors first — 2 * |train|^2 doubles of peak memory —
-  // duplicating the ComputeRelPosStats logic it had to stay in sync with.
+  // one streaming pass over the ordered off-diagonal pairs (no transient
+  // O(|train|^2) buffers).
   SSIN_CHECK_GT(train_ids.size(), 1u);
   RunningStats dists, azims, xs, ys;
   for (int a : train_ids) {
@@ -43,25 +42,6 @@ std::pair<double, double> SpatialContext::RawRelPos(int a, int b) const {
   const double dist = has_travel_ ? travel_(a, b)
                                   : DistanceKm(positions_[a], positions_[b]);
   return {dist, AzimuthRad(positions_[a], positions_[b])};
-}
-
-Tensor SpatialContext::RelposFor(const std::vector<int>& ids) const {
-  const int length = static_cast<int>(ids.size());
-  SSIN_CHECK_LE(length, kMaxDenseRelposLength)
-      << "dense [L*L, 2] relpos at L=" << length
-      << " would need " << DenseRelPosRows(length)
-      << " rows; use packed_srpe with neighbor-limited shielding "
-         "(SpaFormerConfig::neighbor_k) for networks this large";
-  Tensor out({static_cast<int>(DenseRelPosRows(length)), 2});
-  for (int a = 0; a < length; ++a) {
-    for (int b = 0; b < length; ++b) {
-      const auto [dist, azim] = RawRelPos(ids[a], ids[b]);
-      const int64_t dst = static_cast<int64_t>(a) * length + b;
-      out[dst * 2] = (dist - stats_.distance.mean) / stats_.distance.std;
-      out[dst * 2 + 1] = (azim - stats_.azimuth.mean) / stats_.azimuth.std;
-    }
-  }
-  return out;
 }
 
 Tensor SpatialContext::RelposForPairs(

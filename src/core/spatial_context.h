@@ -6,11 +6,21 @@
 #include <vector>
 
 #include "common/matrix.h"
+#include "common/stats.h"
 #include "core/interpolation.h"
 #include "data/dataset.h"
-#include "geo/relpos.h"
+#include "geo/coords.h"
+#include "tensor/tensor.h"
 
 namespace ssin {
+
+/// Global standardization statistics for relative positions (paper §3.2:
+/// positions are static, so distances and azimuths are standardized with
+/// the statistics of the known training locations).
+struct RelPosStats {
+  MeanStd distance;
+  MeanStd azimuth;
+};
 
 /// Precomputed spatial information for one station network.
 ///
@@ -30,19 +40,11 @@ class SpatialContext {
   /// streaming pass (no transient O(|train|^2) buffers).
   void Build(const SpatialDataset& data, const std::vector<int>& train_ids);
 
-  /// Dense standardized relative positions for a node subset: shape
-  /// [|ids|^2, 2], row a*|ids|+b = standardized r(ids[a], ids[b]). This is
-  /// the O(L^2) reference layout; it refuses (SSIN_CHECK) sequences longer
-  /// than kMaxDenseRelposLength — large networks must go through
-  /// RelposForPairs with a neighbor-limited AttentionPlan.
-  Tensor RelposFor(const std::vector<int>& ids) const;
-
   /// Standardized relative positions for exactly the legal pairs of an
   /// attention plan: shape [|pair_rows|, 2]; output row t decodes
   /// pair_rows[t] as (a, b) = (row / L, row % L) over the `ids` sequence
-  /// and holds standardized r(ids[a], ids[b]). Row-for-row identical to
-  /// gathering pair_rows from RelposFor(ids), but only O(L*k) pairs are
-  /// ever computed or stored.
+  /// and holds RawRelPos(ids[a], ids[b]) standardized with relpos_stats().
+  /// Only the plan's O(L*k) pairs are ever computed or stored.
   Tensor RelposForPairs(const std::vector<int>& ids,
                         const std::vector<int64_t>& pair_rows) const;
 

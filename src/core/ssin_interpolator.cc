@@ -313,7 +313,7 @@ std::vector<double> SsinInterpolator::InterpolateTimestampAutograd(
 
   // The exact plan/relpos pipeline the serving layouts use — so this
   // autograd reference covers neighbor-limited configurations too, and
-  // never materializes a dense [L*L, 2] tensor in packed mode.
+  // computes relative positions for the legal pairs only.
   std::shared_ptr<const AttentionPlan> plan =
       BuildSequencePlan(model_->config(), context_, node_ids, seq.observed);
   const Tensor relpos_rows =

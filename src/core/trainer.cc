@@ -116,16 +116,9 @@ TrainStats SsinTrainer::Train(const SpatialDataset& data,
   SSIN_CHECK_GT(length, 1);
 
   // Static spatial inputs for the training sub-network: sequence node i is
-  // station train_ids[i]. Only the dense-SRPE reference mode precomputes a
-  // shared [L*L, 2] tensor; the packed path derives each item's O(L*k)
-  // legal-pair rows from the context on demand (RunBatch), and SAPE needs
-  // no relative positions at all — so the default training configuration
-  // never materializes an [L*L] relpos tensor.
-  const SpaFormerConfig& model_config = model_->config();
-  const bool dense_srpe =
-      model_config.position_mode == SpaFormerConfig::PositionMode::kSrpe &&
-      !model_config.packed_srpe;
-  const Tensor relpos = dense_srpe ? context_->RelposFor(train_ids) : Tensor();
+  // station train_ids[i]. Relative positions are not precomputed: RunBatch
+  // derives each item's O(L*k) legal-pair rows from the context on demand,
+  // and SAPE needs none at all.
   const Tensor abspos = context_->AbsposFor(train_ids);
 
   MaskingOptions mask_options;
@@ -219,8 +212,7 @@ TrainStats SsinTrainer::Train(const SpatialDataset& data,
           std::min(item_order_.size(), start + config_.batch_size);
       model_->ZeroGrad();
       RunBatch(item_order_, start, end, train_ids, sequences, static_masks_,
-               relpos, abspos, mask_options, parallel.get(), &loss_sum,
-               &loss_count);
+               abspos, mask_options, parallel.get(), &loss_sum, &loss_count);
       if (telemetry::Enabled()) {
         // Read-only probe of the reduced (pre-step) batch gradient.
         GradNormHistogram()->Observe(GlobalGradNorm(model_->Parameters()));
@@ -334,7 +326,7 @@ void SsinTrainer::RunBatch(const std::vector<int>& items, size_t start,
                            size_t end, const std::vector<int>& node_ids,
                            const std::vector<std::vector<double>>& sequences,
                            const std::vector<std::vector<int>>& static_masks,
-                           const Tensor& dense_relpos, const Tensor& abspos,
+                           const Tensor& abspos,
                            const MaskingOptions& mask_options,
                            ParallelTrainState* parallel, double* loss_sum,
                            int64_t* loss_count) {
@@ -343,20 +335,14 @@ void SsinTrainer::RunBatch(const std::vector<int>& items, size_t start,
   const SpaFormerConfig& model_config = model_->config();
 
   // Per-item plan + relpos rows: each item's mask pattern defines its own
-  // legal-pair set. The packed path computes exactly those pairs' rows —
-  // O(pairs), never [L*L] — and the dense reference reuses the shared
-  // tensor built once per Train() call.
+  // legal-pair set, and exactly those pairs' rows are computed — O(pairs),
+  // never [L*L].
   const auto forward = [&](Graph* graph,
                            const MaskedSequence& seq) -> Var {
     std::shared_ptr<const AttentionPlan> plan =
         BuildSequencePlan(model_config, *context_, node_ids, seq.observed);
-    Tensor relpos_rows;
-    if (model_config.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
-      relpos_rows =
-          model_config.packed_srpe
-              ? context_->RelposForPairs(node_ids, plan->pair_rows)
-              : dense_relpos;
-    }
+    const Tensor relpos_rows =
+        RelposRowsForPlan(*context_, node_ids, *plan, model_config);
     return model_->ForwardWithPlan(graph, seq.input, std::move(plan),
                                    relpos_rows, abspos);
   };

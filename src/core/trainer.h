@@ -122,16 +122,14 @@ class SsinTrainer {
   /// each item's loss to `*loss_sum`/`*loss_count` and leaves the batch's
   /// mean gradient accumulated in the model's parameters.
   /// `node_ids` maps sequence positions to stations (per-item plans and
-  /// packed relpos rows are derived from it); `dense_relpos` is the shared
-  /// [L*L, 2] tensor of the dense-SRPE reference mode, empty otherwise —
-  /// the packed path computes each item's O(L*k) legal-pair rows instead.
+  /// legal-pair relpos rows are derived from it).
   void RunBatch(const std::vector<int>& items, size_t start, size_t end,
                 const std::vector<int>& node_ids,
                 const std::vector<std::vector<double>>& sequences,
                 const std::vector<std::vector<int>>& static_masks,
-                const Tensor& dense_relpos, const Tensor& abspos,
-                const MaskingOptions& mask_options, ParallelTrainState* state,
-                double* loss_sum, int64_t* loss_count);
+                const Tensor& abspos, const MaskingOptions& mask_options,
+                ParallelTrainState* state, double* loss_sum,
+                int64_t* loss_count);
   SpaFormer* model_;
   const SpatialContext* context_;
   TrainConfig config_;

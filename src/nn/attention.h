@@ -26,10 +26,10 @@ class MultiHeadSpaAttention : public Module {
                         const AttentionConfig& config, Rng* rng);
 
   /// e: [L, d_model] node embeddings. srpe: relative position embeddings
-  /// shared by all heads — packed [num_pairs, d_k] when the config has
-  /// packed_srpe, dense [L*L, d_k] otherwise (pass an invalid Var when
-  /// use_srpe=false). plan: the sequence's legal-pair plan, built once
-  /// upstream (SpaFormer::Forward) and shared by every layer and head.
+  /// shared by all heads, [num_pairs, d_k] indexed by legal pair (pass an
+  /// invalid Var when use_srpe=false). plan: the sequence's legal-pair
+  /// plan, built once upstream (the caller of SpaFormer::ForwardWithPlan)
+  /// and shared by every layer and head.
   Var Forward(Var e, Var srpe, std::shared_ptr<const AttentionPlan> plan);
 
   const AttentionConfig& config() const { return config_; }

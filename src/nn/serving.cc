@@ -81,8 +81,8 @@ const T* EncoderLayerRows(const ServingWeights<T>& w,
       PackedAttentionForwardRowsStrided<T, simd::VecOps>(
           q + static_cast<int64_t>(h) * nq * d,
           kv + static_cast<int64_t>(2 * h) * length * d,
-          kv + static_cast<int64_t>(2 * h + 1) * length * d, srpe, plan,
-          w.packed_srpe, d, tail_begin, scores, /*alpha_out=*/nullptr,
+          kv + static_cast<int64_t>(2 * h + 1) * length * d, srpe, plan, d,
+          tail_begin, scores, /*alpha_out=*/nullptr,
           concat + static_cast<int64_t>(h) * d,
           /*z_stride=*/static_cast<int64_t>(H) * d);
     }
@@ -132,7 +132,6 @@ void ResolveEncoder(const Encoder& encoder, const WeightResolver<T>& resolve,
   const MultiHeadSpaAttention& first = encoder.layer(0).attention();
   w->num_heads = first.num_heads();
   w->head_dim = first.head_dim();
-  w->packed_srpe = first.config().packed_srpe;
   w->layers.resize(encoder.num_layers());
   for (int t = 0; t < encoder.num_layers(); ++t) {
     const EncoderLayer& layer = encoder.layer(t);

@@ -78,7 +78,6 @@ template <typename T>
 struct ServingWeights {
   int num_heads = 0;
   int head_dim = 0;
-  bool packed_srpe = false;  ///< SRPE rows indexed by legal pair.
   ServingFcn<T> value_embedding;
   std::vector<ServingLayer<T>> layers;
   ServingFcn<T> head;
@@ -98,8 +97,8 @@ void ResolveFcn(const Fcn2& fcn, const WeightResolver<T>& resolve,
                 ServingFcn<T>* out);
 
 /// Resolves every encoder layer into w->layers (reusing its storage, so a
-/// steady-state re-resolve allocates nothing) and sets num_heads, head_dim
-/// and packed_srpe.
+/// steady-state re-resolve allocates nothing) and sets num_heads and
+/// head_dim.
 template <typename T>
 void ResolveEncoder(const Encoder& encoder, const WeightResolver<T>& resolve,
                     ServingWeights<T>* w);
@@ -127,13 +126,14 @@ ServingTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
 
 /// The serving forward of one sequence: value embedding of x [L, 1] (plus
 /// the pre-embedded `sape` [L, d_model] in SAPE mode), the encoder stack
-/// with shielded attention over `plan` (SRPE rows `srpe`, null in SAPE
-/// mode), and the prediction head. The final encoder layer and the head
-/// run only for the query rows [tail_begin, L) — the rows a prediction
-/// reads; keys/values still span the whole sequence, so every returned
-/// value equals the matching row of a full evaluation. Returns the
-/// [L - tail_begin, 1] standardized predictions, valid until the
-/// workspace's next use. The caller resets `ws`.
+/// with shielded attention over `plan` (SRPE rows `srpe`, [num_pairs, d_k]
+/// indexed by legal pair; null in SAPE mode), and the prediction head. The
+/// final encoder layer and the head run only for the query rows
+/// [tail_begin, L) — the rows a prediction reads; keys/values still span
+/// the whole sequence, so every returned value equals the matching row of
+/// a full evaluation. Returns the [L - tail_begin, 1] standardized
+/// predictions, valid until the workspace's next use. The caller resets
+/// `ws`.
 template <typename T>
 const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
                                        const T* x,

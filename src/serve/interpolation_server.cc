@@ -131,12 +131,12 @@ SubmitStatus InterpolationServer::Submit(
   return SubmitStatus::kAccepted;
 }
 
-std::vector<double> InterpolationServer::Interpolate(Request request) {
+SubmitStatus InterpolationServer::Interpolate(Request request,
+                                              std::vector<double>* values) {
   std::future<std::vector<double>> future;
   const SubmitStatus status = Submit(std::move(request), &future);
-  SSIN_CHECK(status == SubmitStatus::kAccepted)
-      << "Interpolate rejected: " << SubmitStatusName(status);
-  return future.get();
+  if (status == SubmitStatus::kAccepted) *values = future.get();
+  return status;
 }
 
 void InterpolationServer::Pause() {

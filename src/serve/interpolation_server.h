@@ -101,10 +101,11 @@ class InterpolationServer {
   SubmitStatus Submit(Request request,
                       std::future<std::vector<double>>* result);
 
-  /// Blocking convenience wrapper: Submit + future.get(). Aborts
-  /// (SSIN_CHECK) if the request is not accepted — callers who need to
-  /// handle rejection use Submit().
-  std::vector<double> Interpolate(Request request);
+  /// Blocking convenience wrapper: Submit + future.get(). On kAccepted,
+  /// `*values` receives the predictions (future.get() rethrows if the
+  /// dispatch threw). Any other status is returned as is and leaves
+  /// `*values` untouched, so a rejection never aborts the process.
+  SubmitStatus Interpolate(Request request, std::vector<double>* values);
 
   /// Pauses the batcher: admission keeps accepting up to queue capacity,
   /// but no further wave is dispatched until Resume(). Takes effect before

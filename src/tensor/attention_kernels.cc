@@ -124,13 +124,6 @@ void BuildAttentionPlanLimited(
 
 namespace {
 
-// Row of c read by legal pair `t_global` (query i, key j): the packed
-// layout indexes by pair, the dense layout by i*L+j.
-inline int64_t SrpeRow(const AttentionPlan& plan, const AttentionConfig& cfg,
-                       int64_t t_global) {
-  return cfg.packed_srpe ? t_global : plan.pair_rows[t_global];
-}
-
 // Shape/config validation shared by the forward wrappers.
 void CheckForwardShapes(const Tensor& k, const Tensor* c,
                         const AttentionPlan& plan,
@@ -140,9 +133,7 @@ void CheckForwardShapes(const Tensor& k, const Tensor* c,
   SSIN_CHECK_EQ(plan.length, length);
   if (cfg.use_srpe) {
     SSIN_CHECK(c != nullptr);
-    SSIN_CHECK_EQ(c->dim(0), cfg.packed_srpe
-                                 ? plan.num_pairs()
-                                 : static_cast<int64_t>(length) * length);
+    SSIN_CHECK_EQ(c->dim(0), plan.num_pairs());
     SSIN_CHECK_EQ(c->dim(1), d);
   }
 }
@@ -177,8 +168,7 @@ void PackedAttentionForwardInto(const Tensor& q, const Tensor& k,
   }
   PackedAttentionForwardRows<double, simd::VecOps>(
       q.data(), k.data(), v.data(), cfg.use_srpe ? c->data() : nullptr, plan,
-      cfg.packed_srpe, d, /*tail_begin=*/0, &ctx->scores, ctx->alpha.data(),
-      z_out->data());
+      d, /*tail_begin=*/0, &ctx->scores, ctx->alpha.data(), z_out->data());
 }
 
 void PackedAttentionBackward(const Tensor& q, const Tensor& k,
@@ -228,7 +218,7 @@ void PackedAttentionBackward(const Tensor& q, const Tensor& k,
       const double* k_row = k.data() + static_cast<int64_t>(j) * d;
       double* dk_row = dk->data() + static_cast<int64_t>(j) * d;
       if (cfg.use_srpe) {
-        const int64_t c_base = SrpeRow(plan, cfg, begin + t) * d;
+        const int64_t c_base = (begin + t) * d;
         const double* c_row = c->data() + c_base;
         for (int e = 0; e < d; ++e) {
           dq_row[e] += de * k_row[e] * c_row[e];

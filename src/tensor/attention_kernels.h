@@ -28,19 +28,20 @@ struct AttentionConfig {
   /// observed nodes; unobserved nodes attend to themselves plus all
   /// observed nodes. When false every node attends to every node.
   bool shielded = true;
-  /// Layout of the SRPE tensor `c` handed to the packed kernel. false:
-  /// dense [L*L, d] with row i*L+j = c_ij (the historical layout, still
-  /// used by the naive reference kernel). true: packed [num_pairs, d]
-  /// with row t = c for the t-th legal pair of the AttentionPlan, so only
-  /// legal pairs are ever embedded or materialized.
-  bool packed_srpe = false;
+  /// Inert: read by no code. The packed kernels always take c as
+  /// [num_pairs, d] indexed by legal pair. The field survives only because
+  /// the benchmark sources (perfbench/src/stages.cc) still assign it; it
+  /// goes with the next change to perfbench/.
+  bool packed_srpe = true;
 };
 
 /// The per-sequence legal-pair structure of shielded attention, in packed
 /// (CSR-like) form. Entry t in [offset[i], offset[i+1]) is query i's t-th
-/// legal key: key id key_index[t]; pair_rows[t] = i*length + key_index[t]
-/// is the row of the dense [L*L, ...] relative-position table that pair
-/// reads, which is what lets the SRPE embedding run over legal rows only.
+/// legal key: key id key_index[t]. Legal pair t is also the row of the
+/// packed [num_pairs, d_k] SRPE tensor the kernels read for it, so only
+/// legal pairs are ever embedded. pair_rows[t] = i*length + key_index[t]
+/// encodes the pair's (query, key) positions; SpatialContext::
+/// RelposForPairs decodes it to compute that row's relative position.
 ///
 /// A plan depends only on (observed, shielded) — not on values or
 /// parameters — so it is built once per sequence and shared by every
@@ -53,8 +54,9 @@ struct AttentionPlan {
   bool shielded = true;
   std::vector<int> key_index;
   std::vector<int64_t> offset;     ///< size length+1
-  std::vector<int64_t> pair_rows;  ///< size num_pairs(); i*L+j needs 64 bits
-                                   ///< once L*L exceeds INT_MAX (L >= 46341)
+  std::vector<int64_t> pair_rows;  ///< size num_pairs(); the (query, key)
+                                   ///< code i*L+j needs 64 bits once L*L
+                                   ///< exceeds INT_MAX (L >= 46341)
 
   int64_t num_pairs() const {
     return static_cast<int64_t>(key_index.size());
@@ -81,8 +83,8 @@ void BuildAttentionPlanLimited(
     const std::vector<std::vector<int>>& neighbor_keys, AttentionPlan* plan);
 
 /// Number of BuildAttentionPlan calls since process start. Test hook for
-/// the once-per-sequence contract (a SpaFormer forward must build exactly
-/// one plan, not one per layer/head).
+/// the once-per-sequence contract (SpaFormer::ForwardWithPlan and its
+/// backward reuse the caller's plan in every layer/head and build none).
 int64_t AttentionPlanBuildCount();
 
 /// Saved state from one attention forward invocation: the packed softmax
@@ -103,10 +105,10 @@ struct AttentionContext {
 /// Computes attention outputs for queries [tail_begin, plan.length); row r
 /// of q and z corresponds to query tail_begin + r (pass tail_begin = 0 for
 /// the full sequence). k/v span the full sequence: [L, d] row-major.
-/// c: optional relative-position embeddings, packed [num_pairs, d] when
-/// packed_srpe, dense [L*L, d] otherwise; nullptr disables SRPE. scores is
-/// caller-owned per-query scratch (resized, never shrunk). alpha_out, when
-/// non-null, receives the softmax weight of legal pair t at alpha_out[t]
+/// c: optional relative-position embeddings, [num_pairs, d] with row t the
+/// c of legal pair t; nullptr disables SRPE. scores is caller-owned
+/// per-query scratch (resized, never shrunk). alpha_out, when non-null,
+/// receives the softmax weight of legal pair t at alpha_out[t]
 /// (plan-global pair indexing; only pairs of the processed queries are
 /// written). z rows are overwritten; row r starts at z + r*z_stride
 /// (z_stride >= d), which lets a caller aim each head directly at its
@@ -114,9 +116,9 @@ struct AttentionContext {
 template <typename T, typename Ops>
 void PackedAttentionForwardRowsStrided(const T* q, const T* k, const T* v,
                                        const T* c, const AttentionPlan& plan,
-                                       bool packed_srpe, int d,
-                                       int tail_begin, std::vector<T>* scores,
-                                       T* alpha_out, T* z, int64_t z_stride) {
+                                       int d, int tail_begin,
+                                       std::vector<T>* scores, T* alpha_out,
+                                       T* z, int64_t z_stride) {
   const T inv_sqrt_d = T(1) / std::sqrt(static_cast<T>(d));
   const int num_queries = plan.length - tail_begin;
   for (int r = 0; r < num_queries; ++r) {
@@ -132,14 +134,9 @@ void PackedAttentionForwardRowsStrided(const T* q, const T* k, const T* v,
     for (int64_t t = 0; t < count; ++t) {
       const int j = plan.key_index[begin + t];
       const T* k_row = k + static_cast<int64_t>(j) * d;
-      T s;
-      if (c != nullptr) {
-        const int64_t c_row =
-            packed_srpe ? begin + t : plan.pair_rows[begin + t];
-        s = Ops::Dot3(q_row, k_row, c + c_row * d, d);
-      } else {
-        s = Ops::Dot(q_row, k_row, d);
-      }
+      const T s = c != nullptr
+                      ? Ops::Dot3(q_row, k_row, c + (begin + t) * d, d)
+                      : Ops::Dot(q_row, k_row, d);
       score[t] = s * inv_sqrt_d;
       if (score[t] > max_score) max_score = score[t];
     }
@@ -167,10 +164,10 @@ void PackedAttentionForwardRowsStrided(const T* q, const T* k, const T* v,
 template <typename T, typename Ops>
 void PackedAttentionForwardRows(const T* q, const T* k, const T* v,
                                 const T* c, const AttentionPlan& plan,
-                                bool packed_srpe, int d, int tail_begin,
-                                std::vector<T>* scores, T* alpha_out, T* z) {
-  PackedAttentionForwardRowsStrided<T, Ops>(q, k, v, c, plan, packed_srpe, d,
-                                            tail_begin, scores, alpha_out, z,
+                                int d, int tail_begin, std::vector<T>* scores,
+                                T* alpha_out, T* z) {
+  PackedAttentionForwardRowsStrided<T, Ops>(q, k, v, c, plan, d, tail_begin,
+                                            scores, alpha_out, z,
                                             /*z_stride=*/d);
 }
 
@@ -178,10 +175,10 @@ void PackedAttentionForwardRows(const T* q, const T* k, const T* v,
 /// CUDA kernel (§3.4.2). Visits only the O(mL) legal query-key pairs of
 /// `plan` and never materializes an [L,L,d] intermediate.
 ///
-/// q,k,v: [L,d]. c: optional relative-position embeddings — packed
-/// [num_pairs,d] when cfg.packed_srpe, dense [L*L,d] otherwise; must be
-/// non-null when cfg.use_srpe. Writes the packed softmax weights into *ctx
-/// for the backward pass. Returns z: [L,d].
+/// q,k,v: [L,d]. c: optional relative-position embeddings, [num_pairs,d]
+/// indexed by legal pair; must be non-null when cfg.use_srpe. Writes the
+/// packed softmax weights into *ctx for the backward pass. Returns z:
+/// [L,d].
 Tensor PackedAttentionForward(const Tensor& q, const Tensor& k,
                               const Tensor& v, const Tensor* c,
                               const AttentionPlan& plan,
@@ -211,9 +208,11 @@ void PackedAttentionBackward(const Tensor& q, const Tensor& k,
 /// Reference "naive" implementation mirroring the paper's baseline: it
 /// materializes the full [L,L,d] elementwise product (the dimension
 /// extension of §3.4.2) and an [L,L] score matrix, then masks out illegal
-/// connections. c is always dense [L*L,d] here (cfg.packed_srpe is
-/// ignored). Produces outputs identical to the packed kernel; exists for
-/// differential testing and the Figure 7 time/memory comparison.
+/// connections. Unlike the packed kernels it takes its own dense c,
+/// [L*L,d] with row i*L+j = c_ij — the paper baseline's layout. Given the
+/// plan's rows of that c, the packed kernel matches it up to summation
+/// order: the naive kernel is the packed path's independent oracle, and
+/// the Figure 7 time/memory baseline.
 Tensor NaiveAttentionForward(const Tensor& q, const Tensor& k,
                              const Tensor& v, const Tensor* c,
                              const std::vector<uint8_t>& observed,
@@ -225,9 +224,9 @@ int64_t NaiveAttentionWorkspaceBytes(int length, int d_k, bool use_srpe);
 
 /// Exact per-sequence footprint of the packed pipeline: the plan (key
 /// indices, offsets, pair rows), the packed softmax weights, and the
-/// packed [num_pairs, d_k] SRPE rows — with cfg.packed_srpe only the c_ij
-/// rows of legal pairs are ever materialized, so this is the whole SRPE
-/// working set. `shielded=false` counts the full L*L pair set.
+/// [num_pairs, d_k] SRPE rows — only the c_ij of legal pairs are ever
+/// materialized, so this is the whole SRPE working set. `shielded=false`
+/// counts the full L*L pair set.
 int64_t PackedAttentionWorkspaceBytes(int length, int num_observed, int d_k,
                                       bool shielded = true);
 

@@ -495,12 +495,4 @@ Var SpaAttention(Var q, Var k, Var v, Var c,
   });
 }
 
-Var SpaAttention(Var q, Var k, Var v, Var c,
-                 const std::vector<uint8_t>& observed,
-                 const AttentionConfig& cfg) {
-  auto plan = std::make_shared<AttentionPlan>();
-  BuildAttentionPlan(observed, cfg.shielded, plan.get());
-  return SpaAttention(q, k, v, c, std::move(plan), cfg);
-}
-
 }  // namespace ssin

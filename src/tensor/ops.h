@@ -69,20 +69,14 @@ Var Dropout(Var x, double rate, Rng* rng, bool training);
 
 /// SpaFormer attention (one head): shielded self-attention with optional
 /// SRPE (paper Eq. 4-6), using the packed O(mL d) kernel. q,k,v: [L,d];
-/// c: the SRPE matrix — packed [num_pairs,d] when cfg.packed_srpe, dense
-/// [L*L,d] otherwise (pass an invalid Var when cfg.use_srpe is false).
-/// `plan` is the sequence's legal-pair plan, built once per sequence
-/// (SpaFormer::Forward) and shared by all layer/head invocations; the op
-/// keeps it alive via the shared_ptr captured in its backward closure.
+/// c: the SRPE matrix, [num_pairs,d] with row t the c of legal pair t
+/// (pass an invalid Var when cfg.use_srpe is false). `plan` is the
+/// sequence's legal-pair plan, built once per sequence (by the caller of
+/// SpaFormer::ForwardWithPlan) and shared by all layer/head invocations;
+/// the op keeps it alive via the shared_ptr captured in its backward
+/// closure.
 Var SpaAttention(Var q, Var k, Var v, Var c,
                  std::shared_ptr<const AttentionPlan> plan,
-                 const AttentionConfig& cfg);
-
-/// Convenience overload that builds a fresh plan from `observed` — for
-/// tests and one-off invocations; model code should build one plan per
-/// sequence and use the overload above.
-Var SpaAttention(Var q, Var k, Var v, Var c,
-                 const std::vector<uint8_t>& observed,
                  const AttentionConfig& cfg);
 
 }  // namespace ssin

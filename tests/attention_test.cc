@@ -11,24 +11,12 @@ namespace ssin {
 namespace {
 
 using testing_util::CheckGradients;
+using testing_util::PackRows;
 
 std::vector<uint8_t> MakeObserved(int length, std::vector<int> unobserved) {
   std::vector<uint8_t> observed(length, 1);
   for (int u : unobserved) observed[u] = 0;
   return observed;
-}
-
-// Gathers the legal-pair rows of a dense [L*L, d] SRPE tensor into the
-// packed [num_pairs, d] layout the plan's kernels index by pair.
-Tensor PackRows(const Tensor& dense, const AttentionPlan& plan) {
-  const int d = dense.dim(1);
-  Tensor packed({static_cast<int>(plan.num_pairs()), d});
-  for (int64_t t = 0; t < plan.num_pairs(); ++t) {
-    for (int e = 0; e < d; ++e) {
-      packed.At(t, e) = dense.At(plan.pair_rows[t], e);
-    }
-  }
-  return packed;
 }
 
 TEST(AttentionPlanTest, ShieldedListsFollowPaperRule) {
@@ -118,68 +106,19 @@ TEST_P(AttentionConfigTest, PackedMatchesNaive) {
   std::vector<uint8_t> observed = MakeObserved(length, {2, 5, 9});
   AttentionPlan plan;
   BuildAttentionPlan(observed, shielded, &plan);
+  // The naive kernel reads its own dense c; the packed kernel reads the
+  // plan's legal-pair rows of the same table — the independent oracle of
+  // the packed addressing.
+  const Tensor c_packed = PackRows(c, plan);
 
   AttentionContext ctx;
-  Tensor packed = PackedAttentionForward(q, k, v, use_srpe ? &c : nullptr,
-                                         plan, cfg, &ctx);
+  Tensor packed = PackedAttentionForward(
+      q, k, v, use_srpe ? &c_packed : nullptr, plan, cfg, &ctx);
   Tensor naive =
       NaiveAttentionForward(q, k, v, use_srpe ? &c : nullptr, observed, cfg);
   ASSERT_TRUE(packed.SameShape(naive));
   for (int64_t i = 0; i < packed.numel(); ++i) {
     EXPECT_NEAR(packed[i], naive[i], 1e-10);
-  }
-}
-
-TEST_P(AttentionConfigTest, PackedSrpeTensorMatchesDense) {
-  // The packed [num_pairs, d] SRPE layout must be bit-identical to indexing
-  // the dense [L*L, d] table: same pairs, same values, same order.
-  const auto [use_srpe, shielded] = GetParam();
-  if (!use_srpe) GTEST_SKIP() << "SRPE layout only matters with use_srpe";
-  AttentionConfig dense_cfg;
-  dense_cfg.use_srpe = true;
-  dense_cfg.shielded = shielded;
-  AttentionConfig packed_cfg = dense_cfg;
-  packed_cfg.packed_srpe = true;
-
-  const int length = 11, d = 4;
-  Rng rng(83);
-  Tensor q = Tensor::Randn({length, d}, &rng);
-  Tensor k = Tensor::Randn({length, d}, &rng);
-  Tensor v = Tensor::Randn({length, d}, &rng);
-  Tensor c = Tensor::Randn({length * length, d}, &rng);
-  AttentionPlan plan;
-  BuildAttentionPlan(MakeObserved(length, {1, 6, 7}), shielded, &plan);
-  Tensor c_packed = PackRows(c, plan);
-
-  AttentionContext dense_ctx, packed_ctx;
-  Tensor z_dense = PackedAttentionForward(q, k, v, &c, plan, dense_cfg,
-                                          &dense_ctx);
-  Tensor z_packed = PackedAttentionForward(q, k, v, &c_packed, plan,
-                                           packed_cfg, &packed_ctx);
-  for (int64_t i = 0; i < z_dense.numel(); ++i) {
-    EXPECT_DOUBLE_EQ(z_dense[i], z_packed[i]);
-  }
-
-  // Backward must agree too, with dc scattered/packed respectively.
-  Tensor dz = Tensor::Randn({length, d}, &rng);
-  Tensor dq1({length, d}), dk1({length, d}), dv1({length, d});
-  Tensor dc1({length * length, d});
-  Tensor dq2({length, d}), dk2({length, d}), dv2({length, d});
-  Tensor dc2({static_cast<int>(plan.num_pairs()), d});
-  PackedAttentionBackward(q, k, v, &c, plan, dense_cfg, dense_ctx, dz, &dq1,
-                          &dk1, &dv1, &dc1);
-  PackedAttentionBackward(q, k, v, &c_packed, plan, packed_cfg, packed_ctx,
-                          dz, &dq2, &dk2, &dv2, &dc2);
-  for (int64_t i = 0; i < dq1.numel(); ++i) {
-    EXPECT_DOUBLE_EQ(dq1[i], dq2[i]);
-    EXPECT_DOUBLE_EQ(dk1[i], dk2[i]);
-    EXPECT_DOUBLE_EQ(dv1[i], dv2[i]);
-  }
-  ASSERT_EQ(dc1.dim(0), length * length);
-  ASSERT_EQ(dc2.dim(0), static_cast<int>(plan.num_pairs()));
-  Tensor dc1_packed = PackRows(dc1, plan);
-  for (int64_t i = 0; i < dc2.numel(); ++i) {
-    EXPECT_DOUBLE_EQ(dc1_packed[i], dc2[i]);
   }
 }
 
@@ -193,9 +132,9 @@ TEST_P(AttentionConfigTest, SoftmaxWeightsSumToOne) {
   Tensor q = Tensor::Randn({length, d}, &rng);
   Tensor k = Tensor::Randn({length, d}, &rng);
   Tensor v = Tensor::Randn({length, d}, &rng);
-  Tensor c = Tensor::Randn({length * length, d}, &rng);
   AttentionPlan plan;
   BuildAttentionPlan(MakeObserved(length, {0, 4}), shielded, &plan);
+  Tensor c = Tensor::Randn({static_cast<int>(plan.num_pairs()), d}, &rng);
 
   AttentionContext ctx;
   PackedAttentionForward(q, k, v, use_srpe ? &c : nullptr, plan, cfg, &ctx);
@@ -210,35 +149,12 @@ TEST_P(AttentionConfigTest, SoftmaxWeightsSumToOne) {
 }
 
 TEST_P(AttentionConfigTest, GradientsMatchFiniteDifferences) {
+  // dq/dk/dv (and dc with SRPE) against finite differences, with c the
+  // [num_pairs, d] tensor indexed by legal pair.
   const auto [use_srpe, shielded] = GetParam();
   AttentionConfig cfg;
   cfg.use_srpe = use_srpe;
   cfg.shielded = shielded;
-  const int length = 6, d = 3;
-  Rng rng(79);
-  std::vector<uint8_t> observed = MakeObserved(length, {1, 4});
-
-  std::vector<Tensor> inputs = {Tensor::Randn({length, d}, &rng),
-                                Tensor::Randn({length, d}, &rng),
-                                Tensor::Randn({length, d}, &rng),
-                                Tensor::Randn({length * length, d}, &rng)};
-  auto r = CheckGradients(
-      inputs, [&](Graph*, const std::vector<Var>& v) {
-        Var z = SpaAttention(v[0], v[1], v[2], v[3], observed, cfg);
-        return Sum(Mul(z, z));
-      });
-  EXPECT_LT(r.max_rel_err, 1e-5);
-}
-
-TEST_P(AttentionConfigTest, PackedSrpeGradientsMatchFiniteDifferences) {
-  // dq/dk/dv/dc of the packed-SRPE path, where c is the packed
-  // [num_pairs, d] tensor (not the dense [L*L, d] table).
-  const auto [use_srpe, shielded] = GetParam();
-  if (!use_srpe) GTEST_SKIP() << "packed_srpe requires use_srpe";
-  AttentionConfig cfg;
-  cfg.use_srpe = true;
-  cfg.shielded = shielded;
-  cfg.packed_srpe = true;
   const int length = 6, d = 3;
   Rng rng(84);
   auto plan = std::make_shared<AttentionPlan>();
@@ -273,9 +189,9 @@ TEST(AttentionTest, ShieldedOutputIgnoresOtherUnobservedNodes) {
   Tensor q = Tensor::Randn({length, d}, &rng);
   Tensor k = Tensor::Randn({length, d}, &rng);
   Tensor v = Tensor::Randn({length, d}, &rng);
-  Tensor c = Tensor::Randn({length * length, d}, &rng);
   AttentionPlan plan;
   BuildAttentionPlan(MakeObserved(length, {3, 6}), /*shielded=*/true, &plan);
+  Tensor c = Tensor::Randn({static_cast<int>(plan.num_pairs()), d}, &rng);
 
   AttentionContext ctx;
   Tensor z1 = PackedAttentionForward(q, k, v, &c, plan, cfg, &ctx);
@@ -301,9 +217,9 @@ TEST(AttentionTest, FullAttentionLeaksUnobservedInformation) {
   Tensor q = Tensor::Randn({length, d}, &rng);
   Tensor k = Tensor::Randn({length, d}, &rng);
   Tensor v = Tensor::Randn({length, d}, &rng);
-  Tensor c = Tensor::Randn({length * length, d}, &rng);
   AttentionPlan plan;
   BuildAttentionPlan(MakeObserved(length, {3, 6}), /*shielded=*/false, &plan);
+  Tensor c = Tensor::Randn({static_cast<int>(plan.num_pairs()), d}, &rng);
 
   AttentionContext ctx;
   Tensor z1 = PackedAttentionForward(q, k, v, &c, plan, cfg, &ctx);
@@ -344,7 +260,6 @@ TEST(AttentionTest, WorkspaceBytesMatchesActualAllocations) {
     BuildAttentionPlan(observed, shielded, &plan);
     AttentionConfig cfg;
     cfg.shielded = shielded;
-    cfg.packed_srpe = true;
     Tensor q = Tensor::Randn({length, d}, &rng);
     Tensor c_packed =
         Tensor::Randn({static_cast<int>(plan.num_pairs()), d}, &rng);
@@ -371,10 +286,10 @@ TEST(AttentionTest, SingleObservedNodeDegenerateCase) {
   Tensor q = Tensor::Randn({length, d}, &rng);
   Tensor k = Tensor::Randn({length, d}, &rng);
   Tensor v = Tensor::Randn({length, d}, &rng);
-  Tensor c = Tensor::Randn({length * length, d}, &rng);
   AttentionPlan plan;
   BuildAttentionPlan(MakeObserved(length, {1, 2, 3}), /*shielded=*/true,
                      &plan);
+  Tensor c = Tensor::Randn({static_cast<int>(plan.num_pairs()), d}, &rng);
   AttentionContext ctx;
   Tensor z = PackedAttentionForward(q, k, v, &c, plan, cfg, &ctx);
   for (int64_t i = 0; i < z.numel(); ++i) EXPECT_TRUE(std::isfinite(z[i]));

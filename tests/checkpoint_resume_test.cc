@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -92,7 +93,6 @@ TEST_F(CheckpointResumeTest, ResumeReproducesUninterruptedRun) {
   for (int i = 0; i < 16; ++i) train_ids.push_back(i);
   SpatialContext context;
   context.Build(data, train_ids);
-  const Tensor relpos = context.RelposFor(train_ids);
   const Tensor abspos = context.AbsposFor(train_ids);
 
   for (int threads : {1, 4}) {
@@ -148,11 +148,15 @@ TEST_F(CheckpointResumeTest, ResumeReproducesUninterruptedRun) {
       MaskingOptions mask_options;
       MaskedSequence seq =
           BuildMaskedSequence(row, {0, 3, 7}, mask_options);
+      auto plan = std::make_shared<AttentionPlan>();
+      BuildAttentionPlan(seq.observed, /*shielded=*/true, plan.get());
+      const Tensor relpos = context.RelposForPairs(train_ids,
+                                                   plan->pair_rows);
       Graph ga, gb;
-      Var pred_full = full_model.Forward(&ga, seq.input, relpos, abspos,
-                                         seq.observed);
-      Var pred_rest = rest_model.Forward(&gb, seq.input, relpos, abspos,
-                                         seq.observed);
+      Var pred_full =
+          full_model.ForwardWithPlan(&ga, seq.input, plan, relpos, abspos);
+      Var pred_rest =
+          rest_model.ForwardWithPlan(&gb, seq.input, plan, relpos, abspos);
       ASSERT_EQ(pred_full.value().numel(), pred_rest.value().numel());
       for (int64_t i = 0; i < pred_full.value().numel(); ++i) {
         EXPECT_NEAR(pred_full.value()[i], pred_rest.value()[i], kTol);

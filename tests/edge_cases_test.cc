@@ -69,10 +69,11 @@ TEST(AttentionEdgeTest, SingleHeadSkipsConcat) {
   const int length = 5;
   Graph g;
   Var e = g.Constant(Tensor::Randn({length, 8}, &rng));
-  Var c = g.Constant(Tensor::Randn({length * length, 8}, &rng));
   std::vector<uint8_t> observed(length, 1);
   auto plan = std::make_shared<AttentionPlan>();
   BuildAttentionPlan(observed, cfg.shielded, plan.get());
+  Var c = g.Constant(
+      Tensor::Randn({static_cast<int>(plan->num_pairs()), 8}, &rng));
   Var out = attn.Forward(e, c, plan);
   EXPECT_EQ(out.value().dim(1), 8);
 }

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "geo/coords.h"
-#include "geo/relpos.h"
 #include "geo/road_graph.h"
 #include "geo/spatial_index.h"
 
@@ -54,62 +53,6 @@ TEST(ProjectionTest, ConsistentWithHaversine) {
   EXPECT_NEAR(planar, HaversineKm(origin, p), 0.2);  // City scale: < 200 m.
 }
 
-TEST(RelPosTest, StructureAndConventions) {
-  std::vector<PointKm> pts = {{0, 0}, {3, 4}, {-1, 2}};
-  Tensor r = BuildRelPos(pts);
-  ASSERT_EQ(r.dim(0), 9);
-  ASSERT_EQ(r.dim(1), 2);
-  // Self pairs: zero distance, zero azimuth.
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(r[(i * 3 + i) * 2], 0.0);
-    EXPECT_DOUBLE_EQ(r[(i * 3 + i) * 2 + 1], 0.0);
-  }
-  // Pair (0,1): distance 5.
-  EXPECT_NEAR(r[(0 * 3 + 1) * 2], 5.0, 1e-12);
-  // Distances symmetric.
-  EXPECT_DOUBLE_EQ(r[(0 * 3 + 1) * 2], r[(1 * 3 + 0) * 2]);
-  // Opposite azimuths differ by pi (mod 2 pi) — Figure 4 of the paper.
-  const double a01 = r[(0 * 3 + 1) * 2 + 1];
-  const double a10 = r[(1 * 3 + 0) * 2 + 1];
-  EXPECT_NEAR(std::fmod(std::fabs(a01 - a10), 2.0 * kPi), kPi, 1e-9);
-}
-
-TEST(RelPosTest, CustomDistanceMatrixOverridesEuclid) {
-  std::vector<PointKm> pts = {{0, 0}, {1, 0}};
-  Matrix travel(2, 2);
-  travel(0, 1) = travel(1, 0) = 9.0;  // Long way around on the road.
-  Tensor r = BuildRelPos(pts, travel);
-  EXPECT_DOUBLE_EQ(r[(0 * 2 + 1) * 2], 9.0);
-  // Azimuth still from coordinates.
-  EXPECT_NEAR(r[(0 * 2 + 1) * 2 + 1], kPi / 2.0, 1e-12);
-}
-
-TEST(RelPosTest, StandardizationNormalizesOffDiagonal) {
-  Rng rng(31);
-  std::vector<PointKm> pts;
-  for (int i = 0; i < 20; ++i) {
-    pts.push_back({rng.Uniform(0, 50), rng.Uniform(0, 40)});
-  }
-  Tensor raw = BuildRelPos(pts);
-  RelPosStats stats = ComputeRelPosStats(raw);
-  Tensor standardized = StandardizeRelPos(raw, stats);
-  double dist_sum = 0.0, dist_sq = 0.0;
-  int count = 0;
-  const int n = 20;
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const double d = standardized[(static_cast<int64_t>(i) * n + j) * 2];
-      dist_sum += d;
-      dist_sq += d * d;
-      ++count;
-    }
-  }
-  const double mean = dist_sum / count;
-  EXPECT_NEAR(mean, 0.0, 1e-9);
-  EXPECT_NEAR(dist_sq / count - mean * mean, 1.0, 1e-6);
-}
-
 TEST(RoadGraphTest, DijkstraOnLine) {
   RoadGraph g;
   for (int i = 0; i < 5; ++i) g.AddNode({static_cast<double>(i), 0.0});
@@ -136,60 +79,6 @@ TEST(RoadGraphTest, DisconnectedIsUnreachable) {
   g.AddNode({100, 100});
   std::vector<double> dist = g.ShortestPathsFrom(0);
   EXPECT_EQ(dist[1], RoadGraph::kUnreachable);
-}
-
-TEST(DenseRelPosRowsTest, ShapeMathRunsIn64Bit) {
-  EXPECT_EQ(DenseRelPosRows(0), 0);
-  EXPECT_EQ(DenseRelPosRows(123), 123 * 123);
-  // The largest length whose square still fits an int: 46340^2 =
-  // 2147395600 < 2^31 - 1. The naive int product would wrap negative one
-  // step later.
-  EXPECT_EQ(DenseRelPosRows(46340), int64_t{2147395600});
-}
-
-TEST(DenseRelPosRowsDeathTest, RejectsOverflowInsteadOfWrapping) {
-  // 46341^2 = 2147488281 > INT_MAX: must SSIN_CHECK with a pointer at the
-  // packed APIs, never wrap into a negative Tensor dimension.
-  EXPECT_DEATH(DenseRelPosRows(46341), "packed pair-row");
-  EXPECT_DEATH(DenseRelPosRows(100000), "packed pair-row");
-}
-
-TEST(RelPosStatsTest, StreamingMatchesTwoPassVectorReference) {
-  Rng rng(77);
-  std::vector<PointKm> pts;
-  for (int i = 0; i < 40; ++i) {
-    pts.push_back({rng.Uniform(0, 80), rng.Uniform(0, 60)});
-  }
-  const Tensor raw = BuildRelPos(pts);
-  const RelPosStats streaming = ComputeRelPosStats(raw);
-
-  // The retired implementation: collect every off-diagonal value into
-  // vectors, then mean/population-std with the 1e-8 floor.
-  std::vector<double> distances, azimuths;
-  const int n = static_cast<int>(pts.size());
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const int64_t row = static_cast<int64_t>(i) * n + j;
-      distances.push_back(raw[row * 2]);
-      azimuths.push_back(raw[row * 2 + 1]);
-    }
-  }
-  const auto two_pass = [](const std::vector<double>& v) {
-    double sum = 0.0;
-    for (double x : v) sum += x;
-    const double mean = sum / v.size();
-    double sq = 0.0;
-    for (double x : v) sq += (x - mean) * (x - mean);
-    const double std_dev = std::sqrt(sq / v.size());
-    return MeanStd{mean, std::max(std_dev, 1e-8)};
-  };
-  const MeanStd dist_ref = two_pass(distances);
-  const MeanStd azim_ref = two_pass(azimuths);
-  EXPECT_NEAR(streaming.distance.mean, dist_ref.mean, 1e-12);
-  EXPECT_NEAR(streaming.distance.std, dist_ref.std, 1e-12);
-  EXPECT_NEAR(streaming.azimuth.mean, azim_ref.mean, 1e-12);
-  EXPECT_NEAR(streaming.azimuth.std, azim_ref.std, 1e-12);
 }
 
 // ------------------------------------------------------- SpatialIndex

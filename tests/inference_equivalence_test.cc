@@ -1,7 +1,7 @@
 /// Pins the contract of the graph-free serving chain: SpaFormer::Predict
 /// (through SsinInterpolator::InterpolateTimestamp / InterpolateBatch)
 /// reproduces the autograd reference forward to <= 1e-12 across the
-/// Table 6 ablation variants, SRPE layouts, fill modes and thread counts
+/// Table 6 ablation variants, fill modes and thread counts
 /// (PredictF32 within the f32 serving gate), and the layout cache serves
 /// repeated station sets without rebuilding plans or embeddings — until a
 /// weight mutation invalidates it.
@@ -38,13 +38,11 @@ RainfallRegionConfig TinyRegion() {
 
 // Tiny dimensions over `config`'s architecture switches (embeddings,
 // position mode, shielding, head count).
-SpaFormerConfig TinyModel(bool packed_srpe,
-                          SpaFormerConfig config = SpaFormerConfig()) {
+SpaFormerConfig TinyModel(SpaFormerConfig config = SpaFormerConfig()) {
   config.num_layers = 2;
   config.d_model = 8;
   config.d_k = 8;
   config.d_ff = 32;
-  config.packed_srpe = packed_srpe;
   return config;
 }
 
@@ -84,13 +82,12 @@ constexpr double kF32ServingGate = 1e-3;
 struct EquivalenceParams {
   std::string variant;  ///< Table 6 ablation (or head-count) variant.
   SpaFormerConfig model;
-  bool packed_srpe;
   bool mean_fill;
 };
 
-// Every Table 6 named constructor plus a single-head model, each with
-// packed and dense SRPE and both fill modes: the linear-embedding, SAPE,
-// unshielded and one-head paths of the serving chain all stay pinned.
+// Every Table 6 named constructor plus a single-head model, each with both
+// fill modes: the linear-embedding, SAPE, unshielded and one-head paths of
+// the serving chain all stay pinned.
 std::vector<EquivalenceParams> AllEquivalenceParams() {
   SpaFormerConfig one_head;
   one_head.num_heads = 1;
@@ -106,10 +103,8 @@ std::vector<EquivalenceParams> AllEquivalenceParams() {
   };
   std::vector<EquivalenceParams> params;
   for (const auto& [name, config] : variants) {
-    for (bool packed_srpe : {true, false}) {
-      for (bool mean_fill : {true, false}) {
-        params.push_back({name, config, packed_srpe, mean_fill});
-      }
+    for (bool mean_fill : {true, false}) {
+      params.push_back({name, config, mean_fill});
     }
   }
   return params;
@@ -121,7 +116,7 @@ class InferenceEquivalence
 TEST_P(InferenceEquivalence, EngineMatchesAutogradReference) {
   const EquivalenceParams p = GetParam();
   Fixture f;
-  SsinInterpolator ssin(TinyModel(p.packed_srpe, p.model),
+  SsinInterpolator ssin(TinyModel(p.model),
                         FastTraining(p.mean_fill));
   ssin.Fit(f.data, f.observed_ids);
 
@@ -148,7 +143,7 @@ TEST_P(InferenceEquivalence, EngineMatchesAutogradReference) {
 TEST_P(InferenceEquivalence, BatchMatchesSerialAcrossThreadCounts) {
   const EquivalenceParams p = GetParam();
   Fixture f;
-  SsinInterpolator ssin(TinyModel(p.packed_srpe, p.model),
+  SsinInterpolator ssin(TinyModel(p.model),
                         FastTraining(p.mean_fill));
   ssin.Fit(f.data, f.observed_ids);
 
@@ -176,11 +171,10 @@ TEST_P(InferenceEquivalence, BatchMatchesSerialAcrossThreadCounts) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    AblationsLayoutsAndFillModes, InferenceEquivalence,
+    AblationsAndFillModes, InferenceEquivalence,
     ::testing::ValuesIn(AllEquivalenceParams()),
     [](const ::testing::TestParamInfo<EquivalenceParams>& info) {
       return info.param.variant +
-             (info.param.packed_srpe ? "Packed" : "Dense") +
              (info.param.mean_fill ? "MeanFill" : "ZeroFill");
     });
 
@@ -189,8 +183,7 @@ TEST(InferenceEquivalenceTelemetry, TelemetryOnChangesNoPrediction) {
   // counters) is read-only: predictions with telemetry enabled are
   // bit-identical to a disabled run, serial and parallel.
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
 
   std::vector<const std::vector<double>*> batch;
@@ -231,8 +224,7 @@ TEST(InferenceEquivalenceTelemetry, TelemetryOnChangesNoPrediction) {
 
 TEST(LayoutCacheBehavior, RepeatedStationSetHitsWithoutPlanRebuild) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
   EXPECT_EQ(ssin.layout_cache().size(), 0u);
 
@@ -260,8 +252,7 @@ TEST(LayoutCacheBehavior, RepeatedStationSetHitsWithoutPlanRebuild) {
 
 TEST(LayoutCacheBehavior, WeightMutationsInvalidate) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
   ssin.InterpolateTimestamp(f.data.Values(0), f.observed_ids, f.query_ids);
   EXPECT_EQ(ssin.layout_cache().size(), 1u);
@@ -279,8 +270,7 @@ TEST(LayoutCacheBehavior, WeightMutationsInvalidate) {
   }
 
   // Parameter copy from another model likewise invalidates.
-  SsinInterpolator other(TinyModel(/*packed_srpe=*/true),
-                         FastTraining(/*mean_fill=*/true));
+  SsinInterpolator other(TinyModel(), FastTraining(/*mean_fill=*/true));
   other.Fit(f.data, f.observed_ids);
   ssin.CopyParametersFrom(other);
   EXPECT_EQ(ssin.layout_cache().size(), 0u);
@@ -297,8 +287,7 @@ TEST(LayoutCacheBehavior, WeightMutationsInvalidate) {
 
 TEST(F32ServingTest, GatedEnableMatchesF64WithinBudget) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
 
   std::vector<const std::vector<double>*> batch;
@@ -348,8 +337,7 @@ TEST(F32ServingTest, GatedEnableMatchesF64WithinBudget) {
 
 TEST(F32ServingTest, NonNegativeClampAppliesInF32) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
   ssin.set_non_negative(true);
   ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
@@ -365,8 +353,7 @@ TEST(F32ServingTest, NonNegativeClampAppliesInF32) {
 
 TEST(F32ServingTest, WeightSnapshotConvertsOnceAndInvalidates) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
   // Fit leaves no stale snapshot and nothing converted yet.
   EXPECT_TRUE(ssin.f32_weights().empty());
@@ -418,8 +405,7 @@ TEST(F32ServingTest, WeightSnapshotConvertsOnceAndInvalidates) {
 
 TEST(F32ServingTest, MeasureDeltaRestoresPrecisionUnderConcurrentReaders) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
   ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
 
@@ -459,8 +445,7 @@ TEST(F32ServingTest, MeasureDeltaRestoresPrecisionUnderConcurrentReaders) {
 
 TEST(F32ServingTest, ScopedPrecisionRestoreIsExceptionSafe) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
   ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
 
@@ -480,11 +465,9 @@ TEST(F32ServingTest, ScopedPrecisionRestoreIsExceptionSafe) {
 
 TEST(ServingArenaPeak, InstancePeakResetsOnWeightMutation) {
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
-  SsinInterpolator other(TinyModel(/*packed_srpe=*/true),
-                         FastTraining(/*mean_fill=*/true));
+  SsinInterpolator other(TinyModel(), FastTraining(/*mean_fill=*/true));
   other.Fit(f.data, f.observed_ids);
 
   EXPECT_EQ(ssin.arena_peak_bytes(), 0u);
@@ -512,8 +495,7 @@ TEST(ServingArenaPeak, InstancePeakResetsOnWeightMutation) {
 TEST(ServingArenaPeak, EmptyQueryStillObservesLatency) {
   if (!telemetry::CompiledIn()) GTEST_SKIP() << "telemetry compiled out";
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
 
   // An empty query list is a legal request; the early return that skips
@@ -610,8 +592,7 @@ TEST(InferenceWorkspaceTest, F32ArenaIsIndependentOfF64Arena) {
 TEST(InferenceValidationDeath, RejectsMalformedIdLists) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
   const std::vector<double>& values = f.data.Values(0);
 
@@ -632,8 +613,7 @@ TEST(InferenceValidationDeath, RejectsMalformedIdLists) {
 TEST(InferenceValidationDeath, EmptyF32CalibrationBatchRejected) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   Fixture f;
-  SsinInterpolator ssin(TinyModel(/*packed_srpe=*/true),
-                        FastTraining(/*mean_fill=*/true));
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
 
   // Gating f32 serving on zero calibration points would report delta 0.0

@@ -257,7 +257,7 @@ TEST(KernelDifferentialTest, LayerNormSweep) {
 
 template <typename T>
 void CheckAttentionOnce(int length, int num_observed, int d, bool shielded,
-                        bool use_srpe, bool packed_srpe, Rng* rng) {
+                        bool use_srpe, Rng* rng) {
   std::vector<uint8_t> observed(length, 0);
   for (int i = 0; i < num_observed; ++i) observed[i] = 1;
   AttentionPlan plan;
@@ -268,29 +268,25 @@ void CheckAttentionOnce(int length, int num_observed, int d, bool shielded,
   const std::vector<T> k = RandomVector<T>(int64_t{length} * d, rng);
   const std::vector<T> v = RandomVector<T>(int64_t{length} * d, rng);
   std::vector<T> c;
-  if (use_srpe) {
-    const int64_t c_rows = packed_srpe ? num_pairs : int64_t{length} * length;
-    c = RandomVector<T>(c_rows * d, rng);
-  }
+  if (use_srpe) c = RandomVector<T>(num_pairs * d, rng);
   const T* c_ptr = use_srpe ? c.data() : nullptr;
 
   std::vector<T> scores;
   std::vector<T> ref_alpha(static_cast<size_t>(num_pairs), T(0));
   std::vector<T> ref_z(static_cast<size_t>(length) * d);
   PackedAttentionForwardRows<T, simd::ScalarOps>(
-      q.data(), k.data(), v.data(), c_ptr, plan, packed_srpe, d,
-      /*tail_begin=*/0, &scores, ref_alpha.data(), ref_z.data());
+      q.data(), k.data(), v.data(), c_ptr, plan, d, /*tail_begin=*/0, &scores,
+      ref_alpha.data(), ref_z.data());
 
   std::vector<T> vec_alpha(static_cast<size_t>(num_pairs), T(0));
   std::vector<T> vec_z(static_cast<size_t>(length) * d);
   PackedAttentionForwardRows<T, simd::VecOps>(
-      q.data(), k.data(), v.data(), c_ptr, plan, packed_srpe, d,
-      /*tail_begin=*/0, &scores, vec_alpha.data(), vec_z.data());
+      q.data(), k.data(), v.data(), c_ptr, plan, d, /*tail_begin=*/0, &scores,
+      vec_alpha.data(), vec_z.data());
 
   EXPECT_LE(MaxAbsDiff(ref_z, vec_z), ScaledTol(ref_z, PolicyTol<T>()))
       << "L=" << length << " m=" << num_observed << " d=" << d
-      << " shielded=" << shielded << " srpe=" << use_srpe
-      << " packed=" << packed_srpe;
+      << " shielded=" << shielded << " srpe=" << use_srpe;
   EXPECT_LE(MaxAbsDiff(ref_alpha, vec_alpha),
             ScaledTol(ref_alpha, PolicyTol<T>()));
 
@@ -302,7 +298,7 @@ void CheckAttentionOnce(int length, int num_observed, int d, bool shielded,
     std::vector<T> tail_z(static_cast<size_t>(num_queries) * d);
     PackedAttentionForwardRows<T, simd::VecOps>(
         q.data() + static_cast<int64_t>(tail_begin) * d, k.data(), v.data(),
-        c_ptr, plan, packed_srpe, d, tail_begin, &scores,
+        c_ptr, plan, d, tail_begin, &scores,
         /*alpha_out=*/nullptr, tail_z.data());
     EXPECT_EQ(0, std::memcmp(tail_z.data(),
                              vec_z.data() + static_cast<int64_t>(tail_begin) *
@@ -319,16 +315,10 @@ TEST(KernelDifferentialTest, AttentionSweep) {
         for (bool shielded : {true, false}) {
           for (bool use_srpe : {true, false}) {
             CheckAttentionOnce<double>(length, num_observed, d, shielded,
-                                       use_srpe, /*packed_srpe=*/use_srpe,
-                                       &rng);
+                                       use_srpe, &rng);
             CheckAttentionOnce<float>(length, num_observed, d, shielded,
-                                      use_srpe, /*packed_srpe=*/use_srpe,
-                                      &rng);
+                                      use_srpe, &rng);
           }
-          // Dense (historical) SRPE layout.
-          CheckAttentionOnce<double>(length, num_observed, d, shielded,
-                                     /*use_srpe=*/true,
-                                     /*packed_srpe=*/false, &rng);
         }
       }
     }
@@ -340,9 +330,9 @@ TEST(KernelDifferentialTest, AttentionSweep) {
 TEST(KernelDifferentialTest, AttentionPaperConfig) {
   Rng rng(0xD2);
   CheckAttentionOnce<double>(123, 113, 16, /*shielded=*/true,
-                             /*use_srpe=*/true, /*packed_srpe=*/true, &rng);
+                             /*use_srpe=*/true, &rng);
   CheckAttentionOnce<float>(123, 113, 16, /*shielded=*/true,
-                            /*use_srpe=*/true, /*packed_srpe=*/true, &rng);
+                            /*use_srpe=*/true, &rng);
 }
 
 // ---------------------------------------------------------------------------
@@ -629,15 +619,14 @@ void CheckStridedAttentionOnce(int length, int num_observed, int d,
   std::vector<T> contiguous(static_cast<size_t>(nq) * d);
   PackedAttentionForwardRows<T, simd::VecOps>(
       q.data() + int64_t{tail_begin} * d, k.data(), v.data(), c.data(), plan,
-      /*packed_srpe=*/true, d, tail_begin, &scores, /*alpha_out=*/nullptr,
-      contiguous.data());
+      d, tail_begin, &scores, /*alpha_out=*/nullptr, contiguous.data());
 
   const int64_t stride = int64_t{num_heads} * d;
   for (int h = 0; h < num_heads; ++h) {
     std::vector<T> strided(static_cast<size_t>(nq) * stride, T(-1));
     PackedAttentionForwardRowsStrided<T, simd::VecOps>(
         q.data() + int64_t{tail_begin} * d, k.data(), v.data(), c.data(),
-        plan, /*packed_srpe=*/true, d, tail_begin, &scores,
+        plan, d, tail_begin, &scores,
         /*alpha_out=*/nullptr, strided.data() + int64_t{h} * d, stride);
     for (int r = 0; r < nq; ++r) {
       EXPECT_EQ(0, std::memcmp(contiguous.data() + int64_t{r} * d,

@@ -1,5 +1,4 @@
-/// Pins the neighbor-limited shielding contract (ROADMAP item 3) at every
-/// layer it crosses:
+/// Pins the neighbor-limited shielding contract at every layer it crosses:
 ///
 ///  * plan level — BuildAttentionPlanLimited reproduces the full shielded
 ///    plan bit for bit (key order, offsets, pair rows) whenever the
@@ -9,18 +8,18 @@
 ///    geometric k nearest observed stations, ascending by sequence
 ///    position, self excluded; a radius_km cut filters candidates before
 ///    the k cap with identical tie-breaking (full coverage = pure k-NN);
-///    RelposForPairs equals a row gather from the dense reference; the
-///    streaming Build statistics match the retired transient-vector
-///    computation;
+///    RelposForPairs row t is the standardized RawRelPos of legal pair t;
+///    RawRelPos keeps the self-pair, symmetry, opposite-azimuth and
+///    travel-distance conventions; the streaming Build statistics match
+///    the retired transient-vector computation;
 ///  * system level — serving (engine and autograd) under
 ///    SetNeighborK(k >= num_observed) is bit-identical to full shielding,
-///    the engine still matches autograd under a real cap, training runs
-///    (and is bit-identical when k covers the sequence), and the dense
-///    [L*L] reference path cleanly refuses networks beyond
-///    kMaxDenseRelposLength instead of attempting a gigabyte allocation.
+///    the engine still matches autograd under a real cap, and training
+///    runs (and is bit-identical when k covers the sequence).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -63,17 +62,25 @@ TrainConfig FastTraining() {
   return config;
 }
 
+/// A dataset of stations at the given planar positions (no timestamps).
+SpatialDataset PointsDataset(const std::vector<PointKm>& points) {
+  std::vector<Station> stations;
+  for (const PointKm& p : points) {
+    Station s;
+    s.id = "S";
+    s.id += std::to_string(stations.size());
+    s.position = p;
+    stations.push_back(std::move(s));
+  }
+  return SpatialDataset(std::move(stations));
+}
+
 /// A dataset whose stations sit on a line at x = 0, 1, ..., n-1 km, so the
 /// k nearest stations of any query are known by inspection.
 SpatialDataset LineDataset(int n) {
-  std::vector<Station> stations;
-  for (int i = 0; i < n; ++i) {
-    Station s;
-    s.id = "S" + std::to_string(i);
-    s.position = {static_cast<double>(i), 0.0};
-    stations.push_back(std::move(s));
-  }
-  SpatialDataset data(std::move(stations));
+  std::vector<PointKm> points;
+  for (int i = 0; i < n; ++i) points.push_back({static_cast<double>(i), 0.0});
+  SpatialDataset data = PointsDataset(points);
   std::vector<double> values(n, 1.0);
   data.AddTimestamp(std::move(values));
   return data;
@@ -276,13 +283,17 @@ TEST(LimitedPlanTest, FullCoverageRadiusPlanEqualsFullShieldedPlan) {
   }
 }
 
-TEST(SpatialContextTest, RelposForPairsMatchesDenseGatherBitForBit) {
+TEST(SpatialContextTest, RelposForPairsStandardizesRawRelPosOfEachPair) {
   RainfallGenerator generator(SmallRegion(26));
   const SpatialDataset data = generator.GenerateHours(1, 3);
   SpatialContext context;
   context.Build(data, AllIds(20));
+  const RelPosStats& stats = context.relpos_stats();
 
-  const std::vector<int> ids = AllIds(26);
+  // Reversed ids: sequence position a holds station 25 - a, so the oracle
+  // also pins the position -> station mapping.
+  std::vector<int> ids = AllIds(26);
+  std::reverse(ids.begin(), ids.end());
   std::vector<uint8_t> observed(26, 1);
   for (int i = 20; i < 26; ++i) observed[i] = 0;
 
@@ -291,15 +302,59 @@ TEST(SpatialContextTest, RelposForPairsMatchesDenseGatherBitForBit) {
     config.neighbor_k = k;
     const std::shared_ptr<const AttentionPlan> plan =
         BuildSequencePlan(config, context, ids, observed);
-    const Tensor packed = context.RelposForPairs(ids, plan->pair_rows);
-    const Tensor dense = context.RelposFor(ids);
-    ASSERT_EQ(packed.dim(0), plan->num_pairs());
-    for (int64_t t = 0; t < plan->num_pairs(); ++t) {
-      const int64_t row = plan->pair_rows[t];
-      EXPECT_EQ(packed[t * 2], dense[row * 2]);
-      EXPECT_EQ(packed[t * 2 + 1], dense[row * 2 + 1]);
+    const Tensor rows = context.RelposForPairs(ids, plan->pair_rows);
+    ASSERT_EQ(rows.dim(0), plan->num_pairs());
+    // Row t of legal pair (i, key_index[t]) is that station pair's raw
+    // geometry standardized with the context's global statistics.
+    for (int i = 0; i < plan->length; ++i) {
+      for (int64_t t = plan->offset[i]; t < plan->offset[i + 1]; ++t) {
+        const auto [dist, azim] =
+            context.RawRelPos(ids[i], ids[plan->key_index[t]]);
+        EXPECT_EQ(rows[t * 2],
+                  (dist - stats.distance.mean) / stats.distance.std)
+            << "k=" << k << " pair " << t;
+        EXPECT_EQ(rows[t * 2 + 1],
+                  (azim - stats.azimuth.mean) / stats.azimuth.std)
+            << "k=" << k << " pair " << t;
+      }
     }
   }
+}
+
+TEST(SpatialContextTest, RawRelPosConventions) {
+  SpatialContext context;
+  context.Build(PointsDataset({{0, 0}, {3, 4}, {-1, 2}}), AllIds(3));
+  // Self pairs: zero distance, zero azimuth.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_DOUBLE_EQ(context.RawRelPos(i, i).first, 0.0);
+    EXPECT_DOUBLE_EQ(context.RawRelPos(i, i).second, 0.0);
+  }
+  // Pair (0, 1): distance 5.
+  EXPECT_NEAR(context.RawRelPos(0, 1).first, 5.0, 1e-12);
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 0; b < 3; ++b) {
+      if (a == b) continue;
+      // Distances symmetric.
+      EXPECT_DOUBLE_EQ(context.RawRelPos(a, b).first,
+                       context.RawRelPos(b, a).first);
+      // Opposite azimuths differ by pi (mod 2 pi) — Figure 4 of the paper.
+      const double diff = std::fabs(context.RawRelPos(a, b).second -
+                                    context.RawRelPos(b, a).second);
+      EXPECT_NEAR(std::fmod(diff, 2.0 * kPi), kPi, 1e-9);
+    }
+  }
+}
+
+TEST(SpatialContextTest, RawRelPosTravelDistanceOverridesEuclid) {
+  SpatialDataset data = PointsDataset({{0, 0}, {1, 0}});
+  Matrix travel(2, 2);
+  travel(0, 1) = travel(1, 0) = 9.0;  // Long way around on the road.
+  data.SetTravelDistance(travel);
+  SpatialContext context;
+  context.Build(data, AllIds(2));
+  EXPECT_DOUBLE_EQ(context.RawRelPos(0, 1).first, 9.0);
+  // Azimuth still from the planar coordinates: due east.
+  EXPECT_NEAR(context.RawRelPos(0, 1).second, kPi / 2.0, 1e-12);
 }
 
 TEST(SpatialContextTest, StreamingBuildStatsMatchVectorReference) {
@@ -337,19 +392,6 @@ TEST(SpatialContextTest, StreamingBuildStatsMatchVectorReference) {
   EXPECT_NEAR(context.relpos_stats().distance.std, dist_std, 1e-12);
   EXPECT_NEAR(context.relpos_stats().azimuth.mean, azim_mean, 1e-12);
   EXPECT_NEAR(context.relpos_stats().azimuth.std, azim_std, 1e-12);
-}
-
-TEST(SpatialContextDeathTest, DenseRelposRefusesNetworksBeyondCap) {
-  // 2100 stations: one station past kMaxDenseRelposLength = 2048. The
-  // dense [L*L, 2] reference must SSIN_CHECK with a pointer at the packed
-  // APIs instead of materializing ~70 MB here and gigabytes at 10k.
-  RainfallGenerator generator(NationalRegionConfig(2100));
-  const SpatialDataset data = generator.GenerateHours(1, 9);
-  SpatialContext context;
-  std::vector<int> train_ids;
-  for (int i = 0; i < 1600; ++i) train_ids.push_back(i);
-  context.Build(data, train_ids);
-  EXPECT_DEATH(context.RelposFor(AllIds(2100)), "neighbor-limited");
 }
 
 // --------------------------------------------------------- system level

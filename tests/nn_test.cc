@@ -99,11 +99,12 @@ TEST(AttentionModuleTest, OutputShapeAndParamCount) {
   const int length = 7;
   Graph g;
   Var e = g.Constant(Tensor::Randn({length, 16}, &rng));
-  Var c = g.Constant(Tensor::Randn({length * length, 16}, &rng));
   std::vector<uint8_t> observed(length, 1);
   observed[2] = 0;
   auto plan = std::make_shared<AttentionPlan>();
   BuildAttentionPlan(observed, cfg.shielded, plan.get());
+  Var c = g.Constant(
+      Tensor::Randn({static_cast<int>(plan->num_pairs()), 16}, &rng));
   Var out = attn.Forward(e, c, plan);
   EXPECT_EQ(out.value().dim(0), length);
   EXPECT_EQ(out.value().dim(1), 16);
@@ -116,11 +117,12 @@ TEST(EncoderTest, StackForwardAndGradFlow) {
   const int length = 5;
   Graph g;
   Var e = g.Constant(Tensor::Randn({length, 8}, &rng));
-  Var c = g.Constant(Tensor::Randn({length * length, 8}, &rng));
   std::vector<uint8_t> observed(length, 1);
   observed[1] = 0;
   auto plan = std::make_shared<AttentionPlan>();
   BuildAttentionPlan(observed, cfg.shielded, plan.get());
+  Var c = g.Constant(
+      Tensor::Randn({static_cast<int>(plan->num_pairs()), 8}, &rng));
   Var out = encoder.Forward(e, c, plan);
   g.Backward(Sum(out));
   // Every parameter must receive some gradient signal.

@@ -106,9 +106,10 @@ TEST_P(AttentionEquivalenceTest, PackedEqualsNaiveOnRandomInstances) {
       cfg.shielded = shielded;
       AttentionPlan plan;
       BuildAttentionPlan(observed, shielded, &plan);
+      const Tensor c_packed = testing_util::PackRows(c, plan);
       AttentionContext ctx;
       Tensor packed = PackedAttentionForward(
-          q, k, v, use_srpe ? &c : nullptr, plan, cfg, &ctx);
+          q, k, v, use_srpe ? &c_packed : nullptr, plan, cfg, &ctx);
       Tensor naive = NaiveAttentionForward(
           q, k, v, use_srpe ? &c : nullptr, observed, cfg);
       for (int64_t i = 0; i < packed.numel(); ++i) {
@@ -168,12 +169,13 @@ TEST(SpatialContextTravelTest, UsesRoadDistances) {
   context.Build(data, train_ids);
 
   // Destandardizing the relpos distance must recover the *travel*
-  // distance, not the Euclidean one.
+  // distance, not the Euclidean one. Pair row 1 of the two-station
+  // sequence is (0, 1): stations 0 -> 17.
   const std::vector<int> subset = {0, 17};
-  Tensor relpos = context.RelposFor(subset);
+  const Tensor relpos = context.RelposForPairs(subset, /*pair_rows=*/{1});
   const RelPosStats& stats = context.relpos_stats();
   const double recovered =
-      relpos[1 * 2] * stats.distance.std + stats.distance.mean;
+      relpos[0] * stats.distance.std + stats.distance.mean;
   EXPECT_NEAR(recovered, data.travel_distance()(0, 17), 1e-9);
 }
 

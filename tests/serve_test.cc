@@ -138,6 +138,15 @@ void ExpectExactly(const std::vector<double>& actual,
   }
 }
 
+// Blocking Interpolate that must be accepted; returns the predictions.
+std::vector<double> InterpolateAccepted(InterpolationServer* server,
+                                        Request request) {
+  std::vector<double> values;
+  EXPECT_EQ(server->Interpolate(std::move(request), &values),
+            SubmitStatus::kAccepted);
+  return values;
+}
+
 // ------------------------------------------------------- request queue
 
 TEST(RequestQueueTest, TryPushFailsAtCapacityWithoutBlocking) {
@@ -406,8 +415,8 @@ TEST(InterpolationServerTest, MalformedRequestsRejectedAtAdmission) {
   EXPECT_EQ(server.rejected_total(), 3);
 
   // A well-formed request still sails through after the rejections.
-  ExpectExactly(server.Interpolate(f.RequestFor(0)), f.expected_a[0],
-                "post-rejection request");
+  ExpectExactly(InterpolateAccepted(&server, f.RequestFor(0)),
+                f.expected_a[0], "post-rejection request");
 }
 
 TEST(InterpolationServerTest, NonFiniteObservedValuesRejectedAtAdmission) {
@@ -435,8 +444,8 @@ TEST(InterpolationServerTest, NonFiniteObservedValuesRejectedAtAdmission) {
   Request query_nan = f.RequestFor(0);
   query_nan.all_values[f.query_ids[0]] =
       std::numeric_limits<double>::quiet_NaN();
-  ExpectExactly(server.Interpolate(std::move(query_nan)), f.expected_a[0],
-                "non-finite query value");
+  ExpectExactly(InterpolateAccepted(&server, std::move(query_nan)),
+                f.expected_a[0], "non-finite query value");
   EXPECT_EQ(server.rejected_total(), 3);
 }
 
@@ -461,6 +470,26 @@ TEST(InterpolationServerTest, ShutdownDrainsAcceptedThenRejects) {
   }
   std::future<std::vector<double>> late;
   EXPECT_EQ(server.Submit(f.RequestFor(0), &late), SubmitStatus::kShutdown);
+}
+
+TEST(InterpolationServerTest, InterpolateReturnsRejectionWithoutAborting) {
+  ServeFixture& f = Fixture();
+  InterpolationServer server;
+  auto [active, standby] = f.MakeBuffers();
+  server.registry().Register("hk", std::move(active), std::move(standby));
+
+  // A rejected blocking call reports its status and leaves the output
+  // untouched instead of aborting the process.
+  const std::vector<double> sentinel = {-1.0, -2.0};
+  std::vector<double> values = sentinel;
+  EXPECT_EQ(server.Interpolate(f.RequestFor(0, "no-such-model"), &values),
+            SubmitStatus::kUnknownModel);
+  EXPECT_EQ(values, sentinel);
+
+  server.Shutdown();
+  EXPECT_EQ(server.Interpolate(f.RequestFor(0), &values),
+            SubmitStatus::kShutdown);
+  EXPECT_EQ(values, sentinel);
 }
 
 // ------------------------------------------------------------ hot-swap
@@ -520,8 +549,8 @@ TEST(InterpolationServerTest, HotSwapUnderLoadDropsNothing) {
   EXPECT_EQ(server.registry().promotions(), 3);
 
   // Post-swap requests serve the promoted (generation B) weights.
-  ExpectExactly(server.Interpolate(f.RequestFor(0)), f.expected_b[0],
-                "post-swap request");
+  ExpectExactly(InterpolateAccepted(&server, f.RequestFor(0)),
+                f.expected_b[0], "post-swap request");
 }
 
 // ------------------------------------------------- windowed SLO metrics
@@ -638,7 +667,7 @@ TEST(InterpolationServerTest, NoTraceIdsAssignedWhenTelemetryDisabled) {
   auto [active, standby] = f.MakeBuffers();
   server.registry().Register("hk-noflow", std::move(active),
                              std::move(standby));
-  ExpectExactly(server.Interpolate(f.RequestFor(0, "hk-noflow")),
+  ExpectExactly(InterpolateAccepted(&server, f.RequestFor(0, "hk-noflow")),
                 f.expected_a[0], "untraced request");
   for (const telemetry::ThreadTrace& trace :
        telemetry::TraceRecorder::Global().Snapshot()) {
@@ -670,7 +699,8 @@ TEST(HealthMonitorTest, DegradedWhenWindowP99ExceedsTarget) {
   server.registry().Register("hk-deg", std::move(active),
                              std::move(standby));
   for (int t = 0; t < 10; ++t) {
-    server.Interpolate(f.RequestFor(t % f.data.num_timestamps(), "hk-deg"));
+    InterpolateAccepted(&server,
+                        f.RequestFor(t % f.data.num_timestamps(), "hk-deg"));
   }
   // Join the batcher: the SLO observation lands after the promise is
   // fulfilled, so without this the last request's latency could still be

@@ -1,30 +1,54 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "core/spaformer.h"
 #include "core/spatial_context.h"
 #include "data/rainfall_generator.h"
+#include "tensor/attention_kernels.h"
 #include "tensor/ops.h"
 
 namespace ssin {
 namespace {
 
+// The full (not neighbor-limited) plan of `observed` under `config`.
+std::shared_ptr<const AttentionPlan> FullPlan(
+    const SpaFormerConfig& config, const std::vector<uint8_t>& observed) {
+  auto plan = std::make_shared<AttentionPlan>();
+  BuildAttentionPlan(observed, config.shielded, plan.get());
+  return plan;
+}
+
+// Legal-pair index of (query i, key j) in `plan`, or -1.
+int64_t PairIndex(const AttentionPlan& plan, int i, int j) {
+  for (int64_t t = plan.offset[i]; t < plan.offset[i + 1]; ++t) {
+    if (plan.key_index[t] == j) return t;
+  }
+  return -1;
+}
+
 struct ForwardFixture {
   ForwardFixture(const SpaFormerConfig& config, int length)
       : rng(99), model(config, &rng) {
     x = Tensor::Randn({length, 1}, &rng);
-    relpos = Tensor::Randn({length * length, 2}, &rng);
     abspos = Tensor::Randn({length, 2}, &rng);
     observed.assign(length, 1);
     observed[1] = 0;
     observed[length - 1] = 0;
+    plan = FullPlan(config, observed);
+    relpos = Tensor::Randn({static_cast<int>(plan->num_pairs()), 2}, &rng);
+  }
+
+  Var Forward(Graph* g) {
+    return model.ForwardWithPlan(g, x, plan, relpos, abspos);
   }
 
   Rng rng;
   SpaFormer model;
   Tensor x, relpos, abspos;
   std::vector<uint8_t> observed;
+  std::shared_ptr<const AttentionPlan> plan;
 };
 
 class VariantForwardTest
@@ -33,7 +57,7 @@ class VariantForwardTest
 TEST_P(VariantForwardTest, ForwardShapeAndFiniteness) {
   ForwardFixture f(GetParam(), 9);
   Graph g;
-  Var out = f.model.Forward(&g, f.x, f.relpos, f.abspos, f.observed);
+  Var out = f.Forward(&g);
   ASSERT_EQ(out.value().dim(0), 9);
   ASSERT_EQ(out.value().dim(1), 1);
   for (int64_t i = 0; i < out.value().numel(); ++i) {
@@ -44,7 +68,7 @@ TEST_P(VariantForwardTest, ForwardShapeAndFiniteness) {
 TEST_P(VariantForwardTest, BackwardTouchesEveryParameter) {
   ForwardFixture f(GetParam(), 7);
   Graph g;
-  Var out = f.model.Forward(&g, f.x, f.relpos, f.abspos, f.observed);
+  Var out = f.Forward(&g);
   g.Backward(Sum(Mul(out, out)));
   for (Parameter* p : f.model.Parameters()) {
     double norm = 0.0;
@@ -96,17 +120,19 @@ TEST(SpaFormerTest, ShieldedPredictionsIndependentOfOtherQueries) {
   const int length = 10;
   Rng data_rng(3);
   Tensor x = Tensor::Randn({length, 1}, &data_rng);
-  Tensor relpos = Tensor::Randn({length * length, 2}, &data_rng);
   Tensor abspos({length, 2});
   std::vector<uint8_t> observed(length, 1);
   observed[7] = 0;  // The query we track.
   observed[3] = 0;  // Another unobserved node.
   x[7] = 0.0;
   x[3] = 0.0;
+  const auto plan = FullPlan(model.config(), observed);
+  Tensor relpos =
+      Tensor::Randn({static_cast<int>(plan->num_pairs()), 2}, &data_rng);
 
   Graph g1;
   const double pred1 =
-      model.Forward(&g1, x, relpos, abspos, observed).value()[7];
+      model.ForwardWithPlan(&g1, x, plan, relpos, abspos).value()[7];
 
   // Change the *input value* of the other unobserved node: irrelevant
   // under the shield.
@@ -114,7 +140,7 @@ TEST(SpaFormerTest, ShieldedPredictionsIndependentOfOtherQueries) {
   x2[3] = 123.0;
   Graph g2;
   const double pred2 =
-      model.Forward(&g2, x2, relpos, abspos, observed).value()[7];
+      model.ForwardWithPlan(&g2, x2, plan, relpos, abspos).value()[7];
   EXPECT_DOUBLE_EQ(pred1, pred2);
 }
 
@@ -124,20 +150,22 @@ TEST(SpaFormerTest, UnshieldedPredictionsLeak) {
   const int length = 10;
   Rng data_rng(5);
   Tensor x = Tensor::Randn({length, 1}, &data_rng);
-  Tensor relpos = Tensor::Randn({length * length, 2}, &data_rng);
   Tensor abspos({length, 2});
   std::vector<uint8_t> observed(length, 1);
   observed[7] = 0;
   observed[3] = 0;
+  const auto plan = FullPlan(model.config(), observed);
+  Tensor relpos =
+      Tensor::Randn({static_cast<int>(plan->num_pairs()), 2}, &data_rng);
 
   Graph g1;
   const double pred1 =
-      model.Forward(&g1, x, relpos, abspos, observed).value()[7];
+      model.ForwardWithPlan(&g1, x, plan, relpos, abspos).value()[7];
   Tensor x2 = x;
   x2[3] += 5.0;
   Graph g2;
   const double pred2 =
-      model.Forward(&g2, x2, relpos, abspos, observed).value()[7];
+      model.ForwardWithPlan(&g2, x2, plan, relpos, abspos).value()[7];
   EXPECT_NE(pred1, pred2);
 }
 
@@ -151,15 +179,16 @@ TEST(SpaFormerTest, SapeUsesAbsolutePositions) {
   Tensor abspos = Tensor::Randn({length, 2}, &data_rng);
   std::vector<uint8_t> observed(length, 1);
   observed[2] = 0;
+  const auto plan = FullPlan(model.config(), observed);
 
   Graph g1;
   const double pred1 =
-      model.Forward(&g1, x, relpos, abspos, observed).value()[2];
+      model.ForwardWithPlan(&g1, x, plan, relpos, abspos).value()[2];
   Tensor abspos2 = abspos;
   abspos2.At(2, 0) += 1.0;
   Graph g2;
   const double pred2 =
-      model.Forward(&g2, x, relpos, abspos2, observed).value()[2];
+      model.ForwardWithPlan(&g2, x, plan, relpos, abspos2).value()[2];
   EXPECT_NE(pred1, pred2);
 }
 
@@ -169,21 +198,46 @@ TEST(SpaFormerTest, SrpeUsesRelativePositions) {
   const int length = 6;
   Rng data_rng(9);
   Tensor x = Tensor::Randn({length, 1}, &data_rng);
-  Tensor relpos = Tensor::Randn({length * length, 2}, &data_rng);
   Tensor abspos({length, 2});
   std::vector<uint8_t> observed(length, 1);
   observed[2] = 0;
+  const auto plan = FullPlan(model.config(), observed);
+  Tensor relpos =
+      Tensor::Randn({static_cast<int>(plan->num_pairs()), 2}, &data_rng);
 
   Graph g1;
   const double pred1 =
-      model.Forward(&g1, x, relpos, abspos, observed).value()[2];
+      model.ForwardWithPlan(&g1, x, plan, relpos, abspos).value()[2];
   Tensor relpos2 = relpos;
   // Perturb the relative position between query 2 and observed node 0.
-  relpos2[(2 * length + 0) * 2] += 1.0;
+  const int64_t pair = PairIndex(*plan, 2, 0);
+  ASSERT_GE(pair, 0);
+  relpos2[pair * 2] += 1.0;
   Graph g2;
   const double pred2 =
-      model.Forward(&g2, x, relpos2, abspos, observed).value()[2];
+      model.ForwardWithPlan(&g2, x, plan, relpos2, abspos).value()[2];
   EXPECT_NE(pred1, pred2);
+}
+
+TEST(SpaFormerTest, ForwardWithPlanAndBackwardBuildNoPlan) {
+  // The caller builds one plan per sequence; T=2 layers x H=2 heads = 4
+  // kernel invocations share it, and neither the forward nor the backward
+  // pass builds another.
+  SpaFormerConfig config;
+  config.num_layers = 2;
+  config.num_heads = 2;
+  config.d_model = 8;
+  config.d_k = 8;
+  config.d_ff = 32;
+  ForwardFixture f(config, 10);
+  const int64_t before = AttentionPlanBuildCount();
+  Graph graph;
+  Var pred = f.Forward(&graph);
+  EXPECT_EQ(AttentionPlanBuildCount(), before)
+      << "ForwardWithPlan must reuse the caller's plan in every layer/head";
+  graph.Backward(Sum(pred));
+  EXPECT_EQ(AttentionPlanBuildCount(), before)
+      << "Backward must reuse the forward plan, not rebuild it";
 }
 
 TEST(SpatialContextTest, RelposSliceMatchesDirectComputation) {
@@ -194,12 +248,14 @@ TEST(SpatialContextTest, RelposSliceMatchesDirectComputation) {
   SpatialContext context;
   context.Build(data, train_ids);
 
+  // Pair row 0*4+2 of the four-station sequence is (0, 2): stations
+  // 0 -> 21.
   const std::vector<int> subset = {0, 7, 21, 39};
-  Tensor relpos = context.RelposFor(subset);
-  ASSERT_EQ(relpos.dim(0), 16);
+  Tensor relpos = context.RelposForPairs(subset, /*pair_rows=*/{0 * 4 + 2});
+  ASSERT_EQ(relpos.dim(0), 1);
   // Destandardized distance should match the true pair distance.
   const RelPosStats& stats = context.relpos_stats();
-  const double d_std = relpos[(0 * 4 + 2) * 2];
+  const double d_std = relpos[0];
   const double d_raw = d_std * stats.distance.std + stats.distance.mean;
   EXPECT_NEAR(d_raw,
               DistanceKm(data.station(0).position,

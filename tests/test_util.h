@@ -20,6 +20,20 @@ struct GradCheckResult {
   double max_rel_err = 0.0;
 };
 
+/// Gathers the legal-pair rows of a dense [L*L, d] SRPE tensor (the naive
+/// kernel's layout, row i*L+j = c_ij) into the [num_pairs, d] layout the
+/// packed kernels index by legal pair.
+inline Tensor PackRows(const Tensor& dense, const AttentionPlan& plan) {
+  const int d = dense.dim(1);
+  Tensor packed({static_cast<int>(plan.num_pairs()), d});
+  for (int64_t t = 0; t < plan.num_pairs(); ++t) {
+    for (int e = 0; e < d; ++e) {
+      packed.At(t, e) = dense.At(plan.pair_rows[t], e);
+    }
+  }
+  return packed;
+}
+
 /// Verifies reverse-mode gradients of `builder` against central finite
 /// differences, for every element of every input tensor.
 inline GradCheckResult CheckGradients(std::vector<Tensor> inputs,

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <numeric>
 
 #include "core/ssin_interpolator.h"
@@ -264,7 +265,6 @@ TEST(TrainerTest, PartialLastBatchGradientIsMeanOverItsOwnItems) {
   // Manual replication on an identically initialized twin.
   Rng init_b(99);
   SpaFormer manual(TinyModel(), &init_b);
-  const Tensor relpos = context.RelposFor(train_ids);
   const Tensor abspos = context.AbsposFor(train_ids);
   MaskingOptions mask_options;
   mask_options.mask_ratio = config.mask_ratio;
@@ -308,9 +308,13 @@ TEST(TrainerTest, PartialLastBatchGradientIsMeanOverItsOwnItems) {
             SampleMask(length, config.mask_ratio, &rng);
         MaskedSequence seq =
             BuildMaskedSequence(sequences[t], mask, mask_options);
+        auto plan = std::make_shared<AttentionPlan>();
+        BuildAttentionPlan(seq.observed, /*shielded=*/true, plan.get());
+        const Tensor relpos = context.RelposForPairs(train_ids,
+                                                     plan->pair_rows);
         Graph graph;
-        Var pred = manual.Forward(&graph, seq.input, relpos, abspos,
-                                  seq.observed);
+        Var pred = manual.ForwardWithPlan(&graph, seq.input, std::move(plan),
+                                          relpos, abspos);
         Var loss = MseLoss(GatherRows(pred, seq.target_positions),
                            seq.targets);
         loss_sum += loss.value()[0];
