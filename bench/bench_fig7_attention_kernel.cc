@@ -19,12 +19,11 @@
 /// at the paper configuration L=123, T=3, H=2, d_k=16; the SRPE embedding
 /// runs over the legal pairs only.
 /// BM_ServeHotPath_* times the graph-free serving arithmetic at the same
-/// configuration — a per-op composition under simd::ScalarOps (f64) and
-/// simd::VecOps (f64, f32), and the fused row kernels of the serving chain
-/// (nn/serving_kernels.h) in both precisions — so the per-ISA kernel
-/// speedup and the fusion speedup are visible next to the training
-/// numbers. The fused benches also report the real workspace arena
-/// high-water mark of SpaFormer::Predict (f64) / PredictF32 (f32).
+/// configuration, composed from the serving chain's row kernels
+/// (nn/serving_kernels.h) under simd::ScalarOps (f64) and simd::VecOps
+/// (f64, f32), so the per-ISA kernel speedup is visible next to the
+/// training numbers. The two VecOps benches also report the real workspace
+/// arena high-water mark of SpaFormer::Predict (f64) / PredictF32 (f32).
 /// scripts/run_bench.sh drives this binary and records
 /// BENCH_attention.json (including the active ISA and the derived
 /// speedups).
@@ -183,12 +182,14 @@ void BM_SpaFormerSeq_Optimized(benchmark::State& state) {
 // ------------------------------------------------------ serving hot path
 
 /// One graph-free serving pass at the paper configuration (L=123, T=3,
-/// H=2, d_k=16, d_ff=256), composed per op from the shared kernel
-/// templates so the ScalarOps reference and SIMD arithmetic can be timed
-/// side by side, in both precisions. Mirrors the per-layer work of
-/// SpaFormer::Predict: per-head q/k/v projections, the packed shielded
-/// attention kernel, head concat + output projection, two residual layer
-/// norms and the position-wise FFN, on one thread like a serving worker.
+/// H=2, d_k=16, d_ff=256, 10 query stations), composed from the row
+/// kernels of the serving chain (nn/serving_kernels.h) the way
+/// nn/serving.cc runs them: one QKV pass over the rows, each head's packed
+/// shielded attention written straight into its concat column block, the
+/// output projection + residual + LayerNorm per row, and the FFN with its
+/// [d_ff] hidden activation in a reusable tile, on one thread like a
+/// serving worker. Templated on the Ops policy so the ScalarOps reference
+/// and the SIMD arithmetic are timed side by side, in both precisions.
 template <typename T, typename Ops>
 void RunServeHotPath(benchmark::State& state) {
   constexpr int kLayers = 3;
@@ -209,14 +210,9 @@ void RunServeHotPath(benchmark::State& state) {
           0.01 * ((static_cast<int64_t>(i) * 37 + salt) % 101) - 0.5);
     }
   };
-  auto matmul = [](const std::vector<T>& a, const std::vector<T>& b,
-                   std::vector<T>* out, int m, int k, int n) {
-    std::fill(out->begin(), out->end(), T(0));
-    simd::MatMulAccRows<T, Ops>(a.data(), b.data(), out->data(), k, n, 0, m);
-  };
 
-  // Per-layer weights (identical values across layers are fine for
-  // timing; softmax keeps activations bounded).
+  // Per-layer weights (identical values across layers and heads are fine
+  // for timing; softmax keeps activations bounded).
   std::vector<T> wq(d * d), wk(d * d), wv(d * d);
   std::vector<T> wo(kHeads * d * d), w1(d * kDff), w2(kDff * d);
   std::vector<T> gamma(d), beta(d);
@@ -230,107 +226,6 @@ void RunServeHotPath(benchmark::State& state) {
   fill(&srpe, 17);
   std::fill(gamma.begin(), gamma.end(), T(1));
   std::fill(beta.begin(), beta.end(), T(0));
-
-  const size_t numel = static_cast<size_t>(length) * d;
-  std::vector<T> x0(numel), x(numel), q(numel), k(numel), v(numel);
-  std::vector<T> z(numel), concat(static_cast<size_t>(length) * kHeads * d);
-  std::vector<T> attn(numel), h1(static_cast<size_t>(length) * kDff);
-  std::vector<T> ff(numel), scores;
-  fill(&x0, 1);
-
-  for (auto _ : state) {
-    std::copy(x0.begin(), x0.end(), x.begin());
-    for (int layer = 0; layer < kLayers; ++layer) {
-      for (int head = 0; head < kHeads; ++head) {
-        matmul(x, wq, &q, length, d, d);
-        matmul(x, wk, &k, length, d, d);
-        matmul(x, wv, &v, length, d, d);
-        PackedAttentionForwardRows<T, Ops>(
-            q.data(), k.data(), v.data(), srpe.data(), plan, d,
-            /*tail_begin=*/0, &scores, /*alpha_out=*/nullptr, z.data());
-        for (int i = 0; i < length; ++i) {
-          std::copy(z.begin() + static_cast<int64_t>(i) * d,
-                    z.begin() + static_cast<int64_t>(i + 1) * d,
-                    concat.begin() +
-                        (static_cast<int64_t>(i) * kHeads + head) * d);
-        }
-      }
-      matmul(concat, wo, &attn, length, kHeads * d, d);
-      Ops::Add(x.data(), attn.data(), static_cast<int>(numel));
-      simd::LayerNormRows<T, Ops>(attn.data(), gamma.data(), beta.data(),
-                                  static_cast<T>(1e-5), length, d, x.data(),
-                                  /*xhat=*/nullptr, /*inv_std=*/nullptr);
-      matmul(x, w1, &h1, length, d, kDff);
-      Ops::Relu(h1.data(), static_cast<int>(h1.size()));
-      matmul(h1, w2, &ff, length, kDff, d);
-      Ops::Add(x.data(), ff.data(), static_cast<int>(numel));
-      simd::LayerNormRows<T, Ops>(ff.data(), gamma.data(), beta.data(),
-                                  static_cast<T>(1e-5), length, d, x.data(),
-                                  /*xhat=*/nullptr, /*inv_std=*/nullptr);
-    }
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.counters["ns_per_pair"] =
-      NsPerPair(static_cast<int64_t>(pairs) * kLayers * kHeads);
-}
-
-void BM_ServeHotPath_Scalar(benchmark::State& state) {
-  // Kernel reference arithmetic: strictly sequential ScalarOps matmuls
-  // (MatMulAccRows<double, ScalarOps>) and reductions.
-  RunServeHotPath<double, simd::ScalarOps>(state);
-}
-
-void BM_ServeHotPath_Simd(benchmark::State& state) {
-  RunServeHotPath<double, simd::VecOps>(state);
-}
-
-void BM_ServeHotPath_SimdF32(benchmark::State& state) {
-  RunServeHotPath<float, simd::VecOps>(state);
-}
-
-/// The same serving pass composed from the fused kernels, exactly as the
-/// serving chain (nn/serving.cc) runs them: one fused QKV pass over the
-/// rows, each head's attention written straight into its concat column
-/// block, output projection + residual + LayerNorm in one row-wise kernel,
-/// and the FFN with its [d_ff] hidden activation in a reusable tile. Same
-/// weights, shapes and Ops policy as RunServeHotPath<T, VecOps>, so the
-/// ratio of the two is the fusion speedup alone.
-template <typename T>
-void RunServeHotPathFused(benchmark::State& state) {
-  constexpr int kLayers = 3;
-  constexpr int kHeads = 2;
-  constexpr int kDff = 256;
-  const int length = kObserved;
-  const int num_observed = 113;
-  const int d = kDk;
-  std::vector<uint8_t> observed(length, 0);
-  for (int i = 0; i < num_observed; ++i) observed[i] = 1;
-  AttentionPlan plan;
-  BuildAttentionPlan(observed, /*shielded=*/true, &plan);
-  const int pairs = static_cast<int>(plan.num_pairs());
-
-  auto fill = [](std::vector<T>* v, int64_t salt) {
-    for (size_t i = 0; i < v->size(); ++i) {
-      (*v)[i] = static_cast<T>(
-          0.01 * ((static_cast<int64_t>(i) * 37 + salt) % 101) - 0.5);
-    }
-  };
-
-  std::vector<T> wq(d * d), wk(d * d), wv(d * d);
-  std::vector<T> wo(kHeads * d * d), w1(d * kDff), w2(kDff * d);
-  std::vector<T> gamma(d), beta(d);
-  std::vector<T> srpe(static_cast<size_t>(pairs) * d);
-  fill(&wq, 11);
-  fill(&wk, 12);
-  fill(&wv, 13);
-  fill(&wo, 14);
-  fill(&w1, 15);
-  fill(&w2, 16);
-  fill(&srpe, 17);
-  std::fill(gamma.begin(), gamma.end(), T(1));
-  std::fill(beta.begin(), beta.end(), T(0));
-  // Heads share the weight buffers (as RunServeHotPath does); the fused
-  // kernel takes per-head pointer tables.
   const std::vector<const T*> wq_p(kHeads, wq.data());
   const std::vector<const T*> wk_p(kHeads, wk.data());
   const std::vector<const T*> wv_p(kHeads, wv.data());
@@ -346,11 +241,11 @@ void RunServeHotPathFused(benchmark::State& state) {
   for (auto _ : state) {
     std::copy(x0.begin(), x0.end(), x.begin());
     for (int layer = 0; layer < kLayers; ++layer) {
-      fused::FusedQkvProjectRows<T, simd::VecOps>(
+      fused::FusedQkvProjectRows<T, Ops>(
           x.data(), length, d, /*tail_begin=*/0, wq_p.data(), wk_p.data(),
           wv_p.data(), kHeads, d, q.data(), kv.data());
       for (int head = 0; head < kHeads; ++head) {
-        PackedAttentionForwardRowsStrided<T, simd::VecOps>(
+        PackedAttentionForwardRowsStrided<T, Ops>(
             q.data() + static_cast<size_t>(head) * numel,
             kv.data() + static_cast<size_t>(2 * head) * numel,
             kv.data() + static_cast<size_t>(2 * head + 1) * numel,
@@ -359,16 +254,17 @@ void RunServeHotPathFused(benchmark::State& state) {
             concat.data() + static_cast<int64_t>(head) * d,
             /*z_stride=*/int64_t{kHeads} * d);
       }
-      fused::FusedAttentionEpilogueRows<T, simd::VecOps>(
+      fused::FusedAttentionEpilogueRows<T, Ops>(
           concat.data(), length, kHeads * d, wo.data(), /*wo_bias=*/nullptr,
           d, /*residual=*/x.data(), gamma.data(), beta.data(),
           static_cast<T>(1e-5), tmp.data(), x1.data());
-      fused::FusedFfnRows<T, simd::VecOps>(
+      fused::FusedFfnRows<T, Ops>(
           x1.data(), length, d, kDff, w1.data(), /*b1=*/nullptr, w2.data(),
           /*b2=*/nullptr, /*relu=*/true, gamma.data(), beta.data(),
           static_cast<T>(1e-5), hidden.data(), tmp.data(), x.data());
     }
     benchmark::DoNotOptimize(x.data());
+    benchmark::ClobberMemory();
   }
   state.counters["ns_per_pair"] =
       NsPerPair(static_cast<int64_t>(pairs) * kLayers * kHeads);
@@ -376,7 +272,7 @@ void RunServeHotPathFused(benchmark::State& state) {
 
 /// Workspace arena high-water mark of one real SpaFormer::Predict (T =
 /// double) or PredictF32 (T = float) at the paper serving config (L=123,
-/// m=113), measured on a fresh workspace and attached to the fused bench
+/// m=113), measured on a fresh workspace and attached to the VecOps bench
 /// of that precision as a counter so BENCH_attention.json carries the
 /// memory story next to the timings.
 template <typename T>
@@ -409,19 +305,25 @@ size_t MeasureServeArena() {
 }
 
 template <typename T>
-void RunServeHotPathFusedWithArena(benchmark::State& state) {
-  RunServeHotPathFused<T>(state);
+void RunServeHotPathWithArena(benchmark::State& state) {
+  RunServeHotPath<T, simd::VecOps>(state);
   static const size_t arena_bytes = MeasureServeArena<T>();
   state.counters["arena_bytes"] =
       benchmark::Counter(static_cast<double>(arena_bytes));
 }
 
-void BM_ServeHotPath_Fused(benchmark::State& state) {
-  RunServeHotPathFusedWithArena<double>(state);
+void BM_ServeHotPath_Scalar(benchmark::State& state) {
+  // Kernel reference arithmetic: strictly sequential ScalarOps row
+  // products and reductions.
+  RunServeHotPath<double, simd::ScalarOps>(state);
 }
 
-void BM_ServeHotPath_FusedF32(benchmark::State& state) {
-  RunServeHotPathFusedWithArena<float>(state);
+void BM_ServeHotPath_Simd(benchmark::State& state) {
+  RunServeHotPathWithArena<double>(state);
+}
+
+void BM_ServeHotPath_SimdF32(benchmark::State& state) {
+  RunServeHotPathWithArena<float>(state);
 }
 
 // ------------------------------------------------------------- smoke mode
@@ -520,8 +422,6 @@ BENCHMARK(BM_SpaFormerSeq_Optimized)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ServeHotPath_Scalar)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ServeHotPath_Simd)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ServeHotPath_SimdF32)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ServeHotPath_Fused)->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_ServeHotPath_FusedF32)->Unit(benchmark::kMicrosecond);
 
 // Custom main (instead of BENCHMARK_MAIN) so the JSON context records
 // which ISA the build dispatches to — a BENCH_attention.json is then

@@ -9,9 +9,6 @@
 #include <thread>
 
 #include "bench/bench_util.h"
-#include "common/json_writer.h"
-#include "common/simd.h"
-#include "common/telemetry.h"
 #include "common/timer.h"
 
 int main() {
@@ -72,173 +69,6 @@ int main() {
                                     : 0.0);
     std::fflush(stdout);
   }
-
-  // Serving throughput: the graph-free inference engine
-  // (SpaFormer::Predict through the layout cache) against the autograd
-  // reference forward, single thread, then batched thread scaling. Same
-  // model, same timestamps — predictions are identical; only the wall
-  // time changes. Results go to BENCH_inference.json.
-  std::printf("\n--- serving throughput (HK, graph-free inference engine)"
-              " ---\n");
-  TrainConfig training = ReducedTraining();
-  training.epochs = 2;
-  SsinInterpolator ssin(SpaFormerConfig::Paper(), training);
-  ssin.Fit(setup.data, setup.split.train_ids);
-
-  // Record serve-phase telemetry (latency histogram, cache counters,
-  // spans) for the timed section below; the snapshot is embedded in the
-  // JSON under "telemetry".
-  telemetry::SetEnabled(true);
-  telemetry::ResetAll();
-
-  const int reps = Scaled(40);
-  std::vector<const std::vector<double>*> batch;
-  batch.reserve(reps);
-  for (int r = 0; r < reps; ++r) {
-    batch.push_back(&setup.data.Values(r % setup.data.num_timestamps()));
-  }
-
-  // Autograd reference: full tape construction per sequence.
-  Timer autograd_timer;
-  for (const std::vector<double>* values : batch) {
-    ssin.InterpolateTimestampAutograd(*values, setup.split.train_ids,
-                                      setup.split.test_ids);
-  }
-  const double autograd_ms = autograd_timer.Millis() / reps;
-
-  // Engine, single thread. One warmup call populates the layout cache so
-  // the timed loop measures steady-state serving.
-  ssin.InterpolateTimestamp(*batch[0], setup.split.train_ids,
-                            setup.split.test_ids);
-  Timer engine_timer;
-  ssin.InterpolateBatch(batch, setup.split.train_ids, setup.split.test_ids,
-                        /*num_threads=*/1);
-  const double engine_ms = engine_timer.Millis() / reps;
-  const double speedup = engine_ms > 0.0 ? autograd_ms / engine_ms : 0.0;
-
-  std::printf("%-28s %10.3f ms/seq\n", "autograd forward", autograd_ms);
-  std::printf("%-28s %10.3f ms/seq  (%.2fx vs autograd)\n",
-              "inference engine (1 thread)", engine_ms, speedup);
-
-  // Float32 serving: the same batch through the same engine after the
-  // accuracy-gated switch (weights narrowed once into the f32 snapshot).
-  // Restored to f64 afterwards so the thread-scaling section below times
-  // the default precision.
-  const double kF32Gate = 1e-3;  // mm of rainfall; see ROADMAP gates.
-  const double f32_delta = ssin.EnableF32Serving(
-      batch, setup.split.train_ids, setup.split.test_ids, kF32Gate);
-  const bool f32_enabled = ssin.serving_precision() ==
-                           SsinInterpolator::ServingPrecision::kFloat32;
-  double f32_ms = 0.0;
-  if (f32_enabled) {
-    Timer f32_timer;
-    ssin.InterpolateBatch(batch, setup.split.train_ids,
-                          setup.split.test_ids, /*num_threads=*/1);
-    f32_ms = f32_timer.Millis() / reps;
-    ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat64);
-  }
-  std::printf("%-28s %10.3f ms/seq  (%.2fx vs f64 engine, max |delta| "
-              "%.2e mm, gate %.0e)\n",
-              f32_enabled ? "engine f32 (1 thread)" : "engine f32 REJECTED",
-              f32_ms, f32_ms > 0.0 ? engine_ms / f32_ms : 0.0, f32_delta,
-              kF32Gate);
-
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("bench");
-  json.String("bench_table5_model_cost/serving_throughput");
-  json.Key("dataset");
-  json.String("HK");
-  json.Key("sequence_length");
-  json.Int(setup.data.num_stations());
-  json.Key("num_layers");
-  json.Int(SpaFormerConfig::Paper().num_layers);
-  json.Key("num_heads");
-  json.Int(SpaFormerConfig::Paper().num_heads);
-  json.Key("d_k");
-  json.Int(SpaFormerConfig::Paper().d_k);
-  json.Key("reps");
-  json.Int(reps);
-  json.Key("autograd_ms_per_seq");
-  json.Number(autograd_ms);
-  json.Key("engine_ms_per_seq");
-  json.Number(engine_ms);
-  json.Key("engine_speedup_vs_autograd");
-  json.Number(speedup);
-  json.Key("simd_isa");
-  json.String(simd::IsaName());
-  json.Key("serving_f32");
-  json.BeginObject();
-  json.Key("enabled");
-  json.Bool(f32_enabled);
-  json.Key("accuracy_gate_mm");
-  json.Number(kF32Gate);
-  json.Key("measured_max_abs_delta_mm");
-  json.Number(f32_delta);
-  json.Key("ms_per_seq");
-  json.Number(f32_ms);
-  json.Key("speedup_vs_f64_engine");
-  json.Number(f32_ms > 0.0 ? engine_ms / f32_ms : 0.0);
-  json.Key("weight_conversions");
-  json.Int(ssin.f32_weights().conversions());
-  json.EndObject();
-
-  // Batched thread scaling on the shared layout.
-  std::printf("%-10s %14s %10s\n", "Threads", "ms/seq", "Speedup");
-  json.Key("batched");
-  json.BeginArray();
-  double serial_ms = 0.0;
-  for (int threads : {1, 2, 4}) {
-    Timer timer;
-    ssin.InterpolateBatch(batch, setup.split.train_ids,
-                          setup.split.test_ids, threads);
-    const double ms = timer.Millis() / reps;
-    if (threads == 1) serial_ms = ms;
-    std::printf("%-10d %14.3f %9.2fx\n", threads, ms,
-                ms > 0.0 ? serial_ms / ms : 0.0);
-    json.BeginObject();
-    json.Key("threads");
-    json.Int(threads);
-    json.Key("ms_per_seq");
-    json.Number(ms);
-    json.Key("speedup_vs_1_thread");
-    json.Number(ms > 0.0 ? serial_ms / ms : 0.0);
-    json.EndObject();
-  }
-  json.EndArray();
-
-  json.Key("layout_cache");
-  json.BeginObject();
-  json.Key("hits");
-  json.Int(ssin.layout_cache().hits());
-  json.Key("misses");
-  json.Int(ssin.layout_cache().misses());
-  json.Key("evictions");
-  json.Int(ssin.layout_cache().evictions());
-  json.Key("invalidations");
-  json.Int(ssin.layout_cache().invalidations());
-  json.Key("entries");
-  json.Int(static_cast<int64_t>(ssin.layout_cache().size()));
-  json.EndObject();
-
-  json.Key("telemetry");
-  telemetry::WriteSnapshotJson(&json);
-  json.EndObject();
-
-  std::printf("layout cache: %lld hits / %lld misses (%zu entries)\n",
-              static_cast<long long>(ssin.layout_cache().hits()),
-              static_cast<long long>(ssin.layout_cache().misses()),
-              ssin.layout_cache().size());
-
-  const char* json_path = std::getenv("SSIN_BENCH_INFERENCE_JSON");
-  const std::string out_path =
-      json_path != nullptr ? json_path : "BENCH_inference.json";
-  if (WriteFile(out_path, json.str() + "\n")) {
-    std::printf("wrote %s\n", out_path.c_str());
-  } else {
-    std::printf("FAILED to write %s\n", out_path.c_str());
-  }
-  std::fflush(stdout);
 
   std::printf("\npaper reported: 33585 params; 19.5s (HK) / 19.2s (BW) per"
               " epoch; 2.6 / 2.7 ms per sequence (Tesla V100,\n"

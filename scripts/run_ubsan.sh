@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Builds the kernel-heavy tests under UndefinedBehaviorSanitizer (alone,
-# without ASan — see SSIN_UB_SANITIZER) and runs them: the SIMD kernels'
-# pointer arithmetic, tail handling, and f32 narrowing conversions must be
-# free of UB at every sweep shape, including the empty and single-row
-# operands.
+# Builds the kernel-heavy tests and the serving-core tests under
+# UndefinedBehaviorSanitizer (alone, without ASan — see SSIN_UB_SANITIZER)
+# and runs them: the SIMD kernels' pointer arithmetic, tail handling, and
+# f32 narrowing conversions must be free of UB at every sweep shape,
+# including the empty and single-row operands, and so must every
+# concurrent serving path.
 #
 #   scripts/run_ubsan.sh [build-dir]
 #
@@ -17,7 +18,7 @@ BUILD_DIR="${1:-build-ubsan}"
 cmake -B "${BUILD_DIR}" -S . -DSSIN_UB_SANITIZER=ON
 cmake --build "${BUILD_DIR}" -j --target kernel_differential_test \
   ops_test attention_test inference_equivalence_test geo_test \
-  knn_shielding_test
+  knn_shielding_test serve_test
 
 echo "== kernel_differential_test (UBSan) =="
 "${BUILD_DIR}/tests/kernel_differential_test"
@@ -38,5 +39,10 @@ echo "== geo_test (UBSan) =="
 
 echo "== knn_shielding_test (UBSan) =="
 "${BUILD_DIR}/tests/knn_shielding_test"
+
+echo "== serve_test (UBSan) =="
+# Admission, coalescing, shutdown drain, hot-swap under load and the
+# health monitor, including the paper-config replay at L=123.
+"${BUILD_DIR}/tests/serve_test"
 
 echo "UBSan run clean."

@@ -35,9 +35,9 @@ constexpr int64_t kNsPerSecond = 1000000000;
 /// Wall-free epoch for the window rings: whole seconds on the NowNs clock.
 int64_t NowSecond() { return NowNs() / kNsPerSecond; }
 
-/// Ring size for a trailing window of `window_seconds`: one slot per
-/// second plus slack so a slot being recycled is never also in-window.
-int WindowSlotCount(int window_seconds) { return window_seconds + 2; }
+/// Ring size of the trailing window: one slot per second plus slack so a
+/// slot being recycled is never also in-window.
+constexpr int kWindowSlots = kDefaultWindowSeconds + 2;
 
 uint64_t ReservoirSeed(int shard, int64_t epoch) {
   return 0x5851f42d4c957f2dull ^ (static_cast<uint64_t>(shard) << 32) ^
@@ -199,12 +199,9 @@ double HistogramSnapshot::Quantile(double q) const {
 // ---------------------------------------------------------------------------
 // WindowedCounter.
 
-WindowedCounter::WindowedCounter(std::string name, int window_seconds)
-    : name_(std::move(name)),
-      window_seconds_(std::max(1, window_seconds)),
-      num_slots_(WindowSlotCount(window_seconds_)) {
+WindowedCounter::WindowedCounter(std::string name) : name_(std::move(name)) {
   for (Shard& shard : shards_) {
-    shard.slots = std::make_unique<Slot[]>(static_cast<size_t>(num_slots_));
+    shard.slots = std::make_unique<Slot[]>(kWindowSlots);
   }
 }
 
@@ -212,7 +209,7 @@ void WindowedCounter::Add(int64_t delta) {
   Shard& shard = shards_[ThreadShardIndex()];
   shard.lifetime.fetch_add(delta, std::memory_order_relaxed);
   const int64_t second = NowSecond();
-  Slot& slot = shard.slots[static_cast<size_t>(second % num_slots_)];
+  Slot& slot = shard.slots[static_cast<size_t>(second % kWindowSlots)];
   if (slot.epoch.load(std::memory_order_acquire) != second) {
     // Recycle the slot for the new second; the exchange elects exactly one
     // zeroing writer should two threads share the shard.
@@ -233,11 +230,11 @@ int64_t WindowedCounter::Value() const {
 
 int64_t WindowedCounter::WindowValue() const {
   // The window covers the current (partial) second and the
-  // window_seconds - 1 full seconds before it.
-  const int64_t oldest = NowSecond() - window_seconds_ + 1;
+  // kDefaultWindowSeconds - 1 full seconds before it.
+  const int64_t oldest = NowSecond() - kDefaultWindowSeconds + 1;
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    for (int i = 0; i < num_slots_; ++i) {
+    for (int i = 0; i < kWindowSlots; ++i) {
       const Slot& slot = shard.slots[static_cast<size_t>(i)];
       if (slot.epoch.load(std::memory_order_acquire) >= oldest) {
         total += slot.value.load(std::memory_order_relaxed);
@@ -250,7 +247,7 @@ int64_t WindowedCounter::WindowValue() const {
 void WindowedCounter::Reset() {
   for (Shard& shard : shards_) {
     shard.lifetime.store(0, std::memory_order_relaxed);
-    for (int i = 0; i < num_slots_; ++i) {
+    for (int i = 0; i < kWindowSlots; ++i) {
       Slot& slot = shard.slots[static_cast<size_t>(i)];
       slot.epoch.store(-1, std::memory_order_relaxed);
       slot.value.store(0, std::memory_order_relaxed);
@@ -262,16 +259,13 @@ void WindowedCounter::Reset() {
 // WindowedHistogram.
 
 WindowedHistogram::WindowedHistogram(std::string name,
-                                     const HistogramOptions& options,
-                                     int window_seconds)
+                                     const HistogramOptions& options)
     : name_(std::move(name)),
       bounds_(options.bucket_bounds.empty() ? DefaultBounds()
                                             : options.bucket_bounds),
       reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)),
       window_reservoir_capacity_(
-          std::max<size_t>(1, options.window_reservoir_capacity)),
-      window_seconds_(std::max(1, window_seconds)),
-      num_slots_(WindowSlotCount(window_seconds_)) {
+          std::max<size_t>(1, options.window_reservoir_capacity)) {
   CheckAscendingBounds(bounds_);
   shards_.reserve(kShards);
   for (int s = 0; s < kShards; ++s) {
@@ -279,7 +273,7 @@ WindowedHistogram::WindowedHistogram(std::string name,
     shard->lifetime.buckets.assign(bounds_.size() + 1, 0);
     shard->lifetime.rng = ReservoirSeed(s, 0);
     // Slot cells stay empty (no bucket vectors) until their first Observe.
-    shard->slots.resize(static_cast<size_t>(num_slots_));
+    shard->slots.resize(kWindowSlots);
     shards_.push_back(std::move(shard));
   }
 }
@@ -290,7 +284,7 @@ void WindowedHistogram::Observe(double value) {
   const int64_t second = NowSecond();
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.lifetime.Observe(value, bounds_, reservoir_capacity_);
-  Slot& slot = shard.slots[static_cast<size_t>(second % num_slots_)];
+  Slot& slot = shard.slots[static_cast<size_t>(second % kWindowSlots)];
   if (slot.epoch != second) {
     slot.epoch = second;
     slot.cell.Reset();
@@ -318,7 +312,7 @@ HistogramSnapshot WindowedHistogram::WindowSnapshot() const {
   snap.name = name_;
   snap.bucket_bounds = bounds_;
   snap.bucket_counts.assign(bounds_.size() + 1, 0);
-  const int64_t oldest = NowSecond() - window_seconds_ + 1;
+  const int64_t oldest = NowSecond() - kDefaultWindowSeconds + 1;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -388,22 +382,19 @@ Histogram* MetricsRegistry::GetHistogram(const std::string& name,
   });
 }
 
-WindowedCounter* MetricsRegistry::GetWindowedCounter(const std::string& name,
-                                                     int window_seconds) {
+WindowedCounter* MetricsRegistry::GetWindowedCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   return FindOrInsert(&windowed_counters_, name, [&] {
-    return std::unique_ptr<WindowedCounter>(
-        new WindowedCounter(name, window_seconds));
+    return std::unique_ptr<WindowedCounter>(new WindowedCounter(name));
   });
 }
 
 WindowedHistogram* MetricsRegistry::GetWindowedHistogram(
-    const std::string& name, const HistogramOptions& options,
-    int window_seconds) {
+    const std::string& name, const HistogramOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
   return FindOrInsert(&windowed_histograms_, name, [&] {
     return std::unique_ptr<WindowedHistogram>(
-        new WindowedHistogram(name, options, window_seconds));
+        new WindowedHistogram(name, options));
   });
 }
 

@@ -206,7 +206,7 @@ class Histogram {
 // ---------------------------------------------------------------------------
 // Trailing-window metrics.
 
-/// Default trailing-window length for the Windowed* metrics, in seconds.
+/// Trailing-window length of every Windowed* metric, in seconds.
 constexpr int kDefaultWindowSeconds = 60;
 
 /// Counter that tracks a lifetime total plus a trailing-window total kept
@@ -223,12 +223,12 @@ class WindowedCounter {
   int64_t Value() const;        ///< Lifetime total (exact).
   int64_t WindowValue() const;  ///< Total over the trailing window.
   void Reset();
-  int window_seconds() const { return window_seconds_; }
+  int window_seconds() const { return kDefaultWindowSeconds; }
   const std::string& name() const { return name_; }
 
  private:
   friend class MetricsRegistry;
-  WindowedCounter(std::string name, int window_seconds);
+  explicit WindowedCounter(std::string name);
 
   struct Slot {
     std::atomic<int64_t> epoch{-1};  ///< Second this slot currently holds.
@@ -236,12 +236,10 @@ class WindowedCounter {
   };
   struct alignas(64) Shard {
     std::atomic<int64_t> lifetime{0};
-    std::unique_ptr<Slot[]> slots;  ///< num_slots_ entries.
+    std::unique_ptr<Slot[]> slots;  ///< One ring of window slots.
   };
 
   std::string name_;
-  int window_seconds_;
-  int num_slots_;
   Shard shards_[kShards];
 };
 
@@ -257,13 +255,12 @@ class WindowedHistogram {
   HistogramSnapshot Snapshot() const;        ///< Lifetime view.
   HistogramSnapshot WindowSnapshot() const;  ///< Trailing-window view.
   void Reset();
-  int window_seconds() const { return window_seconds_; }
+  int window_seconds() const { return kDefaultWindowSeconds; }
   const std::string& name() const { return name_; }
 
  private:
   friend class MetricsRegistry;
-  WindowedHistogram(std::string name, const HistogramOptions& options,
-                    int window_seconds);
+  WindowedHistogram(std::string name, const HistogramOptions& options);
 
   struct Slot {
     int64_t epoch = -1;  ///< Second this slot currently holds.
@@ -272,15 +269,13 @@ class WindowedHistogram {
   struct Shard {
     mutable std::mutex mu;
     internal::HistogramCell lifetime;
-    std::vector<Slot> slots;  ///< num_slots_ entries.
+    std::vector<Slot> slots;  ///< One ring of window slots.
   };
 
   std::string name_;
   std::vector<double> bounds_;
   size_t reservoir_capacity_;
   size_t window_reservoir_capacity_;
-  int window_seconds_;
-  int num_slots_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
@@ -323,11 +318,9 @@ class MetricsRegistry {
   Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name,
                           const HistogramOptions& options = {});
-  WindowedCounter* GetWindowedCounter(
-      const std::string& name, int window_seconds = kDefaultWindowSeconds);
+  WindowedCounter* GetWindowedCounter(const std::string& name);
   WindowedHistogram* GetWindowedHistogram(
-      const std::string& name, const HistogramOptions& options = {},
-      int window_seconds = kDefaultWindowSeconds);
+      const std::string& name, const HistogramOptions& options = {});
 
   MetricsSnapshot Snapshot() const;
 
@@ -358,15 +351,12 @@ inline Histogram* GetHistogram(const std::string& name,
                                const HistogramOptions& options = {}) {
   return MetricsRegistry::Global().GetHistogram(name, options);
 }
-inline WindowedCounter* GetWindowedCounter(
-    const std::string& name, int window_seconds = kDefaultWindowSeconds) {
-  return MetricsRegistry::Global().GetWindowedCounter(name, window_seconds);
+inline WindowedCounter* GetWindowedCounter(const std::string& name) {
+  return MetricsRegistry::Global().GetWindowedCounter(name);
 }
 inline WindowedHistogram* GetWindowedHistogram(
-    const std::string& name, const HistogramOptions& options = {},
-    int window_seconds = kDefaultWindowSeconds) {
-  return MetricsRegistry::Global().GetWindowedHistogram(name, options,
-                                                        window_seconds);
+    const std::string& name, const HistogramOptions& options = {}) {
+  return MetricsRegistry::Global().GetWindowedHistogram(name, options);
 }
 
 // ---------------------------------------------------------------------------

@@ -87,6 +87,12 @@ InterpolationServer::InterpolationServer(const ServerConfig& config)
 
 InterpolationServer::~InterpolationServer() { Shutdown(); }
 
+SubmitStatus InterpolationServer::Reject(SubmitStatus status) {
+  RejectedCounter()->Add(1);
+  rejected_.fetch_add(1, std::memory_order_relaxed);
+  return status;
+}
+
 SubmitStatus InterpolationServer::Submit(
     Request request, std::future<std::vector<double>>* result) {
   // Every span opened on this thread until return — and, via
@@ -96,23 +102,15 @@ SubmitStatus InterpolationServer::Submit(
       telemetry::Enabled() ? telemetry::NextTraceId() : 0;
   telemetry::ScopedTrace trace(trace_id);
   SSIN_TRACE_SPAN("serve.submit");
-  if (queue_.closed()) return SubmitStatus::kShutdown;
+  if (queue_.closed()) return Reject(SubmitStatus::kShutdown);
   // Validate at admission so a malformed request becomes an explicit
   // rejection here instead of an SSIN_CHECK abort on the batcher thread.
   std::shared_ptr<SsinInterpolator> model = registry_.Acquire(request.model);
-  if (model == nullptr) {
-    RejectedCounter()->Add(1);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return SubmitStatus::kUnknownModel;
-  }
+  if (model == nullptr) return Reject(SubmitStatus::kUnknownModel);
   const std::string error =
       InterpolationIdsError(request.all_values, model->num_stations(),
                             request.observed_ids, request.query_ids);
-  if (!error.empty()) {
-    RejectedCounter()->Add(1);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return SubmitStatus::kInvalidRequest;
-  }
+  if (!error.empty()) return Reject(SubmitStatus::kInvalidRequest);
 
   QueuedRequest item;
   item.request = std::move(request);
@@ -120,10 +118,8 @@ SubmitStatus InterpolationServer::Submit(
   item.trace_id = trace_id;
   std::future<std::vector<double>> future = item.promise.get_future();
   if (!queue_.TryPush(&item)) {
-    RejectedCounter()->Add(1);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return queue_.closed() ? SubmitStatus::kShutdown
-                           : SubmitStatus::kQueueFull;
+    return Reject(queue_.closed() ? SubmitStatus::kShutdown
+                                  : SubmitStatus::kQueueFull);
   }
   accepted_.fetch_add(1, std::memory_order_relaxed);
   RequestsCounter()->Add(1);

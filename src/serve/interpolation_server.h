@@ -120,8 +120,8 @@ class InterpolationServer {
   void Shutdown();
 
   /// SLO view over the per-model end-to-end latency histogram: the
-  /// lifetime aggregate plus the trailing-window (last window_seconds,
-  /// default 60) view the health monitor samples.
+  /// lifetime aggregate plus the trailing-window (last 60 s) view the
+  /// health monitor samples.
   struct ModelSlo {
     int64_t requests = 0;
     double p50_us = 0.0;
@@ -158,6 +158,9 @@ class InterpolationServer {
   size_t queue_depth() const { return queue_.size(); }
 
  private:
+  /// Counts one rejection in rejected_total() and `serve.rejected_total`,
+  /// whatever its reason, and returns `status`.
+  SubmitStatus Reject(SubmitStatus status);
   void BatcherLoop();
   /// Blocks while paused; returns false when shutdown was requested and
   /// the batcher should drain without further pausing.

@@ -299,7 +299,9 @@ TEST(InterpolationServerTest, CoalescedBatchesMatchDirectCalls) {
 
   // Two distinct layouts: timestamps 0..11 share the fixture layout; the
   // "holdout" layout queries one extra station. Coalescing must group them
-  // separately and change no result.
+  // separately and change no result. A third group shares the fixture
+  // layout but carries one trailing value: InterpolateBatch requires equal
+  // values lengths within a call, so the batcher must split it off too.
   std::vector<int> holdout_observed = f.observed_ids;
   std::vector<int> holdout_query = f.query_ids;
   holdout_query.push_back(holdout_observed.back());
@@ -308,7 +310,7 @@ TEST(InterpolationServerTest, CoalescedBatchesMatchDirectCalls) {
       f.source_a->InterpolateTimestamp(f.data.Values(3), holdout_observed,
                                        holdout_query);
 
-  std::vector<std::future<std::vector<double>>> futures(13);
+  std::vector<std::future<std::vector<double>>> futures(14);
   for (int t = 0; t < 12; ++t) {
     ASSERT_EQ(server.Submit(f.RequestFor(t), &futures[t]),
               SubmitStatus::kAccepted);
@@ -320,24 +322,29 @@ TEST(InterpolationServerTest, CoalescedBatchesMatchDirectCalls) {
   holdout.query_ids = holdout_query;
   ASSERT_EQ(server.Submit(std::move(holdout), &futures[12]),
             SubmitStatus::kAccepted);
-  ASSERT_EQ(server.queue_depth(), 13u);
+  Request longer = f.RequestFor(5);
+  longer.all_values.push_back(1.0);
+  ASSERT_EQ(server.Submit(std::move(longer), &futures[13]),
+            SubmitStatus::kAccepted);
+  ASSERT_EQ(server.queue_depth(), 14u);
 
   server.Resume();
   for (int t = 0; t < 12; ++t) {
     ExpectExactly(futures[t].get(), f.expected_a[t], "coalesced request");
   }
   ExpectExactly(futures[12].get(), holdout_direct, "holdout layout");
+  ExpectExactly(futures[13].get(), f.expected_a[5], "longer values vector");
 
   // Join the batcher so its post-dispatch bookkeeping (batch counter, SLO
   // observations) is complete before asserting on it.
   server.Shutdown();
 
-  // All 13 queued requests were cut into exactly two micro-batches: one
-  // per layout group — coalescing really happened.
-  EXPECT_EQ(server.accepted_total(), 13);
-  EXPECT_EQ(server.batches_total(), 2);
+  // All 14 queued requests were cut into exactly three micro-batches: one
+  // per (layout, values length) group — coalescing really happened.
+  EXPECT_EQ(server.accepted_total(), 14);
+  EXPECT_EQ(server.batches_total(), 3);
   const InterpolationServer::ModelSlo slo = server.Slo("hk");
-  EXPECT_EQ(slo.requests, 13);
+  EXPECT_EQ(slo.requests, 14);
   EXPECT_GT(slo.p50_us, 0.0);
   EXPECT_LE(slo.p50_us, slo.p99_us);
   EXPECT_LE(slo.p99_us, slo.max_us);
@@ -361,6 +368,59 @@ TEST(InterpolationServerTest, BatchThreadFanOutChangesNoResult) {
   for (int t = 0; t < 8; ++t) {
     ExpectExactly(futures[t].get(), f.expected_a[t], "fan-out request");
   }
+}
+
+/// The paper's geometry and model behind an unpaused server that
+/// dispatches whatever is queued (linger 0) across every hardware thread:
+/// HK's 123 gauges under SpaFormerConfig::Paper(). Nothing may be dropped,
+/// and every result must equal a direct call on an independently prepared
+/// instance bit for bit.
+TEST(InterpolationServerTest, PaperModelServesEveryRequestBitIdentical) {
+  RainfallGenerator generator(HkRegionConfig());
+  const SpatialDataset data = generator.GenerateHours(8, 21);
+  ASSERT_EQ(data.num_stations(), 123);
+  std::vector<int> observed_ids, query_ids;
+  for (int i = 0; i < data.num_stations(); ++i) {
+    (i % 5 == 4 ? query_ids : observed_ids).push_back(i);
+  }
+  // Serving needs no trained weights: Prepare() draws them from the seed,
+  // so every instance made here holds the same ones.
+  auto make_prepared = [&] {
+    auto model = std::make_shared<SsinInterpolator>(SpaFormerConfig::Paper(),
+                                                    FastTraining(13));
+    model->Prepare(data, observed_ids);
+    return model;
+  };
+
+  ServerConfig config;
+  config.batch_linger_us = 0;
+  config.batch_threads = 0;  // One per hardware thread.
+  InterpolationServer server(config);
+  server.registry().Register("hk-paper", make_prepared(), make_prepared());
+
+  constexpr int kRequests = 64;
+  std::vector<std::future<std::vector<double>>> futures(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    Request request;
+    request.model = "hk-paper";
+    request.all_values = data.Values(i % data.num_timestamps());
+    request.observed_ids = observed_ids;
+    request.query_ids = query_ids;
+    ASSERT_EQ(server.Submit(std::move(request), &futures[i]),
+              SubmitStatus::kAccepted)
+        << "request " << i;
+  }
+
+  const std::shared_ptr<SsinInterpolator> direct = make_prepared();
+  for (int i = 0; i < kRequests; ++i) {
+    ExpectExactly(futures[i].get(),
+                  direct->InterpolateTimestamp(
+                      data.Values(i % data.num_timestamps()), observed_ids,
+                      query_ids),
+                  "paper-config request");
+  }
+  EXPECT_EQ(server.accepted_total(), kRequests);
+  EXPECT_EQ(server.rejected_total(), 0);
 }
 
 // ----------------------------------------------------- admission control
@@ -468,8 +528,14 @@ TEST(InterpolationServerTest, ShutdownDrainsAcceptedThenRejects) {
   for (int t = 0; t < 4; ++t) {
     ExpectExactly(futures[t].get(), f.expected_a[t], "drained request");
   }
+  // A late submit is rejected and counted like every other rejection.
+  telemetry::WindowedCounter* rejected =
+      telemetry::GetWindowedCounter("serve.rejected_total");
+  const int64_t rejected_before = rejected->Value();
   std::future<std::vector<double>> late;
   EXPECT_EQ(server.Submit(f.RequestFor(0), &late), SubmitStatus::kShutdown);
+  EXPECT_EQ(server.rejected_total(), 1);
+  EXPECT_EQ(rejected->Value(), rejected_before + 1);
 }
 
 TEST(InterpolationServerTest, InterpolateReturnsRejectionWithoutAborting) {
