@@ -2,7 +2,8 @@
 # Builds the serializer/loader robustness tests under ASan+UBSan and runs
 # them: the corrupt-checkpoint sweeps (truncation at every offset, byte
 # flips, hostile lengths) and the ragged/non-finite CSV tests must be clean
-# of memory errors, not merely return false.
+# of memory errors, not merely return false. The serving, kernel and
+# telemetry tests run on the same instrumented build.
 #
 #   scripts/run_asan.sh [build-dir]
 #
@@ -16,7 +17,8 @@ BUILD_DIR="${1:-build-asan}"
 cmake -B "${BUILD_DIR}" -S . -DSSIN_ADDRESS_SANITIZER=ON
 cmake --build "${BUILD_DIR}" -j --target serialize_test csv_loader_test \
   checkpoint_resume_test inference_equivalence_test \
-  kernel_differential_test serve_test geo_test knn_shielding_test
+  kernel_differential_test serve_test geo_test knn_shielding_test \
+  telemetry_test
 
 echo "== kernel_differential_test (ASan+UBSan) =="
 # The SIMD kernels' unrolled tails and row-split partitions must not read
@@ -53,5 +55,11 @@ echo "== serve_test (ASan+UBSan) =="
 # Queued requests, promise lifetimes, and the double-buffered registry
 # swap must be clean of use-after-free across shutdown and hot-swap.
 "${BUILD_DIR}/tests/serve_test"
+
+echo "== telemetry_test (ASan+UBSan) =="
+# Every counter and histogram records into a per-shard ring of one-second
+# window slots; slot indexing, lazy cell sizing and the snapshot merges
+# must stay in bounds.
+"${BUILD_DIR}/tests/telemetry_test"
 
 echo "ASan run clean."

@@ -18,7 +18,7 @@ BUILD_DIR="${1:-build-ubsan}"
 cmake -B "${BUILD_DIR}" -S . -DSSIN_UB_SANITIZER=ON
 cmake --build "${BUILD_DIR}" -j --target kernel_differential_test \
   ops_test attention_test inference_equivalence_test geo_test \
-  knn_shielding_test serve_test
+  knn_shielding_test serve_test telemetry_test
 
 echo "== kernel_differential_test (UBSan) =="
 "${BUILD_DIR}/tests/kernel_differential_test"
@@ -44,5 +44,10 @@ echo "== serve_test (UBSan) =="
 # Admission, coalescing, shutdown drain, hot-swap under load and the
 # health monitor, including the paper-config replay at L=123.
 "${BUILD_DIR}/tests/serve_test"
+
+echo "== telemetry_test (UBSan) =="
+# Window-slot arithmetic on the NowNs clock, reservoir replacement and the
+# bucket search must be UB-free.
+"${BUILD_DIR}/tests/telemetry_test"
 
 echo "UBSan run clean."

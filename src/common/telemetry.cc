@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <map>
 
-#include "common/check.h"
 #include "common/json_writer.h"
 
 namespace ssin {
@@ -13,14 +13,19 @@ namespace telemetry {
 
 namespace {
 
-/// Default fixed bucket bounds: the 1-2-5 series over 1e-9 .. 1e9.
-std::vector<double> DefaultBounds() {
-  std::vector<double> bounds;
-  for (int exp = -9; exp <= 9; ++exp) {
-    const double decade = std::pow(10.0, exp);
-    for (double m : {1.0, 2.0, 5.0}) bounds.push_back(m * decade);
-  }
-  return bounds;
+/// Fixed bucket upper bounds of every histogram: the 1-2-5 series over
+/// 1e-9 .. 1e9. Leaked like the registry, so histograms observed from
+/// static destructors or detached threads never see it destroyed.
+const std::vector<double>& BucketBounds() {
+  static const std::vector<double>* bounds = [] {
+    auto* series = new std::vector<double>();
+    for (int exp = -9; exp <= 9; ++exp) {
+      const double decade = std::pow(10.0, exp);
+      for (double m : {1.0, 2.0, 5.0}) series->push_back(m * decade);
+    }
+    return series;
+  }();
+  return *bounds;
 }
 
 uint64_t SplitMix64(uint64_t* state) {
@@ -35,6 +40,13 @@ constexpr int64_t kNsPerSecond = 1000000000;
 /// Wall-free epoch for the window rings: whole seconds on the NowNs clock.
 int64_t NowSecond() { return NowNs() / kNsPerSecond; }
 
+/// Oldest second inside the trailing window: the window covers the current
+/// (partial) second and the kDefaultWindowSeconds - 1 full seconds before
+/// it.
+int64_t OldestWindowSecond() {
+  return NowSecond() - kDefaultWindowSeconds + 1;
+}
+
 /// Ring size of the trailing window: one slot per second plus slack so a
 /// slot being recycled is never also in-window.
 constexpr int kWindowSlots = kDefaultWindowSeconds + 2;
@@ -42,6 +54,14 @@ constexpr int kWindowSlots = kDefaultWindowSeconds + 2;
 uint64_t ReservoirSeed(int shard, int64_t epoch) {
   return 0x5851f42d4c957f2dull ^ (static_cast<uint64_t>(shard) << 32) ^
          static_cast<uint64_t>(epoch);
+}
+
+/// Sticky shard index of the calling thread, in [0, kShards).
+int ThreadShardIndex() {
+  static std::atomic<int> next{0};
+  thread_local const int index =
+      next.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
+  return index;
 }
 
 }  // namespace
@@ -63,22 +83,61 @@ int64_t NowNs() {
       .count();
 }
 
-int ThreadShardIndex() {
-  static std::atomic<int> next{0};
-  thread_local const int index =
-      next.fetch_add(1, std::memory_order_relaxed) & (kShards - 1);
-  return index;
-}
-
 // ---------------------------------------------------------------------------
 // Counter.
+
+Counter::Counter(std::string name) : name_(std::move(name)) {
+  for (Shard& shard : shards_) {
+    shard.slots = std::make_unique<Slot[]>(kWindowSlots);
+  }
+}
+
+void Counter::Add(int64_t delta) {
+  Shard& shard = shards_[ThreadShardIndex()];
+  shard.lifetime.fetch_add(delta, std::memory_order_relaxed);
+  const int64_t second = NowSecond();
+  Slot& slot = shard.slots[static_cast<size_t>(second % kWindowSlots)];
+  if (slot.epoch.load(std::memory_order_acquire) != second) {
+    // Recycle the slot for the new second; the exchange elects exactly one
+    // zeroing writer should two threads share the shard.
+    if (slot.epoch.exchange(second, std::memory_order_acq_rel) != second) {
+      slot.value.store(0, std::memory_order_relaxed);
+    }
+  }
+  slot.value.fetch_add(delta, std::memory_order_relaxed);
+}
 
 int64_t Counter::Value() const {
   int64_t total = 0;
   for (const Shard& shard : shards_) {
-    total += shard.value.load(std::memory_order_relaxed);
+    total += shard.lifetime.load(std::memory_order_relaxed);
   }
   return total;
+}
+
+int64_t Counter::WindowValue() const {
+  const int64_t oldest = OldestWindowSecond();
+  int64_t total = 0;
+  for (const Shard& shard : shards_) {
+    for (int i = 0; i < kWindowSlots; ++i) {
+      const Slot& slot = shard.slots[static_cast<size_t>(i)];
+      if (slot.epoch.load(std::memory_order_acquire) >= oldest) {
+        total += slot.value.load(std::memory_order_relaxed);
+      }
+    }
+  }
+  return total;
+}
+
+void Counter::Reset() {
+  for (Shard& shard : shards_) {
+    shard.lifetime.store(0, std::memory_order_relaxed);
+    for (int i = 0; i < kWindowSlots; ++i) {
+      Slot& slot = shard.slots[static_cast<size_t>(i)];
+      slot.epoch.store(-1, std::memory_order_relaxed);
+      slot.value.store(0, std::memory_order_relaxed);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -86,8 +145,8 @@ int64_t Counter::Value() const {
 
 namespace internal {
 
-void HistogramCell::Observe(double value, const std::vector<double>& bounds,
-                            size_t reservoir_capacity) {
+void HistogramCell::Observe(double value, size_t reservoir_capacity) {
+  const std::vector<double>& bounds = BucketBounds();
   if (buckets.empty()) buckets.assign(bounds.size() + 1, 0);
   ++count;
   sum += value;
@@ -132,57 +191,66 @@ void HistogramCell::Reset() {
 
 }  // namespace internal
 
-namespace {
-
-void CheckAscendingBounds(const std::vector<double>& bounds) {
-  for (size_t i = 1; i < bounds.size(); ++i) {
-    SSIN_CHECK_LT(bounds[i - 1], bounds[i])
-        << "histogram bucket bounds must be strictly ascending";
-  }
-}
-
-}  // namespace
-
-Histogram::Histogram(std::string name, const HistogramOptions& options)
-    : name_(std::move(name)),
-      bounds_(options.bucket_bounds.empty() ? DefaultBounds()
-                                            : options.bucket_bounds),
-      reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)) {
-  CheckAscendingBounds(bounds_);
+Histogram::Histogram(std::string name) : name_(std::move(name)) {
   shards_.reserve(kShards);
   for (int s = 0; s < kShards; ++s) {
     auto shard = std::make_unique<Shard>();
-    shard->cell.buckets.assign(bounds_.size() + 1, 0);
-    shard->cell.rng = ReservoirSeed(s, 0);
+    shard->lifetime.rng = ReservoirSeed(s, 0);
+    // Slot cells stay empty (no bucket vectors) until their first Observe.
+    shard->slots.resize(kWindowSlots);
     shards_.push_back(std::move(shard));
   }
 }
 
 void Histogram::Observe(double value) {
-  Shard& shard = *shards_[ThreadShardIndex()];
+  const int shard_index = ThreadShardIndex();
+  Shard& shard = *shards_[shard_index];
+  const int64_t second = NowSecond();
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.cell.Observe(value, bounds_, reservoir_capacity_);
+  shard.lifetime.Observe(value, kReservoirCapacity);
+  Slot& slot = shard.slots[static_cast<size_t>(second % kWindowSlots)];
+  if (slot.epoch != second) {
+    slot.epoch = second;
+    slot.cell.Reset();
+    slot.cell.rng = ReservoirSeed(shard_index, second);
+  }
+  slot.cell.Observe(value, kWindowReservoirCapacity);
 }
 
-HistogramSnapshot Histogram::Snapshot() const {
+HistogramSnapshot Histogram::Merge(bool window) const {
   HistogramSnapshot snap;
   snap.name = name_;
-  snap.bucket_bounds = bounds_;
-  snap.bucket_counts.assign(bounds_.size() + 1, 0);
+  snap.bucket_bounds = BucketBounds();
+  snap.bucket_counts.assign(snap.bucket_bounds.size() + 1, 0);
+  const int64_t oldest = OldestWindowSecond();
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.cell.MergeInto(&snap);
+    if (!window) {
+      shard.lifetime.MergeInto(&snap);
+      continue;
+    }
+    for (const Slot& slot : shard.slots) {
+      if (slot.epoch >= oldest) slot.cell.MergeInto(&snap);
+    }
   }
   std::sort(snap.samples.begin(), snap.samples.end());
   return snap;
 }
 
+HistogramSnapshot Histogram::Snapshot() const { return Merge(false); }
+
+HistogramSnapshot Histogram::WindowSnapshot() const { return Merge(true); }
+
 void Histogram::Reset() {
   for (const auto& shard_ptr : shards_) {
     Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.cell.Reset();
+    shard.lifetime.Reset();
+    for (Slot& slot : shard.slots) {
+      slot.epoch = -1;
+      slot.cell.Reset();
+    }
   }
 }
 
@@ -197,146 +265,6 @@ double HistogramSnapshot::Quantile(double q) const {
 }
 
 // ---------------------------------------------------------------------------
-// WindowedCounter.
-
-WindowedCounter::WindowedCounter(std::string name) : name_(std::move(name)) {
-  for (Shard& shard : shards_) {
-    shard.slots = std::make_unique<Slot[]>(kWindowSlots);
-  }
-}
-
-void WindowedCounter::Add(int64_t delta) {
-  Shard& shard = shards_[ThreadShardIndex()];
-  shard.lifetime.fetch_add(delta, std::memory_order_relaxed);
-  const int64_t second = NowSecond();
-  Slot& slot = shard.slots[static_cast<size_t>(second % kWindowSlots)];
-  if (slot.epoch.load(std::memory_order_acquire) != second) {
-    // Recycle the slot for the new second; the exchange elects exactly one
-    // zeroing writer should two threads share the shard.
-    if (slot.epoch.exchange(second, std::memory_order_acq_rel) != second) {
-      slot.value.store(0, std::memory_order_relaxed);
-    }
-  }
-  slot.value.fetch_add(delta, std::memory_order_relaxed);
-}
-
-int64_t WindowedCounter::Value() const {
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    total += shard.lifetime.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-int64_t WindowedCounter::WindowValue() const {
-  // The window covers the current (partial) second and the
-  // kDefaultWindowSeconds - 1 full seconds before it.
-  const int64_t oldest = NowSecond() - kDefaultWindowSeconds + 1;
-  int64_t total = 0;
-  for (const Shard& shard : shards_) {
-    for (int i = 0; i < kWindowSlots; ++i) {
-      const Slot& slot = shard.slots[static_cast<size_t>(i)];
-      if (slot.epoch.load(std::memory_order_acquire) >= oldest) {
-        total += slot.value.load(std::memory_order_relaxed);
-      }
-    }
-  }
-  return total;
-}
-
-void WindowedCounter::Reset() {
-  for (Shard& shard : shards_) {
-    shard.lifetime.store(0, std::memory_order_relaxed);
-    for (int i = 0; i < kWindowSlots; ++i) {
-      Slot& slot = shard.slots[static_cast<size_t>(i)];
-      slot.epoch.store(-1, std::memory_order_relaxed);
-      slot.value.store(0, std::memory_order_relaxed);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// WindowedHistogram.
-
-WindowedHistogram::WindowedHistogram(std::string name,
-                                     const HistogramOptions& options)
-    : name_(std::move(name)),
-      bounds_(options.bucket_bounds.empty() ? DefaultBounds()
-                                            : options.bucket_bounds),
-      reservoir_capacity_(std::max<size_t>(1, options.reservoir_capacity)),
-      window_reservoir_capacity_(
-          std::max<size_t>(1, options.window_reservoir_capacity)) {
-  CheckAscendingBounds(bounds_);
-  shards_.reserve(kShards);
-  for (int s = 0; s < kShards; ++s) {
-    auto shard = std::make_unique<Shard>();
-    shard->lifetime.buckets.assign(bounds_.size() + 1, 0);
-    shard->lifetime.rng = ReservoirSeed(s, 0);
-    // Slot cells stay empty (no bucket vectors) until their first Observe.
-    shard->slots.resize(kWindowSlots);
-    shards_.push_back(std::move(shard));
-  }
-}
-
-void WindowedHistogram::Observe(double value) {
-  const int shard_index = ThreadShardIndex();
-  Shard& shard = *shards_[shard_index];
-  const int64_t second = NowSecond();
-  std::lock_guard<std::mutex> lock(shard.mu);
-  shard.lifetime.Observe(value, bounds_, reservoir_capacity_);
-  Slot& slot = shard.slots[static_cast<size_t>(second % kWindowSlots)];
-  if (slot.epoch != second) {
-    slot.epoch = second;
-    slot.cell.Reset();
-    slot.cell.rng = ReservoirSeed(shard_index, second);
-  }
-  slot.cell.Observe(value, bounds_, window_reservoir_capacity_);
-}
-
-HistogramSnapshot WindowedHistogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.name = name_;
-  snap.bucket_bounds = bounds_;
-  snap.bucket_counts.assign(bounds_.size() + 1, 0);
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lifetime.MergeInto(&snap);
-  }
-  std::sort(snap.samples.begin(), snap.samples.end());
-  return snap;
-}
-
-HistogramSnapshot WindowedHistogram::WindowSnapshot() const {
-  HistogramSnapshot snap;
-  snap.name = name_;
-  snap.bucket_bounds = bounds_;
-  snap.bucket_counts.assign(bounds_.size() + 1, 0);
-  const int64_t oldest = NowSecond() - kDefaultWindowSeconds + 1;
-  for (const auto& shard_ptr : shards_) {
-    const Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const Slot& slot : shard.slots) {
-      if (slot.epoch >= oldest) slot.cell.MergeInto(&snap);
-    }
-  }
-  std::sort(snap.samples.begin(), snap.samples.end());
-  return snap;
-}
-
-void WindowedHistogram::Reset() {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lifetime.Reset();
-    for (Slot& slot : shard.slots) {
-      slot.epoch = -1;
-      slot.cell.Reset();
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // MetricsRegistry.
 
 MetricsRegistry& MetricsRegistry::Global() {
@@ -344,98 +272,55 @@ MetricsRegistry& MetricsRegistry::Global() {
   return *registry;
 }
 
-namespace {
-
-template <typename T, typename Make>
-T* FindOrInsert(std::vector<std::unique_ptr<T>>* items,
-                const std::string& name, const Make& make) {
+template <typename T>
+T* MetricsRegistry::FindOrInsert(std::vector<std::unique_ptr<T>>* items,
+                                 const std::string& name) {
   auto it = std::lower_bound(
       items->begin(), items->end(), name,
       [](const std::unique_ptr<T>& m, const std::string& n) {
         return m->name() < n;
       });
   if (it != items->end() && (*it)->name() == name) return it->get();
-  return items->insert(it, make())->get();
+  return items->insert(it, std::unique_ptr<T>(new T(name)))->get();
 }
-
-}  // namespace
 
 Counter* MetricsRegistry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&counters_, name, [&] {
-    return std::unique_ptr<Counter>(new Counter(name));
-  });
+  return FindOrInsert(&counters_, name);
 }
 
 Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&gauges_, name, [&] {
-    return std::unique_ptr<Gauge>(new Gauge(name));
-  });
+  return FindOrInsert(&gauges_, name);
 }
 
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const HistogramOptions& options) {
+Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&histograms_, name, [&] {
-    return std::unique_ptr<Histogram>(new Histogram(name, options));
-  });
-}
-
-WindowedCounter* MetricsRegistry::GetWindowedCounter(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&windowed_counters_, name, [&] {
-    return std::unique_ptr<WindowedCounter>(new WindowedCounter(name));
-  });
-}
-
-WindowedHistogram* MetricsRegistry::GetWindowedHistogram(
-    const std::string& name, const HistogramOptions& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return FindOrInsert(&windowed_histograms_, name, [&] {
-    return std::unique_ptr<WindowedHistogram>(
-        new WindowedHistogram(name, options));
-  });
+  return FindOrInsert(&histograms_, name);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
   snap.counters.reserve(counters_.size());
-  for (const auto& c : counters_) snap.counters.emplace_back(c->name(),
-                                                             c->Value());
+  for (const auto& c : counters_) {
+    snap.counters.push_back({c->name(), c->Value(), c->WindowValue()});
+  }
   snap.gauges.reserve(gauges_.size());
   for (const auto& g : gauges_) snap.gauges.emplace_back(g->name(),
                                                          g->Value());
   snap.histograms.reserve(histograms_.size());
-  for (const auto& h : histograms_) snap.histograms.push_back(h->Snapshot());
-  snap.windowed_counters.reserve(windowed_counters_.size());
-  for (const auto& wc : windowed_counters_) {
-    snap.windowed_counters.push_back({wc->name(), wc->window_seconds(),
-                                      wc->Value(), wc->WindowValue()});
-  }
-  snap.windowed_histograms.reserve(windowed_histograms_.size());
-  for (const auto& wh : windowed_histograms_) {
-    MetricsSnapshot::WindowedHistogramSnapshot entry;
-    entry.window_seconds = wh->window_seconds();
-    entry.lifetime = wh->Snapshot();
-    entry.window = wh->WindowSnapshot();
-    snap.windowed_histograms.push_back(std::move(entry));
+  for (const auto& h : histograms_) {
+    snap.histograms.push_back({h->Snapshot(), h->WindowSnapshot()});
   }
   return snap;
 }
 
 void MetricsRegistry::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& c : counters_) {
-    for (Counter::Shard& shard : c->shards_) {
-      shard.value.store(0, std::memory_order_relaxed);
-    }
-  }
+  for (const auto& c : counters_) c->Reset();
   for (const auto& g : gauges_) g->Set(0.0);
   for (const auto& h : histograms_) h->Reset();
-  for (const auto& wc : windowed_counters_) wc->Reset();
-  for (const auto& wh : windowed_histograms_) wh->Reset();
 }
 
 // ---------------------------------------------------------------------------
@@ -582,7 +467,7 @@ void WriteHistogramJson(JsonWriter* w, const HistogramSnapshot& h) {
   w->Number(h.Quantile(0.90));
   w->Key("p99");
   w->Number(h.Quantile(0.99));
-  // Only occupied buckets: the default bound series has ~58 buckets and
+  // Only occupied buckets: the 1-2-5 bound series has 58 buckets and
   // most metrics touch a handful. `le: null` is the +inf overflow bucket
   // (JsonWriter renders non-finite numbers as null by contract).
   w->Key("buckets");
@@ -604,18 +489,13 @@ void WriteHistogramJson(JsonWriter* w, const HistogramSnapshot& h) {
 
 void WriteSnapshotMembers(JsonWriter* w, const MetricsSnapshot& metrics,
                           const std::vector<ThreadTrace>& traces) {
-  // Windowed lifetimes fold into the plain counters/histograms sections so
-  // existing consumers see one namespace; the trailing-window views get
-  // their own "windows" section below.
+  // Lifetime views under "counters"/"histograms"; the trailing-window view
+  // of each lives under "windows" with the same name.
   w->Key("counters");
   w->BeginObject();
-  for (const auto& [name, value] : metrics.counters) {
-    w->Key(name);
-    w->Int(value);
-  }
-  for (const auto& wc : metrics.windowed_counters) {
-    w->Key(wc.name);
-    w->Int(wc.lifetime);
+  for (const auto& c : metrics.counters) {
+    w->Key(c.name);
+    w->Int(c.lifetime);
   }
   w->EndObject();
 
@@ -629,34 +509,30 @@ void WriteSnapshotMembers(JsonWriter* w, const MetricsSnapshot& metrics,
 
   w->Key("histograms");
   w->BeginObject();
-  for (const HistogramSnapshot& h : metrics.histograms) {
-    w->Key(h.name);
-    WriteHistogramJson(w, h);
-  }
-  for (const auto& wh : metrics.windowed_histograms) {
-    w->Key(wh.lifetime.name);
-    WriteHistogramJson(w, wh.lifetime);
+  for (const auto& h : metrics.histograms) {
+    w->Key(h.lifetime.name);
+    WriteHistogramJson(w, h.lifetime);
   }
   w->EndObject();
 
   w->Key("windows");
   w->BeginObject();
-  for (const auto& wc : metrics.windowed_counters) {
-    w->Key(wc.name);
+  for (const auto& c : metrics.counters) {
+    w->Key(c.name);
     w->BeginObject();
     w->Key("window_seconds");
-    w->Int(wc.window_seconds);
+    w->Int(kDefaultWindowSeconds);
     w->Key("value");
-    w->Int(wc.window);
+    w->Int(c.window);
     w->EndObject();
   }
-  for (const auto& wh : metrics.windowed_histograms) {
-    w->Key(wh.window.name);
+  for (const auto& h : metrics.histograms) {
+    w->Key(h.window.name);
     w->BeginObject();
     w->Key("window_seconds");
-    w->Int(wh.window_seconds);
+    w->Int(kDefaultWindowSeconds);
     w->Key("histogram");
-    WriteHistogramJson(w, wh.window);
+    WriteHistogramJson(w, h.window);
     w->EndObject();
   }
   w->EndObject();
@@ -760,10 +636,6 @@ void WriteTraceEvents(JsonWriter* w, const std::vector<ThreadTrace>& traces) {
 
 }  // namespace
 
-void MetricsSnapshot::WriteJson(JsonWriter* writer) const {
-  WriteSnapshotMembers(writer, *this, {});
-}
-
 void WriteSnapshotJson(JsonWriter* writer) {
   const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
   const std::vector<ThreadTrace> traces = TraceRecorder::Global().Snapshot();
@@ -841,7 +713,7 @@ void AppendPromHistogram(std::string* out, const std::string& prom,
   for (size_t b = 0; b < h.bucket_counts.size(); ++b) {
     cumulative += h.bucket_counts[b];
     const bool is_overflow = b >= h.bucket_bounds.size();
-    // Empty finite buckets are elided (the default bound series has ~58 and
+    // Empty finite buckets are elided (the 1-2-5 bound series has 58 and
     // most metrics touch a handful); cumulative `le` semantics stay valid
     // because the running total carries across elided bounds. The +Inf
     // bucket is always emitted.
@@ -861,147 +733,40 @@ void AppendPromHistogram(std::string* out, const std::string& prom,
   *out += "\n" + prom + "_count " + std::to_string(h.count) + "\n";
 }
 
-std::string WindowSuffix(int window_seconds) {
-  return "_last" + std::to_string(window_seconds) + "s";
-}
+/// Name suffix of the trailing-window gauges.
+constexpr char kWindowSuffix[] = "_last60s";
+static_assert(kDefaultWindowSeconds == 60, "kWindowSuffix names the window");
 
 }  // namespace
 
 std::string PrometheusText() {
   const MetricsSnapshot metrics = MetricsRegistry::Global().Snapshot();
   std::string out;
-  for (const auto& [name, value] : metrics.counters) {
-    const std::string prom = PromName(name);
+  for (const auto& c : metrics.counters) {
+    const std::string prom = PromName(c.name);
     out += "# TYPE " + prom + " counter\n" + prom + " " +
-           std::to_string(value) + "\n";
-  }
-  for (const auto& wc : metrics.windowed_counters) {
-    const std::string prom = PromName(wc.name);
-    out += "# TYPE " + prom + " counter\n" + prom + " " +
-           std::to_string(wc.lifetime) + "\n";
-    AppendPromGauge(&out, prom + WindowSuffix(wc.window_seconds),
-                    static_cast<double>(wc.window));
+           std::to_string(c.lifetime) + "\n";
+    AppendPromGauge(&out, prom + kWindowSuffix,
+                    static_cast<double>(c.window));
   }
   for (const auto& [name, value] : metrics.gauges) {
     AppendPromGauge(&out, PromName(name), value);
   }
-  for (const HistogramSnapshot& h : metrics.histograms) {
-    AppendPromHistogram(&out, PromName(h.name), h);
-  }
-  for (const auto& wh : metrics.windowed_histograms) {
-    const std::string prom = PromName(wh.lifetime.name);
-    AppendPromHistogram(&out, prom, wh.lifetime);
-    const std::string window = prom + WindowSuffix(wh.window_seconds);
+  for (const auto& h : metrics.histograms) {
+    const std::string prom = PromName(h.lifetime.name);
+    AppendPromHistogram(&out, prom, h.lifetime);
+    const std::string window = prom + kWindowSuffix;
     AppendPromGauge(&out, window + "_count",
-                    static_cast<double>(wh.window.count));
-    AppendPromGauge(&out, window + "_sum", wh.window.sum);
-    AppendPromGauge(&out, window + "_p50", wh.window.Quantile(0.50));
-    AppendPromGauge(&out, window + "_p99", wh.window.Quantile(0.99));
+                    static_cast<double>(h.window.count));
+    AppendPromGauge(&out, window + "_sum", h.window.sum);
+    AppendPromGauge(&out, window + "_p50", h.window.Quantile(0.50));
+    AppendPromGauge(&out, window + "_p99", h.window.Quantile(0.99));
   }
   return out;
 }
 
 bool WritePrometheusText(const std::string& path) {
   return WriteFile(path, PrometheusText());
-}
-
-namespace {
-
-/// Aggregated call-tree node for the hierarchy breakdown.
-struct TreeNode {
-  int64_t count = 0;
-  int64_t total_ns = 0;
-  std::map<std::string, TreeNode> children;
-};
-
-void BuildTree(const ThreadTrace& trace, TreeNode* root) {
-  // Events are recorded at span *end*, so parents follow their children in
-  // the buffer. Re-derive nesting from timestamps: sort by (begin asc,
-  // end desc) so a parent precedes everything it contains, then walk with
-  // a containment stack.
-  std::vector<const SpanEvent*> ordered;
-  ordered.reserve(trace.events.size());
-  for (const SpanEvent& event : trace.events) ordered.push_back(&event);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const SpanEvent* a, const SpanEvent* b) {
-                     if (a->begin_ns != b->begin_ns) {
-                       return a->begin_ns < b->begin_ns;
-                     }
-                     return a->end_ns > b->end_ns;
-                   });
-
-  struct Open {
-    int64_t end_ns;
-    TreeNode* node;
-  };
-  std::vector<Open> stack;
-  for (const SpanEvent* event : ordered) {
-    while (!stack.empty() && event->begin_ns >= stack.back().end_ns) {
-      stack.pop_back();
-    }
-    TreeNode* parent = stack.empty() ? root : stack.back().node;
-    TreeNode& node = parent->children[event->name];
-    ++node.count;
-    node.total_ns += event->end_ns - event->begin_ns;
-    stack.push_back({event->end_ns, &node});
-  }
-}
-
-void PrintTree(const TreeNode& node, int indent, int64_t parent_ns,
-               std::string* out) {
-  // Siblings ordered by total time, descending.
-  std::vector<std::pair<std::string, const TreeNode*>> ordered;
-  ordered.reserve(node.children.size());
-  for (const auto& [name, child] : node.children) {
-    ordered.emplace_back(name, &child);
-  }
-  std::sort(ordered.begin(), ordered.end(),
-            [](const auto& a, const auto& b) {
-              return a.second->total_ns > b.second->total_ns;
-            });
-  for (const auto& [name, child] : ordered) {
-    char line[256];
-    const double total_ms = static_cast<double>(child->total_ns) / 1e6;
-    const std::string label(static_cast<size_t>(indent) * 2, ' ');
-    if (parent_ns > 0) {
-      std::snprintf(line, sizeof(line), "%-40s %10lld x %12.3f ms  %5.1f%%\n",
-                    (label + name).c_str(),
-                    static_cast<long long>(child->count), total_ms,
-                    100.0 * static_cast<double>(child->total_ns) /
-                        static_cast<double>(parent_ns));
-    } else {
-      std::snprintf(line, sizeof(line), "%-40s %10lld x %12.3f ms\n",
-                    (label + name).c_str(),
-                    static_cast<long long>(child->count), total_ms);
-    }
-    *out += line;
-    PrintTree(*child, indent + 1, child->total_ns, out);
-  }
-}
-
-}  // namespace
-
-std::string HierarchyText() {
-  const std::vector<ThreadTrace> traces = TraceRecorder::Global().Snapshot();
-  TreeNode root;
-  for (const ThreadTrace& trace : traces) BuildTree(trace, &root);
-  std::string out;
-  if (root.children.empty()) {
-    out = "(no spans recorded)\n";
-    return out;
-  }
-  out += "span hierarchy (aggregated over threads; counts x total time,"
-         " % of parent)\n";
-  PrintTree(root, 0, 0, &out);
-  const int64_t dropped = TraceRecorder::Global().TotalDropped();
-  if (dropped > 0) {
-    char line[96];
-    std::snprintf(line, sizeof(line),
-                  "(+ %lld older spans dropped by ring wrap-around)\n",
-                  static_cast<long long>(dropped));
-    out += line;
-  }
-  return out;
 }
 
 void ResetAll() {

@@ -32,12 +32,12 @@
 ///     always-on statistics API, and the report writers must keep working
 ///     in disabled builds (they then export metrics with no spans).
 ///
-/// Runtime model: recording is gated by a single process-wide flag
-/// (SetEnabled). TrainConfig::telemetry and EvalOptions::telemetry switch
-/// it on for their runs; enabling is sticky until SetEnabled(false).
-/// Counters and gauges record regardless of the flag — they are plain
-/// statistics, not timing probes — while spans and the Enabled()-guarded
-/// timing probes stay silent when the flag is off.
+/// Runtime model: one process-wide flag (SetEnabled) gates spans and the
+/// Enabled()-guarded probes. TrainConfig::telemetry and
+/// EvalOptions::telemetry switch it on for their runs; enabling is sticky
+/// until SetEnabled(false). Counters, gauges and histograms record
+/// whenever they are called, whatever the flag — they are plain
+/// statistics, not timing probes.
 
 namespace ssin {
 
@@ -73,27 +73,51 @@ int64_t NowNs();
 /// concurrent threads the fast path is contention-free.
 constexpr int kShards = 16;
 
-/// Sticky shard index of the calling thread, in [0, kShards).
-int ThreadShardIndex();
+/// Trailing-window length of every counter and histogram, in seconds.
+constexpr int kDefaultWindowSeconds = 60;
 
-/// Monotonic event counter. Add() is lock-free (one relaxed fetch_add on
-/// this thread's shard); Value() sums the shards.
+/// Per-shard streaming-quantile reservoir size of a histogram's lifetime
+/// view. Quantiles are *exact* while every shard has seen at most this many
+/// samples; beyond that the shard switches to uniform reservoir subsampling
+/// (deterministic per-shard splitmix64 stream) and quantiles become
+/// estimates.
+constexpr size_t kReservoirCapacity = 4096;
+
+/// Per-(shard, second) reservoir size of a histogram's window ring cells.
+/// Smaller than the lifetime reservoir because each cell covers at most one
+/// second of observations.
+constexpr size_t kWindowReservoirCapacity = 1024;
+
+/// Monotonic event counter with two views: the lifetime total and the
+/// total over the trailing kDefaultWindowSeconds, kept as a per-shard ring
+/// of one-second buckets merged on read. Add() is lock-free: one relaxed
+/// fetch_add on this thread's lifetime cell, one clock read and one
+/// fetch_add on the current second's slot. Slots recycle by epoch
+/// exchange; because shard indices are sticky per thread, two threads race
+/// a recycle only past kShards concurrent writers, and even then only
+/// increments landing in the same instant a 60s-stale slot turns over can
+/// be misattributed — the lifetime total is always exact.
 class Counter {
  public:
-  void Add(int64_t delta = 1) {
-    shards_[ThreadShardIndex()].value.fetch_add(delta,
-                                                std::memory_order_relaxed);
-  }
-  int64_t Value() const;
+  void Add(int64_t delta = 1);
+  int64_t Value() const;        ///< Lifetime total (exact).
+  int64_t WindowValue() const;  ///< Total over the trailing window.
+  void Reset();
   const std::string& name() const { return name_; }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(std::string name) : name_(std::move(name)) {}
+  explicit Counter(std::string name);
 
-  struct alignas(64) Shard {
+  struct Slot {
+    std::atomic<int64_t> epoch{-1};  ///< Second this slot currently holds.
     std::atomic<int64_t> value{0};
   };
+  struct alignas(64) Shard {
+    std::atomic<int64_t> lifetime{0};
+    std::unique_ptr<Slot[]> slots;  ///< One ring of window slots.
+  };
+
   std::string name_;
   Shard shards_[kShards];
 };
@@ -118,23 +142,6 @@ class Gauge {
   std::atomic<uint64_t> bits_{0};  // 0 bits == 0.0.
 };
 
-struct HistogramOptions {
-  /// Ascending fixed bucket upper bounds; an implicit +inf overflow bucket
-  /// is appended. Empty selects the default 1-2-5 log series spanning
-  /// 1e-9 .. 1e9 (fits nanosecond-to-second latencies and typical scalar
-  /// statistics alike).
-  std::vector<double> bucket_bounds;
-  /// Per-shard streaming-quantile reservoir size. Quantiles are *exact*
-  /// while every shard has seen at most this many samples; beyond that the
-  /// shard switches to uniform reservoir subsampling (deterministic
-  /// per-shard splitmix64 stream) and quantiles become estimates.
-  size_t reservoir_capacity = 4096;
-  /// Per-(shard, second) reservoir size for WindowedHistogram's ring cells.
-  /// Smaller than the lifetime reservoir because each cell covers at most
-  /// one second of observations.
-  size_t window_reservoir_capacity = 1024;
-};
-
 /// Aggregated view of one histogram at snapshot time.
 struct HistogramSnapshot {
   std::string name;
@@ -155,22 +162,20 @@ struct HistogramSnapshot {
 
 namespace internal {
 
-/// One fixed-bucket + reservoir accumulation cell — the state shared by
-/// Histogram (one per shard) and WindowedHistogram (one lifetime cell per
-/// shard plus one per ring slot). Callers synchronize via the owning
-/// shard's mutex; the cell itself is plain data. `buckets` is sized lazily
-/// on first Observe so idle window cells cost no memory.
+/// One fixed-bucket + reservoir accumulation cell: a histogram keeps one
+/// lifetime cell per shard plus one per ring slot. Callers synchronize via
+/// the owning shard's mutex; the cell itself is plain data. `buckets` is
+/// sized lazily on first Observe so idle window cells cost no memory.
 struct HistogramCell {
   int64_t count = 0;
   double sum = 0.0;
   double min = std::numeric_limits<double>::infinity();
   double max = -std::numeric_limits<double>::infinity();
-  std::vector<int64_t> buckets;  ///< bounds.size() + 1 once populated.
+  std::vector<int64_t> buckets;  ///< One per bucket bound, plus overflow.
   std::vector<double> reservoir;
   uint64_t rng = 0;  ///< splitmix64 state for reservoir replacement.
 
-  void Observe(double value, const std::vector<double>& bounds,
-               size_t reservoir_capacity);
+  void Observe(double value, size_t reservoir_capacity);
   /// Adds this cell into `snap` (bucket_counts must already be sized).
   void MergeInto(HistogramSnapshot* snap) const;
   void Reset();
@@ -178,89 +183,26 @@ struct HistogramCell {
 
 }  // namespace internal
 
-/// Fixed-bucket + streaming-quantile histogram. Observe() takes one
-/// uncontended per-shard mutex (threads own distinct shards up to kShards);
-/// Snapshot() merges the shards.
+/// Fixed-bucket + streaming-quantile histogram with a lifetime view and a
+/// trailing-window view. Buckets have inclusive upper bounds on the 1-2-5
+/// log series spanning 1e-9 .. 1e9 (fits nanosecond-to-second latencies
+/// and typical scalar statistics alike), plus an overflow bucket. Observe()
+/// takes one uncontended per-shard mutex (threads own distinct shards up
+/// to kShards) and updates the shard's lifetime cell and the current
+/// second's ring cell. Window quantiles are exact under the same condition
+/// as lifetime ones: no (shard, second) cell overflowed
+/// kWindowReservoirCapacity.
 class Histogram {
- public:
-  void Observe(double value);
-  HistogramSnapshot Snapshot() const;
-  void Reset();
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  Histogram(std::string name, const HistogramOptions& options);
-
-  struct Shard {
-    mutable std::mutex mu;
-    internal::HistogramCell cell;
-  };
-
-  std::string name_;
-  std::vector<double> bounds_;
-  size_t reservoir_capacity_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-// ---------------------------------------------------------------------------
-// Trailing-window metrics.
-
-/// Trailing-window length of every Windowed* metric, in seconds.
-constexpr int kDefaultWindowSeconds = 60;
-
-/// Counter that tracks a lifetime total plus a trailing-window total kept
-/// as a per-shard ring of one-second buckets merged on read. Add() stays
-/// lock-free: one relaxed fetch_add on the lifetime cell plus one on the
-/// current second's slot. Slots recycle by epoch exchange; because shard
-/// indices are sticky per thread, two threads race a recycle only past
-/// kShards concurrent writers, and even then only increments landing in
-/// the same instant a 60s-stale slot turns over can be misattributed — the
-/// lifetime total is always exact.
-class WindowedCounter {
- public:
-  void Add(int64_t delta = 1);
-  int64_t Value() const;        ///< Lifetime total (exact).
-  int64_t WindowValue() const;  ///< Total over the trailing window.
-  void Reset();
-  int window_seconds() const { return kDefaultWindowSeconds; }
-  const std::string& name() const { return name_; }
-
- private:
-  friend class MetricsRegistry;
-  explicit WindowedCounter(std::string name);
-
-  struct Slot {
-    std::atomic<int64_t> epoch{-1};  ///< Second this slot currently holds.
-    std::atomic<int64_t> value{0};
-  };
-  struct alignas(64) Shard {
-    std::atomic<int64_t> lifetime{0};
-    std::unique_ptr<Slot[]> slots;  ///< One ring of window slots.
-  };
-
-  std::string name_;
-  Shard shards_[kShards];
-};
-
-/// Histogram that additionally maintains a trailing-window view as a
-/// per-shard ring of one-second cells. Observe() takes the same single
-/// uncontended per-shard mutex as Histogram (one extra cell update under
-/// the lock); WindowSnapshot() merges the in-window cells of every shard.
-/// Window quantiles are exact under the same condition as lifetime ones:
-/// no (shard, second) cell overflowed window_reservoir_capacity.
-class WindowedHistogram {
  public:
   void Observe(double value);
   HistogramSnapshot Snapshot() const;        ///< Lifetime view.
   HistogramSnapshot WindowSnapshot() const;  ///< Trailing-window view.
   void Reset();
-  int window_seconds() const { return kDefaultWindowSeconds; }
   const std::string& name() const { return name_; }
 
  private:
   friend class MetricsRegistry;
-  WindowedHistogram(std::string name, const HistogramOptions& options);
+  explicit Histogram(std::string name);
 
   struct Slot {
     int64_t epoch = -1;  ///< Second this slot currently holds.
@@ -272,37 +214,31 @@ class WindowedHistogram {
     std::vector<Slot> slots;  ///< One ring of window slots.
   };
 
+  /// Merges every shard's lifetime cell, or (window) every in-window ring
+  /// cell, into one snapshot with sorted samples.
+  HistogramSnapshot Merge(bool window) const;
+
   std::string name_;
-  std::vector<double> bounds_;
-  size_t reservoir_capacity_;
-  size_t window_reservoir_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 /// Point-in-time aggregate of every registered metric, ordered by name.
+/// Counters and histograms carry both views; the window covers the
+/// trailing kDefaultWindowSeconds.
 struct MetricsSnapshot {
-  struct WindowedCounterSnapshot {
+  struct CounterViews {
     std::string name;
-    int window_seconds = 0;
     int64_t lifetime = 0;
     int64_t window = 0;
   };
-  struct WindowedHistogramSnapshot {
-    int window_seconds = 0;
+  struct HistogramViews {
     HistogramSnapshot lifetime;  ///< .name carries the metric name.
     HistogramSnapshot window;
   };
 
-  std::vector<std::pair<std::string, int64_t>> counters;
+  std::vector<CounterViews> counters;
   std::vector<std::pair<std::string, double>> gauges;
-  std::vector<HistogramSnapshot> histograms;
-  std::vector<WindowedCounterSnapshot> windowed_counters;
-  std::vector<WindowedHistogramSnapshot> windowed_histograms;
-
-  /// Writes "counters"/"gauges"/"histograms" (windowed lifetimes folded
-  /// into those) plus a "windows" member with the trailing-window views
-  /// into the writer's currently open JSON object.
-  void WriteJson(JsonWriter* writer) const;
+  std::vector<HistogramViews> histograms;
 };
 
 /// Process-wide, thread-safe metric registry. Get* registers on first use
@@ -316,11 +252,7 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  Histogram* GetHistogram(const std::string& name,
-                          const HistogramOptions& options = {});
-  WindowedCounter* GetWindowedCounter(const std::string& name);
-  WindowedHistogram* GetWindowedHistogram(
-      const std::string& name, const HistogramOptions& options = {});
+  Histogram* GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
 
@@ -331,13 +263,17 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
+  /// The metric registered under `name`, created on first use. Caller
+  /// holds mu_.
+  template <typename T>
+  static T* FindOrInsert(std::vector<std::unique_ptr<T>>* items,
+                         const std::string& name);
+
   mutable std::mutex mu_;
   // Deterministically ordered so snapshots/exports are stable.
   std::vector<std::unique_ptr<Counter>> counters_;
   std::vector<std::unique_ptr<Gauge>> gauges_;
   std::vector<std::unique_ptr<Histogram>> histograms_;
-  std::vector<std::unique_ptr<WindowedCounter>> windowed_counters_;
-  std::vector<std::unique_ptr<WindowedHistogram>> windowed_histograms_;
 };
 
 /// Shorthands for the global registry.
@@ -347,16 +283,8 @@ inline Counter* GetCounter(const std::string& name) {
 inline Gauge* GetGauge(const std::string& name) {
   return MetricsRegistry::Global().GetGauge(name);
 }
-inline Histogram* GetHistogram(const std::string& name,
-                               const HistogramOptions& options = {}) {
-  return MetricsRegistry::Global().GetHistogram(name, options);
-}
-inline WindowedCounter* GetWindowedCounter(const std::string& name) {
-  return MetricsRegistry::Global().GetWindowedCounter(name);
-}
-inline WindowedHistogram* GetWindowedHistogram(
-    const std::string& name, const HistogramOptions& options = {}) {
-  return MetricsRegistry::Global().GetWindowedHistogram(name, options);
+inline Histogram* GetHistogram(const std::string& name) {
+  return MetricsRegistry::Global().GetHistogram(name);
 }
 
 // ---------------------------------------------------------------------------
@@ -521,8 +449,10 @@ class ScopedTrace {
 constexpr int kTelemetryVersion = 1;
 
 /// Writes a versioned snapshot object — {"telemetry_version": 1, counters,
-/// gauges, histograms, spans} — as the *value* following an open Key().
-/// Used by the benches to embed telemetry into their BENCH_*.json files.
+/// gauges, histograms, windows, spans} — as the *value* following an open
+/// Key(). "counters" and "histograms" hold the lifetime views; "windows"
+/// holds the trailing-window view of every counter and histogram under the
+/// same name. bench_table9_traffic embeds it in BENCH_traffic.json.
 void WriteSnapshotJson(JsonWriter* writer);
 
 /// Complete telemetry report: the snapshot above plus the Chrome
@@ -535,23 +465,17 @@ std::string ReportJson(const std::string& kind);
 bool WriteReport(const std::string& kind, const std::string& path);
 
 /// Prometheus text exposition (format version 0.0.4) of every registered
-/// metric: counters (and windowed-counter lifetimes) as `counter`, gauges
-/// as `gauge`, histograms (and windowed-histogram lifetimes) as
-/// `histogram` with cumulative `le` buckets plus `_sum`/`_count`.
-/// Trailing-window views export as gauges with a `_last<window>s` suffix
-/// (`..._last60s` for counters; `..._last60s_count/_sum/_p50/_p99` for
-/// histograms). Metric names are prefixed `ssin_` and sanitized — every
-/// byte outside [a-zA-Z0-9_:] becomes '_'.
+/// metric: counter lifetimes as `counter`, gauges as `gauge`, histogram
+/// lifetimes as `histogram` with cumulative `le` buckets plus
+/// `_sum`/`_count`. Trailing-window views export as gauges with a
+/// `_last60s` suffix (`..._last60s` for counters;
+/// `..._last60s_count/_sum/_p50/_p99` for histograms). Metric names are
+/// prefixed `ssin_` and sanitized — every byte outside [a-zA-Z0-9_:]
+/// becomes '_'.
 std::string PrometheusText();
 
 /// Writes PrometheusText() to `path`. Returns false on IO failure.
 bool WritePrometheusText(const std::string& path);
-
-/// Human-readable hierarchical time breakdown of the retained spans:
-/// children nested under the spans that contained them (by timestamp),
-/// aggregated across threads, siblings ordered by total time, with
-/// per-node count / total / share-of-parent.
-std::string HierarchyText();
 
 /// Resets the global registry and clears the trace recorder — the benches
 /// and RunEvaluation call this between the train and serve phases so each

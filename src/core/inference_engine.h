@@ -97,8 +97,10 @@ Tensor RelposRowsForPlan(const SpatialContext& context,
 class LayoutCache {
  public:
   /// `capacity`: maximum retained layouts. Insertion past capacity evicts
-  /// the whole cache first — serving workloads cycle through a handful of
-  /// outage patterns, so anything smarter than "bounded" is unwarranted.
+  /// the whole cache first, hot entries included. A skewed pool larger
+  /// than the capacity (perfbench's nat1k_churn: a Zipf pool 4x the cache)
+  /// therefore loses its head on every fill; ROADMAP.md item 3 plans LRU
+  /// eviction.
   explicit LayoutCache(size_t capacity = 64) : capacity_(capacity) {}
 
   /// Returns the cached layout for the key, or nullptr (counts a hit or a

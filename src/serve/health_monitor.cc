@@ -55,6 +55,8 @@ std::string ServerStatus::Json() const {
   w.Int(window_accepted);
   w.Key("window_rejected");
   w.Int(window_rejected);
+  w.Key("window_queue_full");
+  w.Int(window_queue_full);
   w.Key("shed_ratio");
   w.Number(shed_ratio);
   w.Key("worst_window_p99_us");
@@ -127,12 +129,15 @@ ServerStatus HealthMonitor::Sample() const {
                           ? status.queue_depth / status.queue_capacity
                           : 0.0;
 
+  // Only admission-control rejections count as shed load: a client error
+  // says nothing about capacity.
   status.window_accepted = server_->accepted_window();
   status.window_rejected = server_->rejected_window();
-  const int64_t offered = status.window_accepted + status.window_rejected;
+  status.window_queue_full = server_->queue_full_window();
+  const int64_t offered = status.window_accepted + status.window_queue_full;
   status.shed_ratio =
       offered > 0
-          ? static_cast<double>(status.window_rejected) / offered
+          ? static_cast<double>(status.window_queue_full) / offered
           : 0.0;
 
   for (const std::string& name : server_->registry().Names()) {

@@ -21,8 +21,10 @@ namespace serve {
 enum class HealthState {
   kHealthy = 0,   ///< Every signal under its threshold.
   kDegraded = 1,  ///< Some model's window p99 exceeds the SLO target.
-  kShedding = 2,  ///< Admission control is rejecting load, or the queue is
-                  ///< saturated and about to.
+  kShedding = 2,  ///< Admission control is rejecting load (queue full), or
+                  ///< the queue is saturated and about to. Client errors
+                  ///< (unknown model, invalid request) and shutdown
+                  ///< rejections never shed.
 };
 
 const char* HealthStateName(HealthState state);
@@ -36,7 +38,8 @@ struct HealthThresholds {
   double slo_p99_us = 100000.0;
   /// Shedding when queue depth / queue capacity reaches this fraction.
   double queue_saturation = 0.9;
-  /// Shedding when window rejected / (accepted + rejected) exceeds this.
+  /// Shedding when window queue_full / (accepted + queue_full) exceeds
+  /// this.
   double shed_ratio = 0.01;
   /// Don't judge a model's SLO on fewer window requests than this (early
   /// samples of a burst would otherwise flap the state).
@@ -53,8 +56,10 @@ struct ServerStatus {
   double queue_fill = 0.0;  ///< depth / capacity.
 
   int64_t window_accepted = 0;
-  int64_t window_rejected = 0;
-  double shed_ratio = 0.0;  ///< rejected / (accepted + rejected), window.
+  int64_t window_rejected = 0;    ///< Every rejection reason.
+  int64_t window_queue_full = 0;  ///< Admission-control rejections only.
+  /// queue_full / (accepted + queue_full), window.
+  double shed_ratio = 0.0;
 
   struct ModelHealth {
     std::string model;

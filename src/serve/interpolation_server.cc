@@ -13,33 +13,50 @@ namespace serve {
 
 namespace {
 
-telemetry::WindowedCounter* RequestsCounter() {
-  static telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("serve.requests_total");
+telemetry::Counter* RequestsCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.requests_total");
   return counter;
 }
 
-telemetry::WindowedCounter* RejectedCounter() {
-  static telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("serve.rejected_total");
+telemetry::Counter* RejectedCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.rejected_total");
   return counter;
 }
 
-telemetry::WindowedCounter* BatchesCounter() {
-  static telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("serve.batches_total");
+/// `serve.rejected_total.<reason>` for one rejection status. The four
+/// reasons register together, so each exports (at zero) from the first
+/// rejection on.
+telemetry::Counter* RejectedReasonCounter(SubmitStatus reason) {
+  static const std::map<SubmitStatus, telemetry::Counter*> counters = [] {
+    std::map<SubmitStatus, telemetry::Counter*> by_reason;
+    for (SubmitStatus status :
+         {SubmitStatus::kQueueFull, SubmitStatus::kUnknownModel,
+          SubmitStatus::kInvalidRequest, SubmitStatus::kShutdown}) {
+      by_reason[status] = telemetry::GetCounter(
+          std::string("serve.rejected_total.") + SubmitStatusName(status));
+    }
+    return by_reason;
+  }();
+  return counters.at(reason);
+}
+
+telemetry::Counter* BatchesCounter() {
+  static telemetry::Counter* counter =
+      telemetry::GetCounter("serve.batches_total");
   return counter;
 }
 
-telemetry::WindowedHistogram* BatchSizeHistogram() {
-  static telemetry::WindowedHistogram* histogram =
-      telemetry::GetWindowedHistogram("serve.batch_size");
+telemetry::Histogram* BatchSizeHistogram() {
+  static telemetry::Histogram* histogram =
+      telemetry::GetHistogram("serve.batch_size");
   return histogram;
 }
 
-telemetry::WindowedHistogram* QueueWaitHistogram() {
-  static telemetry::WindowedHistogram* histogram =
-      telemetry::GetWindowedHistogram("serve.queue_wait_us");
+telemetry::Histogram* QueueWaitHistogram() {
+  static telemetry::Histogram* histogram =
+      telemetry::GetHistogram("serve.queue_wait_us");
   return histogram;
 }
 
@@ -81,6 +98,10 @@ const char* SubmitStatusName(SubmitStatus status) {
 
 InterpolationServer::InterpolationServer(const ServerConfig& config)
     : config_(config), queue_(config.queue_capacity) {
+  // A zero cap would make every wave empty: the batcher would spin on the
+  // queue without ever releasing it.
+  SSIN_CHECK(config.max_batch_size > 0)
+      << "ServerConfig::max_batch_size must be positive";
   paused_ = config.start_paused;
   batcher_ = std::thread([this] { BatcherLoop(); });
 }
@@ -89,6 +110,7 @@ InterpolationServer::~InterpolationServer() { Shutdown(); }
 
 SubmitStatus InterpolationServer::Reject(SubmitStatus status) {
   RejectedCounter()->Add(1);
+  RejectedReasonCounter(status)->Add(1);
   rejected_.fetch_add(1, std::memory_order_relaxed);
   return status;
 }
@@ -237,21 +259,21 @@ void InterpolationServer::DispatchGroup(
   batches_.fetch_add(1, std::memory_order_relaxed);
   BatchesCounter()->Add(1);
   BatchSizeHistogram()->Observe(static_cast<double>(group.size()));
-  telemetry::WindowedHistogram* latency = LatencyHistogramFor(head.model);
+  telemetry::Histogram* latency = LatencyHistogramFor(head.model);
   const int64_t done_ns = telemetry::NowNs();
   for (const QueuedRequest* item : group) {
     latency->Observe(static_cast<double>(done_ns - item->enqueue_ns) / 1e3);
   }
 }
 
-telemetry::WindowedHistogram* InterpolationServer::LatencyHistogramFor(
+telemetry::Histogram* InterpolationServer::LatencyHistogramFor(
     const std::string& model) const {
   std::lock_guard<std::mutex> lock(slo_mu_);
   auto it = slo_histograms_.find(model);
   if (it == slo_histograms_.end()) {
     it = slo_histograms_
-             .emplace(model, telemetry::GetWindowedHistogram(
-                                 "serve.request_us." + model))
+             .emplace(model,
+                      telemetry::GetHistogram("serve.request_us." + model))
              .first;
   }
   return it->second;
@@ -259,7 +281,7 @@ telemetry::WindowedHistogram* InterpolationServer::LatencyHistogramFor(
 
 InterpolationServer::ModelSlo InterpolationServer::Slo(
     const std::string& model) const {
-  telemetry::WindowedHistogram* histogram = LatencyHistogramFor(model);
+  telemetry::Histogram* histogram = LatencyHistogramFor(model);
   const telemetry::HistogramSnapshot snapshot = histogram->Snapshot();
   const telemetry::HistogramSnapshot window = histogram->WindowSnapshot();
   ModelSlo slo;
@@ -269,7 +291,7 @@ InterpolationServer::ModelSlo InterpolationServer::Slo(
     slo.p99_us = snapshot.Quantile(0.99);
     slo.max_us = snapshot.max;
   }
-  slo.window_seconds = histogram->window_seconds();
+  slo.window_seconds = telemetry::kDefaultWindowSeconds;
   slo.window_requests = window.count;
   if (window.count > 0) {
     slo.window_p50_us = window.Quantile(0.5);
@@ -290,6 +312,10 @@ int64_t InterpolationServer::accepted_window() const {
 
 int64_t InterpolationServer::rejected_window() const {
   return RejectedCounter()->WindowValue();
+}
+
+int64_t InterpolationServer::queue_full_window() const {
+  return RejectedReasonCounter(SubmitStatus::kQueueFull)->WindowValue();
 }
 
 }  // namespace serve

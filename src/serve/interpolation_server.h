@@ -23,7 +23,8 @@ struct ServerConfig {
   /// Bounded request queue capacity; a full queue *rejects* new requests
   /// (admission control) — it never blocks the submitter.
   size_t queue_capacity = 1024;
-  /// Largest micro-batch handed to one InterpolateBatch dispatch.
+  /// Largest micro-batch handed to one InterpolateBatch dispatch. Must be
+  /// positive (the constructor refuses 0).
   size_t max_batch_size = 64;
   /// After the first request of a wave arrives, how long the batcher
   /// lingers for the wave to fill before dispatching (0 = dispatch
@@ -67,16 +68,16 @@ const char* SubmitStatusName(SubmitStatus status);
 /// arithmetic.
 ///
 /// Metrics: `serve.queue_depth` (gauge) with `serve.queue_depth_samples`
-/// (windowed histogram of depth at each push/pop), `serve.batch_size`
-/// (windowed histogram of dispatched group sizes), `serve.rejected_total` /
-/// `serve.requests_total` / `serve.batches_total` (windowed counters),
-/// `serve.hot_swaps_total` (registry), `serve.queue_wait_us` (windowed
-/// histogram, enqueue → wave pop), and a per-model end-to-end latency
-/// windowed histogram `serve.request_us.<model>` (enqueue → promise
-/// fulfilled) behind Slo(), which reports both the lifetime and the
-/// last-60s view. These are plain statistics in the sense of
-/// src/common/telemetry.h: they record regardless of the global telemetry
-/// flag.
+/// (histogram of depth at each push/pop), `serve.batch_size` (histogram of
+/// dispatched group sizes), `serve.requests_total` / `serve.batches_total`
+/// / `serve.rejected_total` (counters; every rejection also counts in
+/// `serve.rejected_total.<reason>`, reason = SubmitStatusName),
+/// `serve.hot_swaps_total` (registry), `serve.queue_wait_us` (histogram,
+/// enqueue → wave pop), and a per-model end-to-end latency histogram
+/// `serve.request_us.<model>` (enqueue → promise fulfilled) behind Slo().
+/// Every counter and histogram carries a lifetime and a last-60s view.
+/// These are plain statistics in the sense of src/common/telemetry.h: they
+/// record regardless of the global telemetry flag.
 ///
 /// Tracing: when telemetry is enabled, Submit assigns each request a trace
 /// id; the `serve.submit`, `serve.queue_wait`, `serve.dispatch`,
@@ -155,11 +156,15 @@ class InterpolationServer {
   /// Accepted/rejected totals over the trailing metrics window.
   int64_t accepted_window() const;
   int64_t rejected_window() const;
+  /// Rejections by admission control (kQueueFull) over the trailing
+  /// metrics window; the rest of rejected_window() are client errors and
+  /// shutdown.
+  int64_t queue_full_window() const;
   size_t queue_depth() const { return queue_.size(); }
 
  private:
-  /// Counts one rejection in rejected_total() and `serve.rejected_total`,
-  /// whatever its reason, and returns `status`.
+  /// Counts one rejection in rejected_total(), `serve.rejected_total` and
+  /// `serve.rejected_total.<reason>`, and returns `status`.
   SubmitStatus Reject(SubmitStatus status);
   void BatcherLoop();
   /// Blocks while paused; returns false when shutdown was requested and
@@ -167,8 +172,7 @@ class InterpolationServer {
   bool WaitWhilePaused();
   /// One micro-batch: every request in `group` shares (model, layout).
   void DispatchGroup(const std::vector<QueuedRequest*>& group);
-  telemetry::WindowedHistogram* LatencyHistogramFor(
-      const std::string& model) const;
+  telemetry::Histogram* LatencyHistogramFor(const std::string& model) const;
 
   const ServerConfig config_;
   ModelRegistry registry_;
@@ -180,8 +184,7 @@ class InterpolationServer {
 
   /// Per-model latency histogram pointers (stable; registry-owned).
   mutable std::mutex slo_mu_;
-  mutable std::map<std::string, telemetry::WindowedHistogram*>
-      slo_histograms_;
+  mutable std::map<std::string, telemetry::Histogram*> slo_histograms_;
 
   std::mutex pause_mu_;
   std::condition_variable pause_cv_;

@@ -16,11 +16,11 @@ telemetry::Gauge* QueueDepthGauge() {
 }
 
 /// Depth observed at every push/pop: the gauge above is the instantaneous
-/// value, this windowed histogram gives the last-60s depth distribution
-/// (max/p99 saturation for the health monitor).
-telemetry::WindowedHistogram* QueueDepthSamples() {
-  static telemetry::WindowedHistogram* histogram =
-      telemetry::GetWindowedHistogram("serve.queue_depth_samples");
+/// value, this histogram gives the depth distribution over the lifetime
+/// and the last 60s.
+telemetry::Histogram* QueueDepthSamples() {
+  static telemetry::Histogram* histogram =
+      telemetry::GetHistogram("serve.queue_depth_samples");
   return histogram;
 }
 

@@ -528,14 +528,28 @@ TEST(InterpolationServerTest, ShutdownDrainsAcceptedThenRejects) {
   for (int t = 0; t < 4; ++t) {
     ExpectExactly(futures[t].get(), f.expected_a[t], "drained request");
   }
-  // A late submit is rejected and counted like every other rejection.
-  telemetry::WindowedCounter* rejected =
-      telemetry::GetWindowedCounter("serve.rejected_total");
+  // A late submit is rejected and counted like every other rejection,
+  // and under its reason.
+  telemetry::Counter* rejected =
+      telemetry::GetCounter("serve.rejected_total");
+  telemetry::Counter* shutdown =
+      telemetry::GetCounter("serve.rejected_total.shutdown");
   const int64_t rejected_before = rejected->Value();
+  const int64_t shutdown_before = shutdown->Value();
   std::future<std::vector<double>> late;
   EXPECT_EQ(server.Submit(f.RequestFor(0), &late), SubmitStatus::kShutdown);
   EXPECT_EQ(server.rejected_total(), 1);
   EXPECT_EQ(rejected->Value(), rejected_before + 1);
+  EXPECT_EQ(shutdown->Value(), shutdown_before + 1);
+}
+
+TEST(InterpolationServerDeathTest, ZeroMaxBatchSizeRefused) {
+  // A zero batch cap would leave the batcher spinning on the queue mutex
+  // forever; the constructor refuses it and names the field.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ServerConfig config;
+  config.max_batch_size = 0;
+  EXPECT_DEATH({ InterpolationServer server(config); }, "max_batch_size");
 }
 
 TEST(InterpolationServerTest, InterpolateReturnsRejectionWithoutAborting) {
@@ -832,6 +846,8 @@ TEST(HealthMonitorTest, SheddingWhenQueueSaturatesThenRecovers) {
   EXPECT_EQ(overloaded.state, HealthState::kShedding);
   EXPECT_EQ(overloaded.queue_fill, 1.0);
   EXPECT_EQ(overloaded.window_rejected, 1);
+  EXPECT_EQ(overloaded.window_queue_full, 1);
+  EXPECT_DOUBLE_EQ(overloaded.shed_ratio, 1.0 / 5.0);  // 1 of 4 + 1 offered.
   EXPECT_EQ(telemetry::GetGauge("serve.health_state")->Value(), 2.0);
   // The structured status renders as JSON for ops endpoints.
   const std::string json = overloaded.Json();
@@ -845,6 +861,53 @@ TEST(HealthMonitorTest, SheddingWhenQueueSaturatesThenRecovers) {
   EXPECT_EQ(monitor.transitions(), 2);
   EXPECT_EQ(telemetry::GetCounter("serve.health_transitions_total")->Value(),
             2);
+}
+
+TEST(HealthMonitorTest, ClientErrorsDoNotShed) {
+  ServeFixture& f = Fixture();
+  telemetry::MetricsRegistry::Global().Reset();
+  InterpolationServer server;
+  auto [active, standby] = f.MakeBuffers();
+  server.registry().Register("hk-client", std::move(active),
+                             std::move(standby));
+  for (int t = 0; t < 20; ++t) {
+    InterpolateAccepted(
+        &server, f.RequestFor(t % f.data.num_timestamps(), "hk-client"));
+  }
+  Request out_of_range = f.RequestFor(0, "hk-client");
+  out_of_range.query_ids.push_back(f.data.num_stations() + 7);
+  std::future<std::vector<double>> future;
+  ASSERT_EQ(server.Submit(std::move(out_of_range), &future),
+            SubmitStatus::kInvalidRequest);
+  ASSERT_EQ(server.Submit(f.RequestFor(0, "no-such-model"), &future),
+            SubmitStatus::kUnknownModel);
+
+  // Bad requests are the client's fault, not a capacity signal: with an
+  // empty queue and no queue-full rejection the server stays healthy. The
+  // SLO threshold is out of reach so only the shedding signals count.
+  HealthMonitor::Options options;
+  options.thresholds.slo_p99_us = 1e9;
+  HealthMonitor monitor(&server, options);
+  const ServerStatus status = monitor.Evaluate();
+  EXPECT_EQ(status.state, HealthState::kHealthy);
+  EXPECT_EQ(status.window_accepted, 20);
+  EXPECT_EQ(status.window_rejected, 2);
+  EXPECT_EQ(status.window_queue_full, 0);
+  EXPECT_EQ(status.shed_ratio, 0.0);
+  EXPECT_NE(status.Json().find("\"window_queue_full\":0"), std::string::npos);
+
+  // Each rejection is also counted under its reason, in both views.
+  const std::map<std::string, int64_t> expected = {{"queue_full", 0},
+                                                   {"unknown_model", 1},
+                                                   {"invalid_request", 1},
+                                                   {"shutdown", 0}};
+  for (const auto& [reason, count] : expected) {
+    telemetry::Counter* counter =
+        telemetry::GetCounter("serve.rejected_total." + reason);
+    EXPECT_EQ(counter->Value(), count) << reason;
+    EXPECT_EQ(counter->WindowValue(), count) << reason;
+  }
+  EXPECT_EQ(telemetry::GetCounter("serve.rejected_total")->Value(), 2);
 }
 
 TEST(HealthMonitorTest, BackgroundSamplerKeepsLastStatusFresh) {

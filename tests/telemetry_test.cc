@@ -1,9 +1,10 @@
 /// Tests of the telemetry layer (common/telemetry.h): metric correctness
-/// (counters, gauges, exact streaming quantiles against a sorted
-/// reference), multi-thread shard aggregation under the ThreadPool, span
-/// nesting exported as well-formed Chrome trace_event JSON, report
-/// writing, and the pin that enabling telemetry changes no training
-/// result (the instrumentation is read-only).
+/// (counters and histograms in both their lifetime and last-60s views,
+/// gauges, exact streaming quantiles against a sorted reference),
+/// multi-thread shard aggregation under the ThreadPool, span nesting
+/// exported as well-formed Chrome trace_event JSON, report and Prometheus
+/// export, and the pin that enabling telemetry changes no training result
+/// (the instrumentation is read-only).
 
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "common/thread_pool.h"
 #include "core/ssin_interpolator.h"
 #include "data/rainfall_generator.h"
+#include "serve/interpolation_server.h"
 
 namespace ssin {
 namespace {
@@ -183,16 +186,20 @@ class TelemetryTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // Metrics.
 
-TEST_F(TelemetryTest, CounterAddsAndResets) {
+TEST_F(TelemetryTest, CounterTracksLifetimeAndWindowAndResets) {
   telemetry::Counter* counter = GetCounter("test.counter");
   EXPECT_EQ(counter->Value(), 0);
+  EXPECT_EQ(counter->WindowValue(), 0);
   counter->Add();
   counter->Add(41);
   EXPECT_EQ(counter->Value(), 42);
+  // Every add landed inside the trailing window, so both views agree.
+  EXPECT_EQ(counter->WindowValue(), 42);
   // Same name -> same counter.
   EXPECT_EQ(GetCounter("test.counter"), counter);
   telemetry::MetricsRegistry::Global().Reset();
   EXPECT_EQ(counter->Value(), 0);
+  EXPECT_EQ(counter->WindowValue(), 0);
 }
 
 TEST_F(TelemetryTest, CounterRecordsEvenWhenRuntimeDisabled) {
@@ -213,23 +220,40 @@ TEST_F(TelemetryTest, GaugeLastWriteWins) {
 }
 
 TEST_F(TelemetryTest, HistogramCountsSumAndBuckets) {
-  telemetry::HistogramOptions options;
-  options.bucket_bounds = {1.0, 10.0, 100.0};
-  telemetry::Histogram* histogram =
-      GetHistogram("test.histogram_buckets", options);
-  for (double v : {0.5, 1.0, 5.0, 50.0, 500.0, 5000.0}) {
-    histogram->Observe(v);
-  }
+  telemetry::Histogram* histogram = GetHistogram("test.histogram_buckets");
+  for (double v : {0.5, 0.7, 1.0, 5.0, 50.0, 1e10}) histogram->Observe(v);
   const HistogramSnapshot snap = histogram->Snapshot();
   EXPECT_EQ(snap.count, 6);
-  EXPECT_NEAR(snap.sum, 5556.5, 1e-9);
+  EXPECT_DOUBLE_EQ(snap.sum, 57.2 + 1e10);
   EXPECT_EQ(snap.min, 0.5);
-  EXPECT_EQ(snap.max, 5000.0);
-  ASSERT_EQ(snap.bucket_counts.size(), 4u);  // 3 bounds + overflow.
-  EXPECT_EQ(snap.bucket_counts[0], 2);       // 0.5, 1.0 (<= 1).
-  EXPECT_EQ(snap.bucket_counts[1], 1);       // 5.0.
-  EXPECT_EQ(snap.bucket_counts[2], 1);       // 50.0.
-  EXPECT_EQ(snap.bucket_counts[3], 2);       // 500, 5000 (overflow).
+  EXPECT_EQ(snap.max, 1e10);
+  // The 1-2-5 series over the decades 1e-9 .. 1e9: 57 strictly ascending
+  // upper bounds plus the overflow bucket.
+  ASSERT_EQ(snap.bucket_bounds.size(), 57u);
+  ASSERT_EQ(snap.bucket_counts.size(), 58u);
+  EXPECT_DOUBLE_EQ(snap.bucket_bounds.front(), 1e-9);
+  EXPECT_DOUBLE_EQ(snap.bucket_bounds.back(), 5e9);
+  for (size_t b = 1; b < snap.bucket_bounds.size(); ++b) {
+    EXPECT_LT(snap.bucket_bounds[b - 1], snap.bucket_bounds[b]);
+  }
+  auto count_at = [&snap](double bound) -> int64_t {
+    for (size_t b = 0; b < snap.bucket_bounds.size(); ++b) {
+      if (std::abs(snap.bucket_bounds[b] - bound) <= 1e-12 * bound) {
+        return snap.bucket_counts[b];
+      }
+    }
+    ADD_FAILURE() << "no bucket bound " << bound;
+    return -1;
+  };
+  // Upper bounds are inclusive: 0.5 lands in "le 0.5", 1.0 in "le 1".
+  EXPECT_EQ(count_at(0.5), 1);
+  EXPECT_EQ(count_at(1.0), 2);  // 0.7, 1.0.
+  EXPECT_EQ(count_at(5.0), 1);
+  EXPECT_EQ(count_at(50.0), 1);
+  EXPECT_EQ(snap.bucket_counts.back(), 1);  // 1e10 overflows 5e9.
+  int64_t total = 0;
+  for (int64_t c : snap.bucket_counts) total += c;
+  EXPECT_EQ(total, 6);
 }
 
 TEST_F(TelemetryTest, QuantilesExactAgainstSortedReference) {
@@ -265,24 +289,39 @@ TEST_F(TelemetryTest, QuantilesExactAgainstSortedReference) {
 }
 
 TEST_F(TelemetryTest, ReservoirSubsamplingKeepsCountExact) {
-  telemetry::HistogramOptions options;
-  options.reservoir_capacity = 64;
-  telemetry::Histogram* histogram =
-      GetHistogram("test.histogram_overflow", options);
-  for (int i = 0; i < 10000; ++i) histogram->Observe(static_cast<double>(i));
-  const HistogramSnapshot snap = histogram->Snapshot();
-  EXPECT_EQ(snap.count, 10000);  // count/sum/min/max stay exact.
-  EXPECT_EQ(snap.min, 0.0);
-  EXPECT_EQ(snap.max, 9999.0);
-  EXPECT_LE(snap.samples.size(), 64u);  // One shard overflowed at 64.
-  // Quantiles remain plausible estimates of the uniform ramp.
-  EXPECT_GE(snap.Quantile(0.5), 0.0);
-  EXPECT_LE(snap.Quantile(0.5), 9999.0);
+  // One thread writes one shard, past both reservoir constants: the
+  // lifetime reservoir holds exactly kReservoirCapacity samples, and each
+  // one-second window cell at most kWindowReservoirCapacity.
+  telemetry::Histogram* histogram = GetHistogram("test.histogram_overflow");
+  constexpr int kObservations =
+      3 * static_cast<int>(telemetry::kReservoirCapacity);
+  const int64_t first_second = telemetry::NowNs() / 1000000000;
+  for (int i = 0; i < kObservations; ++i) {
+    histogram->Observe(static_cast<double>(i));
+  }
+  const int64_t seconds = telemetry::NowNs() / 1000000000 - first_second + 1;
+  for (const HistogramSnapshot& snap :
+       {histogram->Snapshot(), histogram->WindowSnapshot()}) {
+    EXPECT_EQ(snap.count, kObservations);  // count/sum/min/max stay exact.
+    EXPECT_EQ(snap.min, 0.0);
+    EXPECT_EQ(snap.max, kObservations - 1.0);
+    // Quantiles remain plausible estimates of the uniform ramp.
+    EXPECT_GE(snap.Quantile(0.5), 0.0);
+    EXPECT_LE(snap.Quantile(0.5), kObservations - 1.0);
+  }
+  EXPECT_EQ(histogram->Snapshot().samples.size(),
+            telemetry::kReservoirCapacity);
+  const size_t window_samples = histogram->WindowSnapshot().samples.size();
+  EXPECT_LE(window_samples,
+            static_cast<size_t>(seconds) * telemetry::kWindowReservoirCapacity);
+  EXPECT_LT(window_samples, static_cast<size_t>(kObservations));
 }
 
 TEST_F(TelemetryTest, ShardAggregationUnderThreadPool) {
-  // Hammer one counter and one histogram from a pool; per-thread shards
-  // must aggregate without losing a single event. Run under TSan via
+  // Four pool threads hammer one counter, histogram and gauge; per-thread
+  // shards must aggregate without losing a single event, in the lifetime
+  // and the window view alike (the whole burst fits inside the window and
+  // no ring slot can recycle in milliseconds). Run under TSan via
   // scripts/run_tsan.sh.
   telemetry::Counter* counter = GetCounter("test.mt_counter");
   telemetry::Histogram* histogram = GetHistogram("test.mt_histogram");
@@ -295,10 +334,13 @@ TEST_F(TelemetryTest, ShardAggregationUnderThreadPool) {
     gauge->Set(static_cast<double>(slot));
   });
   EXPECT_EQ(counter->Value(), kItems);
-  const HistogramSnapshot snap = histogram->Snapshot();
-  EXPECT_EQ(snap.count, kItems);
-  EXPECT_EQ(snap.min, 0.0);
-  EXPECT_EQ(snap.max, 99.0);
+  EXPECT_EQ(counter->WindowValue(), kItems);
+  for (const HistogramSnapshot& snap :
+       {histogram->Snapshot(), histogram->WindowSnapshot()}) {
+    EXPECT_EQ(snap.count, kItems);
+    EXPECT_EQ(snap.min, 0.0);
+    EXPECT_EQ(snap.max, 99.0);
+  }
   EXPECT_GE(gauge->Value(), 0.0);
   EXPECT_LE(gauge->Value(), 3.0);
 }
@@ -311,7 +353,7 @@ TEST_F(TelemetryTest, SnapshotOrdersMetricsByName) {
       telemetry::MetricsRegistry::Global().Snapshot();
   ASSERT_GE(snap.counters.size(), 3u);
   for (size_t i = 1; i < snap.counters.size(); ++i) {
-    EXPECT_LT(snap.counters[i - 1].first, snap.counters[i].first);
+    EXPECT_LT(snap.counters[i - 1].name, snap.counters[i].name);
   }
 }
 
@@ -341,53 +383,38 @@ TEST_F(TelemetryTest, QuantileOfSingleSampleIsThatSample) {
 
 TEST_F(TelemetryTest, QuantileBeyondReservoirCapacityStaysMonotoneInRange) {
   // Once count outruns the reservoir the quantiles are estimates, but they
-  // must stay monotone in q and inside the observed [min, max] range.
-  telemetry::HistogramOptions options;
-  options.reservoir_capacity = 32;
-  telemetry::Histogram* histogram =
-      GetHistogram("test.overflow_quantile", options);
-  for (int i = 0; i < 5000; ++i) histogram->Observe(static_cast<double>(i));
-  const HistogramSnapshot snap = histogram->Snapshot();
-  EXPECT_EQ(snap.count, 5000);
-  ASSERT_GT(snap.samples.size(), 0u);
-  EXPECT_LE(snap.samples.size(), 32u);
-  double prev = snap.Quantile(0.0);
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
-    const double cur = snap.Quantile(q);
-    EXPECT_GE(cur, prev) << "q=" << q;
-    EXPECT_GE(cur, snap.min) << "q=" << q;
-    EXPECT_LE(cur, snap.max) << "q=" << q;
-    prev = cur;
+  // must stay monotone in q and inside the observed [min, max] range, in
+  // both views.
+  telemetry::Histogram* histogram = GetHistogram("test.overflow_quantile");
+  constexpr int kObservations =
+      2 * static_cast<int>(telemetry::kReservoirCapacity) + 1000;
+  for (int i = 0; i < kObservations; ++i) {
+    histogram->Observe(static_cast<double>(i));
+  }
+  for (const HistogramSnapshot& snap :
+       {histogram->Snapshot(), histogram->WindowSnapshot()}) {
+    EXPECT_EQ(snap.count, kObservations);
+    ASSERT_GT(snap.samples.size(), 0u);
+    EXPECT_LT(snap.samples.size(), static_cast<size_t>(kObservations));
+    double prev = snap.Quantile(0.0);
+    for (double q : {0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0}) {
+      const double cur = snap.Quantile(q);
+      EXPECT_GE(cur, prev) << "q=" << q;
+      EXPECT_GE(cur, snap.min) << "q=" << q;
+      EXPECT_LE(cur, snap.max) << "q=" << q;
+      prev = cur;
+    }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Windowed metrics.
+// Trailing-window views.
 
-TEST_F(TelemetryTest, WindowedCounterTracksLifetimeAndWindow) {
-  telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("test.windowed_counter");
-  EXPECT_EQ(counter->Value(), 0);
-  EXPECT_EQ(counter->WindowValue(), 0);
-  counter->Add(5);
-  counter->Add(7);
-  EXPECT_EQ(counter->Value(), 12);
-  // Every add landed inside the trailing window, so both views agree.
-  EXPECT_EQ(counter->WindowValue(), 12);
-  EXPECT_EQ(counter->window_seconds(), telemetry::kDefaultWindowSeconds);
-  // Same name -> same counter.
-  EXPECT_EQ(telemetry::GetWindowedCounter("test.windowed_counter"), counter);
-  telemetry::MetricsRegistry::Global().Reset();
-  EXPECT_EQ(counter->Value(), 0);
-  EXPECT_EQ(counter->WindowValue(), 0);
-}
-
-TEST_F(TelemetryTest, WindowedHistogramWindowMatchesLifetimeWhenRecent) {
+TEST_F(TelemetryTest, HistogramWindowMatchesLifetimeWhenRecent) {
   // A burst entirely inside the window retains identical sample sets in
   // both views (nothing overflowed either reservoir), so every statistic
   // — including the interpolated quantiles — is bit-equal.
-  telemetry::WindowedHistogram* histogram =
-      telemetry::GetWindowedHistogram("test.windowed_hist");
+  telemetry::Histogram* histogram = GetHistogram("test.windowed_hist");
   for (int i = 0; i < 500; ++i) {
     histogram->Observe(static_cast<double>((i * 37) % 500));
   }
@@ -405,51 +432,24 @@ TEST_F(TelemetryTest, WindowedHistogramWindowMatchesLifetimeWhenRecent) {
   }
 }
 
-TEST_F(TelemetryTest, WindowedMergeExactUnderConcurrentWriters) {
-  // Four pool threads hammer one windowed counter and histogram; the
-  // lifetime totals must be event-exact and — since the whole burst fits
-  // inside the window and no ring slot can recycle in milliseconds — the
-  // window totals must match them. Run under TSan via scripts/run_tsan.sh.
-  telemetry::WindowedCounter* counter =
-      telemetry::GetWindowedCounter("test.mt_windowed_counter");
-  telemetry::WindowedHistogram* histogram =
-      telemetry::GetWindowedHistogram("test.mt_windowed_hist");
-  constexpr int64_t kItems = 20000;
-  ThreadPool pool(4);
-  pool.ParallelFor(kItems, [&](int64_t i, int) {
-    counter->Add(1);
-    histogram->Observe(static_cast<double>(i % 100));
-  });
-  EXPECT_EQ(counter->Value(), kItems);
-  EXPECT_EQ(counter->WindowValue(), kItems);
-  const HistogramSnapshot lifetime = histogram->Snapshot();
-  const HistogramSnapshot window = histogram->WindowSnapshot();
-  EXPECT_EQ(lifetime.count, kItems);
-  EXPECT_EQ(window.count, kItems);
-  EXPECT_EQ(lifetime.min, 0.0);
-  EXPECT_EQ(lifetime.max, 99.0);
-  EXPECT_EQ(window.min, 0.0);
-  EXPECT_EQ(window.max, 99.0);
-}
-
-TEST_F(TelemetryTest, SnapshotAndReportCarryWindowedMetrics) {
-  telemetry::GetWindowedCounter("test.report_windowed")->Add(4);
-  telemetry::GetWindowedHistogram("test.report_whist")->Observe(1.5);
+TEST_F(TelemetryTest, SnapshotAndReportCarryBothViews) {
+  GetCounter("test.report_windowed")->Add(4);
+  GetHistogram("test.report_whist")->Observe(1.5);
   const telemetry::MetricsSnapshot snap =
       telemetry::MetricsRegistry::Global().Snapshot();
   bool counter_found = false, histogram_found = false;
-  for (const auto& wc : snap.windowed_counters) {
-    if (wc.name == "test.report_windowed") {
+  for (const auto& c : snap.counters) {
+    if (c.name == "test.report_windowed") {
       counter_found = true;
-      EXPECT_EQ(wc.lifetime, 4);
-      EXPECT_EQ(wc.window, 4);
+      EXPECT_EQ(c.lifetime, 4);
+      EXPECT_EQ(c.window, 4);
     }
   }
-  for (const auto& wh : snap.windowed_histograms) {
-    if (wh.lifetime.name == "test.report_whist") {
+  for (const auto& h : snap.histograms) {
+    if (h.lifetime.name == "test.report_whist") {
       histogram_found = true;
-      EXPECT_EQ(wh.lifetime.count, 1);
-      EXPECT_EQ(wh.window.count, 1);
+      EXPECT_EQ(h.lifetime.count, 1);
+      EXPECT_EQ(h.window.count, 1);
     }
   }
   EXPECT_TRUE(counter_found);
@@ -458,7 +458,7 @@ TEST_F(TelemetryTest, SnapshotAndReportCarryWindowedMetrics) {
   const std::string report = telemetry::ReportJson("serve");
   JsonChecker checker(report);
   EXPECT_TRUE(checker.Valid()) << report;
-  // Lifetimes fold into the regular metric objects; the trailing-window
+  // Lifetimes sit in the regular metric objects; the trailing-window
   // views live under "windows".
   EXPECT_NE(report.find("\"test.report_windowed\":4"), std::string::npos);
   EXPECT_NE(report.find("\"windows\""), std::string::npos);
@@ -509,24 +509,6 @@ TEST_F(TelemetryTest, SpansSilentWhenRuntimeDisabled) {
        telemetry::TraceRecorder::Global().Snapshot()) {
     EXPECT_TRUE(trace.events.empty());
   }
-}
-
-TEST_F(TelemetryTest, HierarchyTextAggregatesNestedSpans) {
-  if (!telemetry::CompiledIn()) GTEST_SKIP() << "telemetry compiled out";
-  telemetry::SetEnabled(true);
-  {
-    SSIN_TRACE_SPAN("phase_a");
-    {
-      SSIN_TRACE_SPAN("phase_a_child");
-    }
-  }
-  {
-    SSIN_TRACE_SPAN("phase_b");
-  }
-  const std::string text = telemetry::HierarchyText();
-  EXPECT_NE(text.find("phase_a"), std::string::npos);
-  EXPECT_NE(text.find("phase_a_child"), std::string::npos);
-  EXPECT_NE(text.find("phase_b"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -757,30 +739,24 @@ std::string CheckPrometheusText(const std::string& text) {
 TEST_F(TelemetryTest, PrometheusTextParsesAndCoversEveryMetricFamily) {
   GetCounter("test.prom_counter")->Add(3);
   GetGauge("test.prom/gauge")->Set(-2.5);  // '/' must sanitize to '_'.
-  telemetry::HistogramOptions options;
-  options.bucket_bounds = {1.0, 10.0};
-  GetHistogram("test.prom_hist", options)->Observe(5.0);
-  telemetry::GetWindowedCounter("test.prom_windowed")->Add(9);
-  telemetry::GetWindowedHistogram("test.prom_whist")->Observe(2.0);
+  GetHistogram("test.prom_hist")->Observe(5.0);
 
   const std::string text = telemetry::PrometheusText();
   EXPECT_EQ(CheckPrometheusText(text), "") << text;
-  EXPECT_NE(text.find("ssin_test_prom_counter 3"), std::string::npos);
   EXPECT_NE(text.find("ssin_test_prom_gauge "), std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_hist_bucket{le=\"10\"} 1"),
+  EXPECT_NE(text.find("ssin_test_prom_hist_bucket{le=\"5\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("ssin_test_prom_hist_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("ssin_test_prom_hist_count 1"), std::string::npos);
-  // The windowed counter exports its lifetime as the counter and the
-  // trailing window as a _last60s gauge; the windowed histogram adds
-  // _last60s_{count,sum,p50,p99} gauges next to the lifetime histogram.
-  EXPECT_NE(text.find("ssin_test_prom_windowed 9"), std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_windowed_last60s 9"),
+  // A counter exports its lifetime as the counter and the trailing window
+  // as a _last60s gauge; a histogram adds _last60s_{count,sum,p50,p99}
+  // gauges next to the lifetime histogram.
+  EXPECT_NE(text.find("ssin_test_prom_counter 3"), std::string::npos);
+  EXPECT_NE(text.find("ssin_test_prom_counter_last60s 3"), std::string::npos);
+  EXPECT_NE(text.find("ssin_test_prom_hist_last60s_count 1"),
             std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_whist_last60s_count 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("ssin_test_prom_whist_last60s_p99 "),
+  EXPECT_NE(text.find("ssin_test_prom_hist_last60s_p99 5"),
             std::string::npos);
 }
 
@@ -822,9 +798,7 @@ SpaFormerConfig TinyModel() {
   return config;
 }
 
-std::pair<std::vector<double>, std::vector<double>> TrainTiny(
-    const SpatialDataset& data, const std::vector<int>& train_ids,
-    bool with_telemetry) {
+TrainConfig TinyTraining(bool with_telemetry) {
   TrainConfig config;
   config.epochs = 2;
   config.masks_per_sequence = 2;
@@ -833,7 +807,13 @@ std::pair<std::vector<double>, std::vector<double>> TrainTiny(
   config.lr_factor = 0.2;
   config.seed = 23;
   config.telemetry = with_telemetry;
-  SsinInterpolator ssin(TinyModel(), config);
+  return config;
+}
+
+std::pair<std::vector<double>, std::vector<double>> TrainTiny(
+    const SpatialDataset& data, const std::vector<int>& train_ids,
+    bool with_telemetry) {
+  SsinInterpolator ssin(TinyModel(), TinyTraining(with_telemetry));
   ssin.Fit(data, train_ids);
   std::vector<double> flat;
   for (Parameter* p : ssin.model()->Parameters()) {
@@ -871,6 +851,120 @@ TEST_F(TelemetryTest, TrainingBitIdenticalWithTelemetryOnAndOff) {
   for (size_t i = 0; i < off_params.size(); ++i) {
     EXPECT_EQ(off_params[i], on_params[i]) << "parameter scalar " << i;
   }
+}
+
+// Direct keys of the first `"member":{...}` object in compact JSON, in
+// document order.
+std::vector<std::string> MemberKeys(const std::string& json,
+                                    const std::string& member) {
+  std::vector<std::string> keys;
+  const std::string opener = "\"" + member + "\":{";
+  size_t pos = json.find(opener);
+  if (pos == std::string::npos) return keys;
+  pos += opener.size();
+  int depth = 1;
+  while (pos < json.size() && depth > 0) {
+    const char c = json[pos];
+    if (c == '"') {
+      size_t end = pos + 1;
+      while (end < json.size() && json[end] != '"') {
+        end += json[end] == '\\' ? 2 : 1;
+      }
+      if (depth == 1 && end + 1 < json.size() && json[end + 1] == ':') {
+        keys.push_back(json.substr(pos + 1, end - pos - 1));
+      }
+      pos = end + 1;
+      continue;
+    }
+    if (c == '{' || c == '[') ++depth;
+    if (c == '}' || c == ']') --depth;
+    ++pos;
+  }
+  return keys;
+}
+
+// The Prometheus family name of a registry metric name.
+std::string PromName(const std::string& name) {
+  std::string out = "ssin_";
+  for (char c : name) {
+    const bool ok =
+        std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':';
+    out.push_back(ok ? c : '_');
+  }
+  return out;
+}
+
+TEST_F(TelemetryTest, EveryCounterAndHistogramReportsItsWindow) {
+  // A telemetry-on fit, hot swap and serve register the train.*,
+  // thread_pool.* and serve.* series. Every counter and histogram in the
+  // report must carry its last-60s view under "windows", and export a
+  // _last60s gauge to Prometheus.
+  telemetry::SetEnabled(true);
+  RainfallGenerator gen(TinyRegion());
+  const SpatialDataset data = gen.GenerateHours(8, 9);
+  std::vector<int> observed_ids, query_ids;
+  for (int i = 0; i < data.num_stations(); ++i) {
+    (i < 12 ? observed_ids : query_ids).push_back(i);
+  }
+  SsinInterpolator source(TinyModel(), TinyTraining(true));
+  source.Fit(data, observed_ids);
+  auto active = std::make_shared<SsinInterpolator>(TinyModel(),
+                                                   TinyTraining(true));
+  auto standby = std::make_shared<SsinInterpolator>(TinyModel(),
+                                                    TinyTraining(true));
+  active->Prepare(data, observed_ids);
+  standby->Prepare(data, observed_ids);
+  {
+    serve::InterpolationServer server;
+    server.registry().Register("tiny", active, standby);
+    ASSERT_TRUE(server.registry().Promote("tiny", source));
+    for (int t = 0; t < data.num_timestamps(); ++t) {
+      std::vector<double> values;
+      ASSERT_EQ(server.Interpolate({"tiny", data.Values(t), observed_ids,
+                                    query_ids},
+                                   &values),
+                serve::SubmitStatus::kAccepted);
+    }
+    std::vector<double> values;
+    EXPECT_EQ(server.Interpolate({"absent", data.Values(0), observed_ids,
+                                  query_ids},
+                                 &values),
+              serve::SubmitStatus::kUnknownModel);
+  }
+  telemetry::SetEnabled(false);
+
+  const std::string report = telemetry::ReportJson("serve");
+  ASSERT_TRUE(JsonChecker(report).Valid());
+  const std::vector<std::string> counters = MemberKeys(report, "counters");
+  const std::vector<std::string> histograms =
+      MemberKeys(report, "histograms");
+  const std::vector<std::string> windows = MemberKeys(report, "windows");
+  EXPECT_NE(std::find(counters.begin(), counters.end(),
+                      "serve.layout_cache.misses"),
+            counters.end());
+  EXPECT_NE(
+      std::find(histograms.begin(), histograms.end(), "serve.batch_size"),
+      histograms.end());
+  EXPECT_NE(std::find(counters.begin(), counters.end(), "train.steps"),
+            counters.end());
+  const std::string prometheus = telemetry::PrometheusText();
+  for (const std::string& name : counters) {
+    EXPECT_NE(std::find(windows.begin(), windows.end(), name), windows.end())
+        << name;
+    EXPECT_NE(
+        prometheus.find("# TYPE " + PromName(name) + "_last60s gauge\n"),
+        std::string::npos)
+        << name;
+  }
+  for (const std::string& name : histograms) {
+    EXPECT_NE(std::find(windows.begin(), windows.end(), name), windows.end())
+        << name;
+    EXPECT_NE(prometheus.find("# TYPE " + PromName(name) +
+                              "_last60s_count gauge\n"),
+              std::string::npos)
+        << name;
+  }
+  EXPECT_EQ(windows.size(), counters.size() + histograms.size());
 }
 
 }  // namespace
