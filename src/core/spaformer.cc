@@ -71,10 +71,16 @@ void ResolveEmbedding(const Linear* linear, const Fcn2* fcn,
   out->relu = false;
 }
 
-void CheckServingInput(const Tensor& x, const SequenceLayout& layout) {
+void CheckServingInput(const Tensor& x, const SequenceLayout& layout,
+                       bool srpe) {
   SSIN_CHECK_EQ(x.dim(1), 1);
   SSIN_CHECK_EQ(layout.length(), x.dim(0));
   SSIN_CHECK(layout.plan != nullptr);
+  if (srpe) {
+    SSIN_CHECK(layout.store != nullptr) << "layout lacks its pair store";
+    SSIN_CHECK_EQ(static_cast<int64_t>(layout.store_rows.size()),
+                  layout.plan->num_pairs());
+  }
 }
 
 }  // namespace
@@ -172,39 +178,43 @@ template void SpaFormer::ResolveServingWeights<double>(
 template void SpaFormer::ResolveServingWeights<float>(
     const WeightResolver<float>&, ServingWeights<float>*) const;
 
-void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
-                                     const Tensor& relpos_rows,
-                                     InferenceWorkspace* ws) {
+const Tensor& SpaFormer::EmbedPositionRows(const Tensor& rows,
+                                           InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.embed_positions");
+  SSIN_CHECK_EQ(rows.dim(1), 2);
   ws->Reset();
   ServingFcn<double> position;
   ResolveEmbedding(position_linear_, position_fcn_,
                    WeightResolver<double>(ParameterValue), &position);
+  return FcnRows(position, rows.data(), rows.dim(0), ws);
+}
+
+void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
+                                     const Tensor& relpos_rows,
+                                     InferenceWorkspace* ws) {
   if (config_.position_mode == SpaFormerConfig::PositionMode::kSrpe) {
     SSIN_CHECK_EQ(relpos_rows.dim(0), layout->plan->num_pairs());
-    SSIN_CHECK_EQ(relpos_rows.dim(1), 2);
-    layout->srpe =
-        FcnRows(position, relpos_rows.data(), relpos_rows.dim(0), ws);
+    layout->srpe = EmbedPositionRows(relpos_rows, ws);
   } else {
     SSIN_CHECK_EQ(layout->abspos.dim(0), layout->length());
-    SSIN_CHECK_EQ(layout->abspos.dim(1), 2);
-    layout->sape =
-        FcnRows(position, layout->abspos.data(), layout->length(), ws);
+    layout->sape = EmbedPositionRows(layout->abspos, ws);
   }
 }
 
 const Tensor& SpaFormer::Predict(const Tensor& x, const SequenceLayout& layout,
                                  InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.predict");
-  CheckServingInput(x, layout);
+  const bool srpe =
+      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
+  CheckServingInput(x, layout, srpe);
   ws->Reset();
   // The f64 view points straight at the parameters; re-resolving it per
   // call costs a few dozen pointer stores and needs no invalidation.
   ServingWeights<double>* w = ws->serving_weights();
   ResolveServingWeights(WeightResolver<double>(ParameterValue), w);
-  const bool srpe =
-      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
-  return ServingForward(*w, x.data(), srpe ? &layout.srpe : nullptr,
+  const IndexedSrpe<double> c =
+      srpe ? layout.SrpeRows<double>() : IndexedSrpe<double>();
+  return ServingForward(*w, x.data(), srpe ? &c : nullptr,
                         srpe ? nullptr : &layout.sape, *layout.plan,
                         layout.num_observed, ws);
 }
@@ -214,7 +224,11 @@ const TensorF32& SpaFormer::PredictF32(const Tensor& x,
                                        const F32WeightCache::Map& w,
                                        InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.predict_f32");
-  CheckServingInput(x, layout);
+  const bool srpe =
+      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
+  CheckServingInput(x, layout, srpe);
+  SSIN_CHECK(srpe || !layout.sape_f32.empty())
+      << "layout lacks converted f32 positions";
   ws->Reset();
   // Narrow the input values once; everything downstream stays f32.
   TensorF32* x32 = ws->AcquireF32(x.shape());
@@ -222,12 +236,9 @@ const TensorF32& SpaFormer::PredictF32(const Tensor& x,
   for (int64_t i = 0; i < x.numel(); ++i) {
     x32->data()[i] = static_cast<float>(src[i]);
   }
-  const bool srpe =
-      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
-  SSIN_CHECK(!(srpe ? layout.srpe_f32 : layout.sape_f32).empty())
-      << "layout lacks converted f32 positions";
-  return ServingForward(w.view, x32->data(),
-                        srpe ? &layout.srpe_f32 : nullptr,
+  const IndexedSrpe<float> c =
+      srpe ? layout.SrpeRows<float>() : IndexedSrpe<float>();
+  return ServingForward(w.view, x32->data(), srpe ? &c : nullptr,
                         srpe ? nullptr : &layout.sape_f32, *layout.plan,
                         layout.num_observed, ws);
 }

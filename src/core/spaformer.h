@@ -120,8 +120,9 @@ class SpaFormer : public Module {
                         InferenceWorkspace* ws);
 
   /// Float32 serving forward: the f32 instantiation of the same chain as
-  /// Predict — the f64 input is narrowed once, the layout's pre-converted
-  /// srpe_f32/sape_f32 feed the encoder, and every weight comes from the
+  /// Predict — the f64 input is narrowed once, the f32 rows of the
+  /// layout's pair store (SRPE) or its pre-converted sape_f32 feed the
+  /// encoder, and every weight comes from the
   /// view of the converted snapshot `w` (see F32WeightCache). Returns
   /// the [L - num_observed, 1] standardized query predictions; callers
   /// destandardize in f64. Roughly half the memory traffic and twice the
@@ -131,12 +132,21 @@ class SpaFormer : public Module {
                               const F32WeightCache::Map& w,
                               InferenceWorkspace* ws);
 
+  /// The position-embedding module over `rows` [n, 2] with the *current*
+  /// weights — standardized relative positions of any pair set in SRPE
+  /// mode ([n, d_k] out), absolute positions in SAPE mode ([n, d_model]).
+  /// Each output row is computed independently of the others. Returns an
+  /// arena tensor of `ws` (reset first), valid until the workspace's next
+  /// use. A layout build embeds its store's missing pairs through it.
+  const Tensor& EmbedPositionRows(const Tensor& rows, InferenceWorkspace* ws);
+
   /// Fills layout->srpe ([num_pairs, d_k], SRPE mode) or layout->sape
   /// (SAPE mode) by running the position-embedding module with the
   /// *current* weights. `relpos_rows` follows the ForwardWithPlan
   /// contract: [num_pairs, 2] legal-pair rows, or empty in SAPE mode
   /// (which embeds layout->abspos instead). The layout's abspos/plan must
-  /// already be set.
+  /// already be set. Serving builds SRPE rows into a PairStore instead;
+  /// this per-layout form times the whole-layout embedding.
   void EmbedLayoutPositions(SequenceLayout* layout, const Tensor& relpos_rows,
                             InferenceWorkspace* ws);
 

@@ -141,8 +141,11 @@ bool SsinInterpolator::Save(const std::string& path) {
 
 bool SsinInterpolator::Load(const std::string& path) {
   SSIN_CHECK(prepared_) << "call Prepare() with the target dataset first";
+  // LoadModule validates before it commits, so a rejected file leaves the
+  // weights — and therefore every warm serving cache — valid.
+  if (!LoadModule(model_.get(), path)) return false;
   InvalidateServingCaches();
-  return LoadModule(model_.get(), path);
+  return true;
 }
 
 bool SsinInterpolator::SaveTrainerCheckpoint(const std::string& path) {
@@ -152,8 +155,10 @@ bool SsinInterpolator::SaveTrainerCheckpoint(const std::string& path) {
 
 bool SsinInterpolator::ResumeTrainerFrom(const std::string& path) {
   SSIN_CHECK(prepared_) << "call Prepare() with the target dataset first";
+  // Like Load: a rejected checkpoint leaves the weights untouched.
+  if (!trainer_->ResumeFrom(path)) return false;
   InvalidateServingCaches();
-  return trainer_->ResumeFrom(path);
+  return true;
 }
 
 std::shared_ptr<const SequenceLayout> SsinInterpolator::LayoutFor(
@@ -165,10 +170,14 @@ std::shared_ptr<const SequenceLayout> SsinInterpolator::LayoutFor(
   std::shared_ptr<const SequenceLayout> layout =
       layout_cache_.Lookup(node_ids, static_cast<int>(observed_ids.size()));
   if (layout == nullptr) {
+    // SRPE layouts resolve their pairs in the cache generation's shared
+    // store; SAPE layouts build none.
+    const bool srpe = model_->config().position_mode ==
+                      SpaFormerConfig::PositionMode::kSrpe;
     InferenceWorkspace ws;
-    layout =
-        BuildSequenceLayout(model_.get(), context_, observed_ids, query_ids,
-                            &ws);
+    layout = BuildSequenceLayout(
+        model_.get(), context_, observed_ids, query_ids,
+        srpe ? layout_cache_.StoreForBuild() : nullptr, &ws);
     layout_cache_.Insert(layout);
   }
   return layout;

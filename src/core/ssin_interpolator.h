@@ -86,7 +86,8 @@ class SsinInterpolator : public SpatialInterpolator {
 
   /// Restores a checkpoint produced by Save(). Must be called after
   /// Prepare() (or Fit()) with a matching architecture; returns false on
-  /// IO failure or architecture mismatch.
+  /// IO failure or architecture mismatch, leaving the weights and every
+  /// serving cache as they were.
   bool Load(const std::string& path);
 
   /// Writes the trainer's complete training state (model, Adam, schedule,
@@ -96,7 +97,8 @@ class SsinInterpolator : public SpatialInterpolator {
 
   /// Restores a SaveTrainerCheckpoint() file into this interpolator's
   /// trainer. Must be called after Prepare() with a matching architecture;
-  /// all-or-nothing, returns false on corruption or mismatch. A mid-run
+  /// all-or-nothing, returns false on corruption or mismatch (weights and
+  /// serving caches untouched). A mid-run
   /// checkpoint makes the next training call finish the interrupted run; a
   /// finished-run checkpoint warm-starts ContinueTraining() from the saved
   /// state (the Figure 11 model-update scenario without retraining).
@@ -107,9 +109,10 @@ class SsinInterpolator : public SpatialInterpolator {
   SsinTrainer* trainer() { return trainer_.get(); }
   const TrainStats& train_stats() const { return train_stats_; }
 
-  /// The serving layout cache (hit/miss counters for tests and benches).
+  /// The serving layout cache (hit/miss counters for tests and benches)
+  /// and, through pair_store(), the shared SRPE rows its layouts index.
   /// Cleared automatically whenever the model's weights change — cached
-  /// layouts hold positions embedded with those weights.
+  /// layouts and the store hold positions embedded with those weights.
   const LayoutCache& layout_cache() const { return layout_cache_; }
 
   /// Arithmetic precision of the graph-free serving path. kFloat64 (the
@@ -230,8 +233,9 @@ class SsinInterpolator : public SpatialInterpolator {
                                         const SequenceLayout& layout,
                                         InferenceWorkspace* ws);
 
-  /// Invalidates every weight-derived serving cache (layouts and f32
-  /// weight snapshots). Must run on each weight mutation.
+  /// Invalidates every weight-derived serving cache (layouts with their
+  /// pair store, and f32 weight snapshots). Must run on each weight
+  /// mutation, after it is committed.
   void InvalidateServingCaches();
 
   SpaFormerConfig model_config_;

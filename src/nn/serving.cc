@@ -58,7 +58,7 @@ void ResolveNorm(const LayerNormLayer& norm, const WeightResolver<T>& resolve,
 template <typename T>
 const T* EncoderLayerRows(const ServingWeights<T>& w,
                           const ServingLayer<T>& layer, const T* x,
-                          int length, int dm, const T* srpe,
+                          int length, int dm, const IndexedSrpe<T>* srpe,
                           const AttentionPlan& plan, int tail_begin,
                           InferenceWorkspace* ws) {
   const int H = w.num_heads;
@@ -168,7 +168,7 @@ ServingTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
 template <typename T>
 const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
                                        const T* x,
-                                       const ServingTensor<T>* srpe,
+                                       const IndexedSrpe<T>* srpe,
                                        const ServingTensor<T>* sape,
                                        const AttentionPlan& plan,
                                        int tail_begin,
@@ -182,11 +182,10 @@ const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
     SSIN_CHECK(sape->SameShape(e));
     simd::VecOps::Add(sape->data(), e.data(), static_cast<int>(e.numel()));
   }
-  const T* c = srpe != nullptr ? srpe->data() : nullptr;
   const T* h = e.data();
   const int num_layers = static_cast<int>(w.layers.size());
   for (int t = 0; t < num_layers; ++t) {
-    h = EncoderLayerRows(w, w.layers[t], h, length, dm, c, plan,
+    h = EncoderLayerRows(w, w.layers[t], h, length, dm, srpe, plan,
                          t + 1 == num_layers ? tail_begin : 0, ws);
   }
   return FcnRows(w.head, h, length - tail_begin, ws);
@@ -202,7 +201,7 @@ const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
   template ServingTensor<T>& FcnRows<T>(const ServingFcn<T>&, const T*, int, \
                                         InferenceWorkspace*);                \
   template const ServingTensor<T>& ServingForward<T>(                        \
-      const ServingWeights<T>&, const T*, const ServingTensor<T>*,           \
+      const ServingWeights<T>&, const T*, const IndexedSrpe<T>*,            \
       const ServingTensor<T>*, const AttentionPlan&, int,                    \
       InferenceWorkspace*);
 

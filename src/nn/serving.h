@@ -126,8 +126,9 @@ ServingTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
 
 /// The serving forward of one sequence: value embedding of x [L, 1] (plus
 /// the pre-embedded `sape` [L, d_model] in SAPE mode), the encoder stack
-/// with shielded attention over `plan` (SRPE rows `srpe`, [num_pairs, d_k]
-/// indexed by legal pair; null in SAPE mode), and the prediction head. The
+/// with shielded attention over `plan` (SRPE: legal pair t reads its d_k
+/// row through the index view `srpe` — a layout's PairStore rows; null in
+/// SAPE mode), and the prediction head. The
 /// final encoder layer and the head run only for the query rows
 /// [tail_begin, L) — the rows a prediction reads; keys/values still span
 /// the whole sequence, so every returned value equals the matching row of
@@ -137,7 +138,7 @@ ServingTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
 template <typename T>
 const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
                                        const T* x,
-                                       const ServingTensor<T>* srpe,
+                                       const IndexedSrpe<T>* srpe,
                                        const ServingTensor<T>* sape,
                                        const AttentionPlan& plan,
                                        int tail_begin,

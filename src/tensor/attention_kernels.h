@@ -97,6 +97,55 @@ struct AttentionContext {
   std::vector<double> scores;
 };
 
+/// SRPE rows read through a row index: legal pair t's c is row index[t]
+/// of a table stored in chunks of 2^chunk_shift rows, each row d wide —
+/// row r starts at chunks[r >> chunk_shift] + (r mod 2^chunk_shift) * d. This
+/// is how the serving chain reads c out of a PairStore
+/// (core/inference_engine.h), which holds one row per station pair for
+/// every cached layout; packed [num_pairs, d] c stays a plain pointer.
+template <typename T>
+struct IndexedSrpe {
+  const T* const* chunks = nullptr;
+  const int32_t* index = nullptr;  ///< Table row of each legal pair.
+  int chunk_shift = 0;
+};
+
+/// Legal pair t's c row: packed (row t of [num_pairs, d]) or indexed.
+template <typename T>
+inline const T* SrpeRow(const T* c, int64_t t, int d) {
+  return c + t * d;
+}
+template <typename T>
+inline const T* SrpeRow(const IndexedSrpe<T>* c, int64_t t, int d) {
+  const int32_t r = c->index[t];
+  const int32_t mask = (int32_t{1} << c->chunk_shift) - 1;
+  return c->chunks[r >> c->chunk_shift] + static_cast<int64_t>(r & mask) * d;
+}
+
+/// The c rows of legal pairs [begin, begin + count) as one packed block,
+/// or nullptr when an index does not store them as consecutive rows of one
+/// chunk. Packed c always is one block; so are the rows of the first
+/// layout a fresh PairStore appends, in plan order. Reading a block skips
+/// the per-pair index lookup — the same rows, so the same arithmetic.
+template <typename T>
+inline const T* SrpeBlock(const T* c, int64_t begin, int64_t /*count*/,
+                          int d) {
+  return c + begin * d;
+}
+template <typename T>
+inline const T* SrpeBlock(const IndexedSrpe<T>* c, int64_t begin,
+                          int64_t count, int d) {
+  const int32_t* rows = c->index + begin;
+  const int64_t first = rows[0];
+  if ((first >> c->chunk_shift) != ((first + count - 1) >> c->chunk_shift)) {
+    return nullptr;
+  }
+  for (int64_t t = 1; t < count; ++t) {
+    if (rows[t] != first + t) return nullptr;
+  }
+  return SrpeRow(c, begin, d);
+}
+
 /// Raw packed-attention forward, templated on element type and on the
 /// kernel-primitive policy (simd::VecOps in production, simd::ScalarOps as
 /// the bit-exact reference for the differential kernel tests — the
@@ -105,17 +154,19 @@ struct AttentionContext {
 /// Computes attention outputs for queries [tail_begin, plan.length); row r
 /// of q and z corresponds to query tail_begin + r (pass tail_begin = 0 for
 /// the full sequence). k/v span the full sequence: [L, d] row-major.
-/// c: optional relative-position embeddings, [num_pairs, d] with row t the
-/// c of legal pair t; nullptr disables SRPE. scores is caller-owned
-/// per-query scratch (resized, never shrunk). alpha_out, when non-null,
-/// receives the softmax weight of legal pair t at alpha_out[t]
+/// c: optional relative-position embeddings, either packed — a T*
+/// [num_pairs, d] with row t the c of legal pair t — or an IndexedSrpe<T>*
+/// view; nullptr disables SRPE. Both address forms feed the same
+/// arithmetic, so equal rows give bit-identical outputs. scores is
+/// caller-owned per-query scratch (resized, never shrunk). alpha_out, when
+/// non-null, receives the softmax weight of legal pair t at alpha_out[t]
 /// (plan-global pair indexing; only pairs of the processed queries are
 /// written). z rows are overwritten; row r starts at z + r*z_stride
 /// (z_stride >= d), which lets a caller aim each head directly at its
 /// column block of a wider concatenation tensor.
-template <typename T, typename Ops>
+template <typename T, typename Ops, typename C = T>
 void PackedAttentionForwardRowsStrided(const T* q, const T* k, const T* v,
-                                       const T* c, const AttentionPlan& plan,
+                                       const C* c, const AttentionPlan& plan,
                                        int d, int tail_begin,
                                        std::vector<T>* scores, T* alpha_out,
                                        T* z, int64_t z_stride) {
@@ -130,13 +181,19 @@ void PackedAttentionForwardRowsStrided(const T* q, const T* k, const T* v,
     T* score = scores->data();
 
     const T* q_row = q + static_cast<int64_t>(r) * d;
+    const T* block = c != nullptr ? SrpeBlock(c, begin, count, d) : nullptr;
     T max_score = -std::numeric_limits<T>::infinity();
     for (int64_t t = 0; t < count; ++t) {
       const int j = plan.key_index[begin + t];
       const T* k_row = k + static_cast<int64_t>(j) * d;
-      const T s = c != nullptr
-                      ? Ops::Dot3(q_row, k_row, c + (begin + t) * d, d)
-                      : Ops::Dot(q_row, k_row, d);
+      T s;
+      if (c == nullptr) {
+        s = Ops::Dot(q_row, k_row, d);
+      } else {
+        const T* c_row =
+            block != nullptr ? block + t * d : SrpeRow(c, begin + t, d);
+        s = Ops::Dot3(q_row, k_row, c_row, d);
+      }
       score[t] = s * inv_sqrt_d;
       if (score[t] > max_score) max_score = score[t];
     }

@@ -4,15 +4,23 @@
 /// Table 6 ablation variants, fill modes and thread counts
 /// (PredictF32 within the f32 serving gate), and the layout cache serves
 /// repeated station sets without rebuilding plans or embeddings — until a
-/// weight mutation invalidates it.
+/// weight mutation invalidates it (a rejected checkpoint load is none).
+/// Store-backed layouts — one PairStore row per station pair, shared by
+/// every cached layout — predict bit for bit what standalone layouts do,
+/// and hold only their plan plus an int32 row index.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <fstream>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -281,6 +289,349 @@ TEST(LayoutCacheBehavior, WeightMutationsInvalidate) {
   for (size_t q = 0; q < copied.size(); ++q) {
     EXPECT_NEAR(copied[q], other_pred[q], 1e-12);
   }
+}
+
+TEST(LayoutCacheBehavior, RejectedLoadKeepsServingCaches) {
+  Fixture f;
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
+  ssin.Fit(f.data, f.observed_ids);
+  ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
+  ssin.InterpolateTimestamp(f.data.Values(0), f.observed_ids, f.query_ids);
+  const std::shared_ptr<const PairStore> store =
+      ssin.layout_cache().pair_store();
+  ASSERT_NE(store, nullptr);
+  ASSERT_FALSE(ssin.f32_weights().empty());
+
+  // A missing file, a file that is no checkpoint at all, and a valid file
+  // of another architecture: all rejected before any weight is written.
+  const std::string dir = ::testing::TempDir();
+  const std::string missing = dir + "no_such_checkpoint.ssin";
+  const std::string garbage = dir + "garbage_checkpoint.ssin";
+  { std::ofstream(garbage) << "not a checkpoint"; }
+  SpaFormerConfig wider = TinyModel();
+  wider.d_model = 12;
+  SsinInterpolator other(wider, FastTraining(/*mean_fill=*/true));
+  other.Prepare(f.data, f.observed_ids);
+  const std::string other_model = dir + "other_arch_model.ssin";
+  const std::string other_trainer = dir + "other_arch_trainer.ssin";
+  ASSERT_TRUE(other.Save(other_model));
+  ASSERT_TRUE(other.SaveTrainerCheckpoint(other_trainer));
+
+  const int64_t invalidations = ssin.layout_cache().invalidations();
+  const size_t size = ssin.layout_cache().size();
+  for (const std::string& path : {missing, garbage, other_model}) {
+    EXPECT_FALSE(ssin.Load(path)) << path;
+  }
+  for (const std::string& path : {missing, garbage, other_trainer}) {
+    EXPECT_FALSE(ssin.ResumeTrainerFrom(path)) << path;
+  }
+  EXPECT_EQ(ssin.layout_cache().invalidations(), invalidations);
+  EXPECT_EQ(ssin.layout_cache().size(), size);
+  EXPECT_EQ(ssin.layout_cache().pair_store(), store);
+  EXPECT_FALSE(ssin.f32_weights().empty());
+  const int64_t hits = ssin.layout_cache().hits();
+  ssin.InterpolateTimestamp(f.data.Values(1), f.observed_ids, f.query_ids);
+  EXPECT_EQ(ssin.layout_cache().hits(), hits + 1);
+
+  // Accepted files still drop every weight-derived cache.
+  const std::string model_path = dir + "accepted_model.ssin";
+  const std::string trainer_path = dir + "accepted_trainer.ssin";
+  ASSERT_TRUE(ssin.Save(model_path));
+  ASSERT_TRUE(ssin.SaveTrainerCheckpoint(trainer_path));
+  ASSERT_TRUE(ssin.Load(model_path));
+  EXPECT_EQ(ssin.layout_cache().invalidations(), invalidations + 1);
+  EXPECT_EQ(ssin.layout_cache().size(), 0u);
+  EXPECT_EQ(ssin.layout_cache().pair_store(), nullptr);
+  EXPECT_TRUE(ssin.f32_weights().empty());
+  ssin.InterpolateTimestamp(f.data.Values(0), f.observed_ids, f.query_ids);
+  ASSERT_TRUE(ssin.ResumeTrainerFrom(trainer_path));
+  EXPECT_EQ(ssin.layout_cache().invalidations(), invalidations + 2);
+  EXPECT_EQ(ssin.layout_cache().size(), 0u);
+  EXPECT_EQ(ssin.layout_cache().pair_store(), nullptr);
+}
+
+// ------------------------------------------------------ shared pair store
+
+// Station-pair keys of every legal pair of a layout, in plan order.
+std::vector<uint64_t> PairKeys(const SequenceLayout& layout) {
+  const AttentionPlan& plan = *layout.plan;
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < plan.length; ++i) {
+    for (int64_t t = plan.offset[i]; t < plan.offset[i + 1]; ++t) {
+      keys.push_back(PairStore::Key(layout.node_ids[i],
+                                    layout.node_ids[plan.key_index[t]]));
+    }
+  }
+  return keys;
+}
+
+/// A deployment at one network size under one architecture, with layouts
+/// built directly (no interpolator, no cache).
+struct StoreRig {
+  StoreRig(RainfallRegionConfig region, const SpaFormerConfig& config,
+           int num_observed)
+      : generator(region), data(generator.GenerateHours(1, 7)), rng(7),
+        model(config, &rng) {
+    for (int i = 0; i < data.num_stations(); ++i) {
+      (i < num_observed ? observed_ids : query_ids).push_back(i);
+    }
+    context.Build(data, observed_ids);
+  }
+
+  std::shared_ptr<const SequenceLayout> Build(
+      const std::vector<int>& observed, const std::vector<int>& query,
+      std::shared_ptr<PairStore> store) {
+    return BuildSequenceLayout(&model, context, observed, query,
+                               std::move(store), &ws);
+  }
+
+  RainfallGenerator generator;
+  SpatialDataset data;
+  Rng rng;
+  SpaFormer model;
+  SpatialContext context;
+  InferenceWorkspace ws;
+  std::vector<int> observed_ids;
+  std::vector<int> query_ids;
+};
+
+/// Both layouts predict the same values, bit for bit, in f64 and f32.
+void ExpectSamePredictions(SpaFormer* model, const SequenceLayout& a,
+                           const SequenceLayout& b) {
+  ASSERT_EQ(a.node_ids, b.node_ids);
+  Rng rng(17);
+  const Tensor x = Tensor::Randn({a.length(), 1}, &rng);
+  InferenceWorkspace ws_a, ws_b;
+  const Tensor& f64_a = model->Predict(x, a, &ws_a);
+  const Tensor& f64_b = model->Predict(x, b, &ws_b);
+  ASSERT_TRUE(f64_a.SameShape(f64_b));
+  EXPECT_EQ(0, std::memcmp(f64_a.data(), f64_b.data(),
+                           f64_a.numel() * sizeof(double)));
+  F32WeightCache f32_weights;
+  const F32WeightCache::Map& w = *f32_weights.EnsureFrom(model);
+  const TensorF32& f32_a = model->PredictF32(x, a, w, &ws_a);
+  const TensorF32& f32_b = model->PredictF32(x, b, w, &ws_b);
+  ASSERT_TRUE(f32_a.SameShape(f32_b));
+  EXPECT_EQ(0, std::memcmp(f32_a.data(), f32_b.data(),
+                           f32_a.numel() * sizeof(float)));
+}
+
+TEST(PairStoreTest, ServingLayoutHoldsPlanPlusRowIndexOnly) {
+  StoreRig rig(TinyRegion(), TinyModel(), 18);
+  auto store = std::make_shared<PairStore>();
+  const std::shared_ptr<const SequenceLayout> layout =
+      rig.Build(rig.observed_ids, rig.query_ids, store);
+  const int64_t pairs = layout->plan->num_pairs();
+
+  // No per-pair SRPE in either precision: one int32 store row per pair.
+  static_assert(
+      std::is_same_v<decltype(layout->store_rows)::value_type, int32_t>);
+  EXPECT_TRUE(layout->srpe.empty());
+  EXPECT_TRUE(layout->srpe_f32.empty());
+  EXPECT_TRUE(layout->sape.empty());
+  EXPECT_EQ(layout->store, store);
+  ASSERT_EQ(static_cast<int64_t>(layout->store_rows.size()), pairs);
+
+  // The first layout on a store appends its rows in plan order.
+  for (int64_t t = 0; t < pairs; ++t) {
+    EXPECT_EQ(layout->store_rows[t], t);
+  }
+  EXPECT_EQ(store->rows(), pairs);
+  EXPECT_EQ(store->misses(), pairs);
+  EXPECT_EQ(store->hits(), 0);
+
+  // A rebuild of the same sequence embeds nothing.
+  const std::shared_ptr<const SequenceLayout> again =
+      rig.Build(rig.observed_ids, rig.query_ids, store);
+  EXPECT_EQ(again->store_rows, layout->store_rows);
+  EXPECT_EQ(store->rows(), pairs);
+  EXPECT_EQ(store->hits(), pairs);
+}
+
+TEST(PairStoreTest, OneOutageEmbedsExactlyItsNovelPairs) {
+  SpaFormerConfig config = TinyModel();
+  config.neighbor_k = 4;  // Limited plans: an outage brings in new keys.
+  StoreRig rig(TinyRegion(), config, 18);
+  auto store = std::make_shared<PairStore>();
+  const std::shared_ptr<const SequenceLayout> a =
+      rig.Build(rig.observed_ids, rig.query_ids, store);
+
+  std::vector<int> outage(rig.observed_ids.begin() + 1,
+                          rig.observed_ids.end());
+  const int64_t hits_before = store->hits();
+  const int64_t misses_before = store->misses();
+  const int64_t global_hits =
+      telemetry::GetCounter("serve.pair_store.hits")->Value();
+  const int64_t global_misses =
+      telemetry::GetCounter("serve.pair_store.misses")->Value();
+  const std::shared_ptr<const SequenceLayout> b =
+      rig.Build(outage, rig.query_ids, store);
+
+  const std::vector<uint64_t> keys_a = PairKeys(*a);
+  const std::set<uint64_t> known(keys_a.begin(), keys_a.end());
+  int64_t novel = 0;
+  for (uint64_t key : PairKeys(*b)) novel += known.count(key) == 0;
+  const int64_t pairs_b = b->plan->num_pairs();
+  ASSERT_GT(novel, 0);
+  ASSERT_LT(novel, pairs_b);
+
+  EXPECT_EQ(store->misses() - misses_before, novel);
+  EXPECT_EQ(store->hits() - hits_before, pairs_b - novel);
+  EXPECT_EQ(store->rows(), a->plan->num_pairs() + novel);
+  EXPECT_EQ(telemetry::GetCounter("serve.pair_store.misses")->Value() -
+                global_misses,
+            novel);
+  EXPECT_EQ(
+      telemetry::GetCounter("serve.pair_store.hits")->Value() - global_hits,
+      pairs_b - novel);
+  // Novel pairs take the next rows, in plan order.
+  int32_t next = static_cast<int32_t>(a->plan->num_pairs());
+  for (size_t t = 0; t < b->store_rows.size(); ++t) {
+    if (b->store_rows[t] >= a->plan->num_pairs()) {
+      EXPECT_EQ(b->store_rows[t], next++);
+    }
+  }
+}
+
+TEST(PairStoreTest, RowsNeverExceedPairsBuiltSinceStoreStarted) {
+  SpaFormerConfig config = TinyModel();
+  config.neighbor_k = 4;
+  StoreRig rig(TinyRegion(), config, 18);
+  LayoutCache cache(/*capacity=*/3);
+  std::shared_ptr<const PairStore> current;
+  int64_t pairs_since_start = 0;
+  int stores = 0;
+  for (int l = 0; l < 10; ++l) {
+    // Each layout drops a different observed station and queries a
+    // different station: distinct keys with overlapping pairs.
+    std::vector<int> observed = rig.observed_ids;
+    observed.erase(observed.begin() + l);
+    std::vector<int> query = {rig.query_ids[l % rig.query_ids.size()]};
+    std::shared_ptr<PairStore> store = cache.StoreForBuild();
+    if (store != current) {
+      current = store;
+      pairs_since_start = 0;
+      ++stores;
+      EXPECT_EQ(store->rows(), 0);
+    }
+    const std::shared_ptr<const SequenceLayout> layout =
+        rig.Build(observed, query, store);
+    cache.Insert(layout);
+    pairs_since_start += layout->plan->num_pairs();
+    EXPECT_LE(store->rows(), pairs_since_start);
+    EXPECT_EQ(cache.pair_store(), store);
+  }
+  // Ten layouts through a three-entry cache: every fill evicted the cache
+  // and started a fresh store.
+  EXPECT_EQ(stores, 4);
+  EXPECT_EQ(cache.evictions(), 9);
+  EXPECT_EQ(cache.size(), 1u);
+  cache.Clear();
+  EXPECT_EQ(cache.pair_store(), nullptr);
+}
+
+TEST(PairStoreTest, BytesGaugeTracksLiveStores) {
+  StoreRig rig(TinyRegion(), TinyModel(), 18);
+  telemetry::Gauge* gauge = telemetry::GetGauge("serve.pair_store.bytes");
+  const double before = gauge->Value();
+  {
+    auto store = std::make_shared<PairStore>();
+    rig.Build(rig.observed_ids, rig.query_ids, store);
+    EXPECT_GT(store->bytes(), 0);
+    EXPECT_EQ(gauge->Value(), before + static_cast<double>(store->bytes()));
+  }
+  EXPECT_EQ(gauge->Value(), before);
+}
+
+TEST(PairStoreEquivalence, HkFullShieldingMatchesStandaloneLayout) {
+  // Paper config at HK size (123 gauges, 113 observed). The store-backed
+  // layout is built second on its store, after a layout with two stations
+  // out, so its rows are not in plan order.
+  StoreRig rig(HkRegionConfig(), SpaFormerConfig::Paper(), 113);
+  const std::shared_ptr<const SequenceLayout> standalone =
+      BuildSequenceLayout(&rig.model, rig.context, rig.observed_ids,
+                          rig.query_ids, &rig.ws);
+  auto store = std::make_shared<PairStore>();
+  rig.Build(std::vector<int>(rig.observed_ids.begin() + 2,
+                             rig.observed_ids.end()),
+            rig.query_ids, store);
+  const std::shared_ptr<const SequenceLayout> shared =
+      rig.Build(rig.observed_ids, rig.query_ids, store);
+  EXPECT_NE(shared->store_rows, standalone->store_rows);
+  ExpectSamePredictions(&rig.model, *standalone, *shared);
+
+  // The standalone layout keeps the per-layout meaning of srpe: the
+  // whole-layout embedding of its legal pairs, and srpe_f32 its narrowing.
+  SequenceLayout manual;
+  manual.node_ids = standalone->node_ids;
+  manual.plan = standalone->plan;
+  rig.model.EmbedLayoutPositions(
+      &manual,
+      RelposRowsForPlan(rig.context, manual.node_ids, *manual.plan,
+                        rig.model.config()),
+      &rig.ws);
+  ASSERT_TRUE(manual.srpe.SameShape(standalone->srpe));
+  EXPECT_EQ(0, std::memcmp(manual.srpe.data(), standalone->srpe.data(),
+                           manual.srpe.numel() * sizeof(double)));
+  const TensorF32 narrowed = TensorF32::FromTensor(manual.srpe);
+  EXPECT_EQ(0, std::memcmp(narrowed.data(), standalone->srpe_f32.data(),
+                           narrowed.numel() * sizeof(float)));
+}
+
+TEST(PairStoreEquivalence, OverlappingLimitedPoolMatchesStandaloneLayouts) {
+  SpaFormerConfig config = TinyModel();
+  config.neighbor_k = 4;
+  StoreRig rig(TinyRegion(), config, 18);
+  auto store = std::make_shared<PairStore>();
+  int64_t pairs = 0;
+  for (int l = 0; l < 6; ++l) {
+    std::vector<int> observed = rig.observed_ids;
+    observed.erase(observed.begin() + 3 * l);
+    const std::vector<int> query = {rig.query_ids[l % rig.query_ids.size()],
+                                    rig.observed_ids[3 * l]};
+    const std::shared_ptr<const SequenceLayout> shared =
+        rig.Build(observed, query, store);
+    pairs += shared->plan->num_pairs();
+    ExpectSamePredictions(
+        &rig.model,
+        *BuildSequenceLayout(&rig.model, rig.context, observed, query,
+                             &rig.ws),
+        *shared);
+  }
+  EXPECT_LT(store->rows(), pairs);  // The pool shares rows.
+}
+
+TEST(PairStoreEquivalence, WithoutShieldMatchesStandaloneLayout) {
+  StoreRig rig(TinyRegion(), TinyModel(SpaFormerConfig::WithoutShield()),
+               18);
+  auto store = std::make_shared<PairStore>();
+  rig.Build(std::vector<int>(rig.observed_ids.begin() + 1,
+                             rig.observed_ids.end()),
+            rig.query_ids, store);
+  ExpectSamePredictions(
+      &rig.model,
+      *BuildSequenceLayout(&rig.model, rig.context, rig.observed_ids,
+                           rig.query_ids, &rig.ws),
+      *rig.Build(rig.observed_ids, rig.query_ids, store));
+}
+
+TEST(PairStoreEquivalence, SapeBuildsNoStore) {
+  StoreRig rig(TinyRegion(), TinyModel(SpaFormerConfig::WithSape()), 18);
+  const std::shared_ptr<const SequenceLayout> standalone =
+      BuildSequenceLayout(&rig.model, rig.context, rig.observed_ids,
+                          rig.query_ids, &rig.ws);
+  EXPECT_EQ(standalone->store, nullptr);
+  EXPECT_TRUE(standalone->store_rows.empty());
+  EXPECT_TRUE(standalone->srpe.empty());
+  EXPECT_FALSE(standalone->sape_f32.empty());
+
+  Fixture f;
+  SsinInterpolator ssin(TinyModel(SpaFormerConfig::WithSape()),
+                        FastTraining(/*mean_fill=*/true));
+  ssin.Fit(f.data, f.observed_ids);
+  ssin.InterpolateTimestamp(f.data.Values(0), f.observed_ids, f.query_ids);
+  EXPECT_EQ(ssin.layout_cache().size(), 1u);
+  EXPECT_EQ(ssin.layout_cache().pair_store(), nullptr);
 }
 
 // ------------------------------------------------- float32 serving mode

@@ -657,6 +657,78 @@ TEST(KernelDifferentialTest, StridedAttentionMatchesContiguous) {
   }
 }
 
+// Indexed c (the serving chain's PairStore view): legal pair t reading row
+// index[t] of a chunked table must be bit-identical to packed c holding
+// the same rows under the production policy. (ScalarOps is not pinned
+// here: the compiler may contract its mul-add chains into FMAs differently
+// per instantiation.) The table is spread over chunks of four rows. A
+// shuffled index sends almost every query through the per-pair lookup; an
+// identity index sends each query whose rows fit in one chunk through the
+// block read, and the rest through the lookup.
+template <typename T>
+void CheckIndexedAttentionOnce(int length, int num_observed, int d,
+                               int tail_begin, bool shuffle, Rng* rng) {
+  std::vector<uint8_t> observed(length, 0);
+  for (int i = 0; i < num_observed; ++i) observed[i] = 1;
+  AttentionPlan plan;
+  BuildAttentionPlan(observed, /*shielded=*/true, &plan);
+  const int64_t pairs = plan.num_pairs();
+
+  const std::vector<T> q = RandomVector<T>(int64_t{length} * d, rng);
+  const std::vector<T> k = RandomVector<T>(int64_t{length} * d, rng);
+  const std::vector<T> v = RandomVector<T>(int64_t{length} * d, rng);
+  const std::vector<T> c = RandomVector<T>(pairs * d, rng);
+
+  constexpr int kShift = 2;
+  std::vector<int32_t> index(static_cast<size_t>(pairs));
+  for (int64_t t = 0; t < pairs; ++t) index[t] = static_cast<int32_t>(t);
+  for (int64_t t = pairs - 1; shuffle && t > 0; --t) {
+    std::swap(index[t], index[rng->UniformInt(0, t)]);
+  }
+  std::vector<std::vector<T>> chunks((pairs >> kShift) + 1,
+                                     std::vector<T>((1 << kShift) * d));
+  for (int64_t t = 0; t < pairs; ++t) {
+    const int32_t r = index[t];
+    std::copy(c.begin() + t * d, c.begin() + (t + 1) * d,
+              chunks[r >> kShift].begin() + (r & ((1 << kShift) - 1)) * d);
+  }
+  std::vector<const T*> bases;
+  for (const std::vector<T>& chunk : chunks) bases.push_back(chunk.data());
+  const IndexedSrpe<T> view{bases.data(), index.data(), kShift};
+
+  const int nq = length - tail_begin;
+  const T* q_tail = q.data() + int64_t{tail_begin} * d;
+  std::vector<T> scores;
+  std::vector<T> packed(static_cast<size_t>(nq) * d);
+  std::vector<T> alpha_packed(static_cast<size_t>(pairs));
+  PackedAttentionForwardRowsStrided<T, simd::VecOps>(
+      q_tail, k.data(), v.data(), c.data(), plan, d, tail_begin, &scores,
+      alpha_packed.data(), packed.data(), d);
+  std::vector<T> indexed(static_cast<size_t>(nq) * d);
+  std::vector<T> alpha_indexed(static_cast<size_t>(pairs));
+  PackedAttentionForwardRowsStrided<T, simd::VecOps>(
+      q_tail, k.data(), v.data(), &view, plan, d, tail_begin, &scores,
+      alpha_indexed.data(), indexed.data(), d);
+  EXPECT_TRUE(BitEqual(packed, indexed));
+  EXPECT_TRUE(BitEqual(alpha_packed, alpha_indexed));
+}
+
+TEST(KernelDifferentialTest, IndexedSrpeMatchesPacked) {
+  Rng rng(0xE6);
+  for (int length : {1, 2, 5, 23}) {
+    for (int num_observed : {0, 1, length / 2, length}) {
+      for (int tail_begin : {0, num_observed}) {
+        for (bool shuffle : {true, false}) {
+          CheckIndexedAttentionOnce<double>(length, num_observed, /*d=*/8,
+                                            tail_begin, shuffle, &rng);
+          CheckIndexedAttentionOnce<float>(length, num_observed, /*d=*/16,
+                                           tail_begin, shuffle, &rng);
+        }
+      }
+    }
+  }
+}
+
 // Paper-config geometry for the whole serving chain: L=123, m=113, H=2,
 // d_model=d_k=16, d_ff=256 — the exact shapes SpaFormer serves.
 TEST(KernelDifferentialTest, FusedServingPaperConfig) {

@@ -14,7 +14,9 @@
 ///    the retired transient-vector computation;
 ///  * system level — serving (engine and autograd) under
 ///    SetNeighborK(k >= num_observed) is bit-identical to full shielding,
-///    the engine still matches autograd under a real cap, and training
+///    the engine still matches autograd under a real cap, four threads
+///    serving an overlapping pool of limited layouts through one shared
+///    pair store match the serial results bit for bit, and training
 ///    runs (and is bit-identical when k covers the sequence).
 
 #include <gtest/gtest.h>
@@ -22,7 +24,9 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/rng.h"
@@ -506,6 +510,76 @@ TEST(KnnServingTest, EngineMatchesAutogradUnderRealCap) {
     for (size_t q = 0; q < engine.size(); ++q) {
       EXPECT_NEAR(engine[q], autograd[q], 1e-12);
       EXPECT_TRUE(std::isfinite(engine[q]));
+    }
+  }
+}
+
+TEST(KnnServingTest, ConcurrentOverlappingLayoutsMatchSerial) {
+  // More distinct neighbor-limited layouts than the layout cache holds
+  // (64), each one query pair plus a one-gauge outage: neighbouring
+  // layouts share most station pairs, so four threads serving them
+  // interleave pair-store lookups with appends of the pairs one layout
+  // adds, and every cache fill evicts the cache and starts a fresh store
+  // mid-run. Every concurrent result must equal the serial one bit for
+  // bit.
+  Fixture f;
+  SsinInterpolator model(TinyModel(), FastTraining());
+  model.Fit(f.data, f.observed_ids);
+  model.SetNeighborK(4);
+
+  struct Request {
+    std::vector<int> observed, query;
+    int hour;
+  };
+  std::vector<Request> requests;
+  std::set<std::vector<int>> seen;
+  Rng rng(404);
+  const int stations = f.data.num_stations();
+  while (requests.size() < 96) {
+    const int a = static_cast<int>(rng.UniformInt(0, stations - 1));
+    const int b = static_cast<int>(rng.UniformInt(0, stations - 1));
+    const int out = static_cast<int>(rng.UniformInt(0, stations - 1));
+    if (a == b || out == a || out == b || !seen.insert({a, b, out}).second) {
+      continue;
+    }
+    Request r;
+    for (int id = 0; id < stations; ++id) {
+      if (id != a && id != b && id != out) r.observed.push_back(id);
+    }
+    r.query = {a, b};
+    r.hour = static_cast<int>(requests.size()) % f.data.num_timestamps();
+    requests.push_back(std::move(r));
+  }
+
+  std::vector<std::vector<double>> serial;
+  for (const Request& r : requests) {
+    serial.push_back(model.InterpolateTimestamp(f.data.Values(r.hour),
+                                                r.observed, r.query));
+  }
+
+  const int64_t evictions = model.layout_cache().evictions();
+  constexpr int kThreads = 4;
+  std::vector<std::vector<std::vector<double>>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&, w] {
+      // Each thread walks the whole pool from its own offset.
+      const size_t n = requests.size();
+      results[w].resize(n);
+      for (size_t i = 0; i < n; ++i) {
+        const size_t j = (i + w * n / kThreads) % n;
+        const Request& r = requests[j];
+        results[w][j] = model.InterpolateTimestamp(f.data.Values(r.hour),
+                                                   r.observed, r.query);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_GT(model.layout_cache().evictions(), evictions);
+  for (int w = 0; w < kThreads; ++w) {
+    for (size_t j = 0; j < requests.size(); ++j) {
+      EXPECT_EQ(results[w][j], serial[j]) << "thread " << w << " layout " << j;
     }
   }
 }
