@@ -3,7 +3,8 @@
 # them: the corrupt-checkpoint sweeps (truncation at every offset, byte
 # flips, hostile lengths) and the ragged/non-finite CSV tests must be clean
 # of memory errors, not merely return false. The serving, kernel and
-# telemetry tests run on the same instrumented build.
+# telemetry tests, the thread pool and the pooled trainer and evaluator
+# run on the same instrumented build.
 #
 #   scripts/run_asan.sh [build-dir]
 #
@@ -18,7 +19,7 @@ cmake -B "${BUILD_DIR}" -S . -DSSIN_ADDRESS_SANITIZER=ON
 cmake --build "${BUILD_DIR}" -j --target serialize_test csv_loader_test \
   checkpoint_resume_test inference_equivalence_test \
   kernel_differential_test serve_test geo_test knn_shielding_test \
-  telemetry_test
+  telemetry_test thread_pool_test trainer_test parallel_equivalence_test
 
 echo "== kernel_differential_test (ASan+UBSan) =="
 # The SIMD kernels' unrolled tails and row-split partitions must not read
@@ -61,5 +62,19 @@ echo "== telemetry_test (ASan+UBSan) =="
 # window slots; slot indexing, lazy cell sizing and the snapshot merges
 # must stay in bounds.
 "${BUILD_DIR}/tests/telemetry_test"
+
+echo "== thread_pool_test (ASan+UBSan) =="
+"${BUILD_DIR}/tests/thread_pool_test"
+
+echo "== trainer_test (ASan+UBSan) =="
+# Every thread count, one included, trains through the pooled batch loop:
+# per-slot gradient buffers, redirected graph leaves and the slot-order
+# reduction must be clean.
+"${BUILD_DIR}/tests/trainer_test"
+
+echo "== parallel_equivalence_test (ASan+UBSan) =="
+# One pooled path per fan-out site (training, evaluation, cross-validation)
+# at several pool sizes.
+"${BUILD_DIR}/tests/parallel_equivalence_test"
 
 echo "ASan run clean."

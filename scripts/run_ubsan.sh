@@ -4,7 +4,8 @@
 # and runs them: the SIMD kernels' pointer arithmetic, tail handling, and
 # f32 narrowing conversions must be free of UB at every sweep shape,
 # including the empty and single-row operands, and so must every
-# concurrent serving path.
+# concurrent serving path, the thread pool and the pooled trainer and
+# evaluator.
 #
 #   scripts/run_ubsan.sh [build-dir]
 #
@@ -18,7 +19,8 @@ BUILD_DIR="${1:-build-ubsan}"
 cmake -B "${BUILD_DIR}" -S . -DSSIN_UB_SANITIZER=ON
 cmake --build "${BUILD_DIR}" -j --target kernel_differential_test \
   ops_test attention_test inference_equivalence_test geo_test \
-  knn_shielding_test serve_test telemetry_test
+  knn_shielding_test serve_test telemetry_test thread_pool_test \
+  trainer_test parallel_equivalence_test
 
 echo "== kernel_differential_test (UBSan) =="
 "${BUILD_DIR}/tests/kernel_differential_test"
@@ -49,5 +51,16 @@ echo "== telemetry_test (UBSan) =="
 # Window-slot arithmetic on the NowNs clock, reservoir replacement and the
 # bucket search must be UB-free.
 "${BUILD_DIR}/tests/telemetry_test"
+
+echo "== thread_pool_test (UBSan) =="
+"${BUILD_DIR}/tests/thread_pool_test"
+
+echo "== trainer_test (UBSan) =="
+# Slot-gradient buffers and their reduction run at every thread count,
+# one included.
+"${BUILD_DIR}/tests/trainer_test"
+
+echo "== parallel_equivalence_test (UBSan) =="
+"${BUILD_DIR}/tests/parallel_equivalence_test"
 
 echo "UBSan run clean."

@@ -200,12 +200,10 @@ std::shared_ptr<const AttentionPlan> BuildSequencePlan(
     const SpaFormerConfig& config, const SpatialContext& context,
     const std::vector<int>& node_ids, const std::vector<uint8_t>& observed) {
   auto plan = std::make_shared<AttentionPlan>();
-  if (config.shielded &&
-      (config.neighbor_k > 0 || config.neighbor_radius_km > 0.0)) {
+  if (config.shielded && config.neighbor_k > 0) {
     BuildAttentionPlanLimited(
         observed,
-        context.NearestObservedKeys(node_ids, observed, config.neighbor_k,
-                                    config.neighbor_radius_km),
+        context.NearestObservedKeys(node_ids, observed, config.neighbor_k),
         plan.get());
   } else {
     BuildAttentionPlan(observed, config.shielded, plan.get());

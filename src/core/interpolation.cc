@@ -13,15 +13,7 @@ std::vector<std::vector<double>> SpatialInterpolator::InterpolateBatch(
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
     int num_threads) {
   std::vector<std::vector<double>> out(batch_values.size());
-  const int threads = ThreadPool::ResolveThreadCount(num_threads);
-  if (threads == 1) {
-    for (size_t i = 0; i < batch_values.size(); ++i) {
-      out[i] =
-          InterpolateTimestamp(*batch_values[i], observed_ids, query_ids);
-    }
-    return out;
-  }
-  ThreadPool pool(threads);
+  ThreadPool pool(num_threads);
   pool.ParallelFor(static_cast<int64_t>(batch_values.size()),
                    [&](int64_t i, int /*slot*/) {
                      out[i] = InterpolateTimestamp(*batch_values[i],

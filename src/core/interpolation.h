@@ -43,8 +43,9 @@ class SpatialInterpolator {
   /// timestamp, in input order — identical to calling
   /// InterpolateTimestamp per element.
   ///
-  /// `num_threads` fans timestamps across a thread pool (0 = one per
-  /// hardware thread, 1 = serial). The default implementation loops over
+  /// `num_threads` sizes the thread pool the timestamps fan across (0 = one
+  /// per hardware thread; a pool of one runs the same loop on the calling
+  /// thread). The default implementation loops over
   /// InterpolateTimestamp; SpaFormer overrides it with the graph-free
   /// inference engine, validating and building the sequence layout once
   /// for the whole batch.

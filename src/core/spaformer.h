@@ -53,18 +53,6 @@ struct SpaFormerConfig {
   /// bit-identical.
   int neighbor_k = 0;
 
-  /// Radius-based neighbor selection (the distance-based sibling of
-  /// neighbor_k, plumbed from geo::SpatialIndex::WithinRadius). 0 — the
-  /// default — applies no radius cut; r > 0 restricts every query's legal
-  /// observed keys to stations within r kilometers (travel-matrix
-  /// kilometers on road-metric networks; self always stays legal). May be
-  /// combined with neighbor_k: the radius filters first, then k caps the
-  /// survivors at the k nearest. Same requirements as neighbor_k
-  /// (shielded, applied by BuildSequencePlan); when every observed station
-  /// lies within the radius the plan is identical to full shielding, pair
-  /// for pair.
-  double neighbor_radius_km = 0.0;
-
   /// Named constructors for the paper's ablation variants (Table 6).
   static SpaFormerConfig Paper() { return SpaFormerConfig(); }
   static SpaFormerConfig EmbPosLinear();
@@ -160,14 +148,10 @@ class SpaFormer : public Module {
 
   const SpaFormerConfig& config() const { return config_; }
 
-  /// Runtime toggles for neighbor-limited shielding (config().neighbor_k /
-  /// config().neighbor_radius_km). Affect only plan construction for
-  /// *future* sequences; the owning interpolator must invalidate its
-  /// layout cache when flipping these.
+  /// Runtime toggle for neighbor-limited shielding (config().neighbor_k).
+  /// Affects only plan construction for *future* sequences; the owning
+  /// interpolator must invalidate its layout cache when flipping it.
   void set_neighbor_k(int k) { config_.neighbor_k = k; }
-  void set_neighbor_radius_km(double radius_km) {
-    config_.neighbor_radius_km = radius_km;
-  }
 
  private:
   std::unique_ptr<Module> MakeEmbedding(SpaFormerConfig::Embedding kind,

@@ -79,13 +79,10 @@ Tensor SpatialContext::AbsposFor(const std::vector<int>& ids) const {
 
 std::vector<std::vector<int>> SpatialContext::NearestObservedKeys(
     const std::vector<int>& ids, const std::vector<uint8_t>& observed,
-    int k, double radius_km) const {
+    int k) const {
   const int length = static_cast<int>(ids.size());
   SSIN_CHECK_EQ(static_cast<int>(observed.size()), length);
-  SSIN_CHECK_GE(k, 0);
-  SSIN_CHECK_GE(radius_km, 0.0);
-  SSIN_CHECK(k > 0 || radius_km > 0.0)
-      << "neighbor selection needs a count cap, a radius, or both";
+  SSIN_CHECK_GT(k, 0);
 
   // Sequence positions of the observed stations, ascending — the local
   // index of the candidate set. Local index order therefore equals
@@ -108,20 +105,15 @@ std::vector<std::vector<int>> SpatialContext::NearestObservedKeys(
   if (has_travel_) {
     // A road travel metric has no planar embedding, so each query scans
     // all observed candidates (O(L*m) total — the documented fallback).
-    // The radius cut filters during the scan (inclusive, matching
-    // SpatialIndex::WithinRadius).
     std::vector<std::pair<double, int>> cand;
     for (int i = 0; i < length; ++i) {
       cand.clear();
       for (int local = 0; local < static_cast<int>(obs_pos.size()); ++local) {
         const int j = obs_pos[local];
         if (j == i) continue;
-        const double dist = travel_(ids[i], ids[j]);
-        if (radius_km > 0.0 && dist > radius_km) continue;
-        cand.emplace_back(dist, local);
+        cand.emplace_back(travel_(ids[i], ids[j]), local);
       }
-      const size_t take =
-          k > 0 ? std::min(static_cast<size_t>(k), cand.size()) : cand.size();
+      const size_t take = std::min(static_cast<size_t>(k), cand.size());
       std::partial_sort(cand.begin(), cand.begin() + take, cand.end());
       std::vector<int> keys;
       keys.reserve(take);
@@ -145,18 +137,8 @@ std::vector<std::vector<int>> SpatialContext::NearestObservedKeys(
           std::lower_bound(obs_pos.begin(), obs_pos.end(), i) -
           obs_pos.begin());
     }
-    // Both index queries return locals ascending by (distance, index), so
-    // truncating the in-radius list at k keeps exactly the k nearest
-    // in-radius keys — identical tie-breaking to the pure k-NN path.
-    std::vector<int> nearest;
-    if (radius_km > 0.0) {
-      nearest = index.WithinRadius(positions_[ids[i]], radius_km, exclude);
-      if (k > 0 && nearest.size() > static_cast<size_t>(k)) {
-        nearest.resize(static_cast<size_t>(k));
-      }
-    } else {
-      nearest = index.KNearest(positions_[ids[i]], k, exclude);
-    }
+    const std::vector<int> nearest =
+        index.KNearest(positions_[ids[i]], k, exclude);
     std::vector<int> keys;
     keys.reserve(nearest.size());
     for (int local : nearest) keys.push_back(obs_pos[local]);

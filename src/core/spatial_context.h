@@ -60,17 +60,10 @@ class SpatialContext {
   /// use a grid SpatialIndex over the observed subset; road travel-distance
   /// networks fall back to a per-query brute-force scan (a road metric has
   /// no planar embedding). Ties break by ascending sequence position, so
-  /// the lists are deterministic.
-  ///
-  /// `radius_km` > 0 adds a distance cut before the count cap: only
-  /// observed stations within radius_km (inclusive; travel-matrix
-  /// kilometers on road networks) are candidates. With k == 0 the radius
-  /// alone selects (any number of in-radius keys); with both set the k
-  /// nearest in-radius keys survive. At least one of k, radius_km must be
-  /// positive.
+  /// the lists are deterministic. `k` must be positive.
   std::vector<std::vector<int>> NearestObservedKeys(
       const std::vector<int>& ids, const std::vector<uint8_t>& observed,
-      int k, double radius_km = 0.0) const;
+      int k) const;
 
   /// Raw (unstandardized) distance and azimuth from station a to b, the
   /// single source of the pairwise geometry: travel-matrix distance when

@@ -266,26 +266,6 @@ int SsinInterpolator::neighbor_k() const {
   return model_->config().neighbor_k;
 }
 
-void SsinInterpolator::SetNeighborRadius(double radius_km) {
-  SSIN_CHECK(prepared_) << "call Fit() or Prepare() first";
-  SSIN_CHECK_GE(radius_km, 0.0);
-  if (radius_km > 0.0) {
-    SSIN_CHECK(model_->config().shielded)
-        << "radius-limited attention requires shielded attention";
-  }
-  if (model_->config().neighbor_radius_km == radius_km) return;
-  model_->set_neighbor_radius_km(radius_km);
-  model_config_.neighbor_radius_km = radius_km;
-  // Cached layouts hold plans (and SRPE rows) built for the previous
-  // radius.
-  InvalidateServingCaches();
-}
-
-double SsinInterpolator::neighbor_radius_km() const {
-  SSIN_CHECK(prepared_) << "call Fit() or Prepare() first";
-  return model_->config().neighbor_radius_km;
-}
-
 std::vector<double> SsinInterpolator::InterpolateTimestamp(
     const std::vector<double>& all_values,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids) {
@@ -394,24 +374,23 @@ std::vector<std::vector<double>> SsinInterpolator::InterpolateBatch(
   std::vector<std::vector<double>> out(batch_values.size());
   if (batch_values.empty()) return out;
 
+  // The id lists are checked once; every entry's observed values are
+  // checked for finiteness, exactly as InterpolateTimestamp would.
   ValidateInterpolationIds(*batch_values[0], context_.num_stations(),
                            observed_ids, query_ids);
   for (const std::vector<double>* values : batch_values) {
     SSIN_CHECK(values != nullptr);
     SSIN_CHECK_EQ(values->size(), batch_values[0]->size());
+    for (int id : observed_ids) {
+      SSIN_CHECK(std::isfinite((*values)[id]))
+          << "observed id " << id << " has non-finite value " << (*values)[id];
+    }
   }
 
   // One layout for the whole batch; one workspace per pool slot.
   std::shared_ptr<const SequenceLayout> layout =
       LayoutFor(observed_ids, query_ids);
   const int threads = ThreadPool::ResolveThreadCount(num_threads);
-  if (threads == 1) {
-    InferenceWorkspace ws;
-    for (size_t i = 0; i < batch_values.size(); ++i) {
-      out[i] = PredictWithLayout(*batch_values[i], *layout, &ws);
-    }
-    return out;
-  }
   std::vector<std::unique_ptr<InferenceWorkspace>> workspaces;
   workspaces.reserve(threads);
   for (int s = 0; s < threads; ++s) {

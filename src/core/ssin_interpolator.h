@@ -106,7 +106,6 @@ class SsinInterpolator : public SpatialInterpolator {
 
   /// Trained model access (checkpointing via nn/serialize.h).
   SpaFormer* model() { return model_.get(); }
-  SsinTrainer* trainer() { return trainer_.get(); }
   const TrainStats& train_stats() const { return train_stats_; }
 
   /// The serving layout cache (hit/miss counters for tests and benches)
@@ -209,17 +208,6 @@ class SsinInterpolator : public SpatialInterpolator {
   /// to full shielding.
   void SetNeighborK(int k);
   int neighbor_k() const;
-
-  /// Runtime switch for radius-based neighbor selection (see
-  /// SpaFormerConfig::neighbor_radius_km). 0 removes the radius cut;
-  /// r > 0 restricts every query's legal keys to observed stations within
-  /// r kilometers, composing with SetNeighborK (radius filters, then k
-  /// caps). Same contract as SetNeighborK: call after Fit()/Prepare(),
-  /// requires shielded when r > 0, invalidates the serving caches. When
-  /// every observed station lies within the radius, predictions are
-  /// bit-identical to full shielding.
-  void SetNeighborRadius(double radius_km);
-  double neighbor_radius_km() const;
 
  private:
   /// Cached-or-built layout for one (observed_ids, query_ids) pair.

@@ -64,12 +64,13 @@ double GlobalGradNorm(const std::vector<Parameter*>& params) {
 
 }  // namespace
 
-/// Data-parallel training state, allocated once per Train() call when
-/// config.num_threads != 1: the worker pool, the flat parameter list, one
-/// gradient buffer per (slot, parameter), and per-item scratch for the
-/// current batch. Masks are pre-drawn into `item_masks` on the main thread
-/// (in item order, from the trainer's rng_) so the item->mask assignment is
-/// identical to the serial run; workers only read them.
+/// Data-parallel training state, allocated once per Train() call: the
+/// worker pool, the flat parameter list, one gradient buffer per (slot,
+/// parameter), and per-item scratch for the current batch. Masks are
+/// pre-drawn into `item_masks` on the main thread (in item order, from the
+/// trainer's rng_) so the item->mask assignment is the same at every thread
+/// count; workers only read them. A pool of one runs the batch on the
+/// calling thread through the same slot buffers.
 struct ParallelTrainState {
   ThreadPool pool;
   std::vector<Parameter*> params;
@@ -190,12 +191,7 @@ TrainStats SsinTrainer::Train(const SpatialDataset& data,
                                                warmup, config_.lr_factor);
   }
 
-  // Data-parallel worker state; null selects the exact serial code path.
-  const int num_threads = ThreadPool::ResolveThreadCount(config_.num_threads);
-  std::unique_ptr<ParallelTrainState> parallel;
-  if (num_threads > 1) {
-    parallel = std::make_unique<ParallelTrainState>(num_threads, model_);
-  }
+  ParallelTrainState parallel(config_.num_threads, model_);
 
   TrainStats stats;
   for (int epoch = start_epoch; epoch < config_.epochs; ++epoch) {
@@ -212,7 +208,7 @@ TrainStats SsinTrainer::Train(const SpatialDataset& data,
           std::min(item_order_.size(), start + config_.batch_size);
       model_->ZeroGrad();
       RunBatch(item_order_, start, end, train_ids, sequences, static_masks_,
-               abspos, mask_options, parallel.get(), &loss_sum, &loss_count);
+               abspos, mask_options, &parallel, &loss_sum, &loss_count);
       if (telemetry::Enabled()) {
         // Read-only probe of the reduced (pre-step) batch gradient.
         GradNormHistogram()->Observe(GlobalGradNorm(model_->Parameters()));
@@ -243,9 +239,7 @@ TrainStats SsinTrainer::Train(const SpatialDataset& data,
     }
 
     epochs_completed_ = epoch + 1;
-    if (!config_.checkpoint_path.empty() &&
-        ((epoch + 1) % std::max(1, config_.checkpoint_every_epochs) == 0 ||
-         epoch + 1 == config_.epochs)) {
+    if (!config_.checkpoint_path.empty()) {
       SSIN_TRACE_SPAN("train.checkpoint");
       Timer checkpoint_timer;
       errno = 0;
@@ -353,32 +347,8 @@ void SsinTrainer::RunBatch(const std::vector<int>& items, size_t start,
   // epoch loss is separately the mean over all items of the epoch).
   const double inv_batch = 1.0 / static_cast<double>(end - start);
 
-  if (parallel == nullptr) {
-    for (size_t it = start; it < end; ++it) {
-      const int item = items[it];
-      const int t = item % num_sequences;
-      const std::vector<int> mask =
-          config_.dynamic_masking
-              ? SampleMask(length, config_.mask_ratio, &rng_)
-              : static_masks[item];
-      MaskedNodesCounter()->Add(static_cast<int64_t>(mask.size()));
-      MaskedSequence seq =
-          BuildMaskedSequence(sequences[t], mask, mask_options);
-
-      Graph graph;
-      Var pred = forward(&graph, seq);
-      Var masked_pred = GatherRows(pred, seq.target_positions);
-      Var loss = MseLoss(masked_pred, seq.targets);
-      *loss_sum += loss.value()[0];
-      ++*loss_count;
-      // Average gradients over the batch.
-      graph.Backward(Scale(loss, inv_batch));
-    }
-    return;
-  }
-
-  // Parallel path. Draw every item's mask on the main thread first, in item
-  // order, so rng_ advances exactly as in the serial loop.
+  // Draw every item's mask on the main thread first, in item order, so rng_
+  // advances identically at every thread count.
   const size_t batch_items = end - start;
   parallel->item_losses.assign(batch_items, 0.0);
   parallel->item_masks.resize(batch_items);
@@ -416,9 +386,10 @@ void SsinTrainer::RunBatch(const std::vector<int>& items, size_t start,
         graph.Backward(Scale(loss, inv_batch));
       });
 
-  // Deterministic reductions: losses in item order (bit-identical to the
-  // serial loop), gradients in slot order (equal up to fp associativity —
-  // each slot covers a contiguous item range accumulated in item order).
+  // Deterministic reductions: losses in item order (bit-identical at every
+  // thread count), gradients in slot order (equal up to fp associativity —
+  // each slot covers a contiguous item range accumulated in item order; a
+  // single slot adds onto zeroed grads, which is exact).
   for (size_t bi = 0; bi < batch_items; ++bi) {
     *loss_sum += parallel->item_losses[bi];
     ++*loss_count;

@@ -38,20 +38,18 @@ struct TrainConfig {
   /// thread). Each batch item's forward/backward runs on a worker with a
   /// private graph and per-thread gradient buffers that are reduced into
   /// the model before the optimizer step; masks are pre-drawn on the main
-  /// thread, so any thread count reproduces the serial run's item->mask
-  /// assignment (equal results up to floating-point reduction order).
-  /// 1 = the exact serial code path.
+  /// thread, so every thread count draws the same item->mask assignment
+  /// (equal results up to floating-point reduction order). A pool of one
+  /// runs the same loop on the calling thread.
   int num_threads = 1;
 
   /// Crash-safe checkpointing: when non-empty, the trainer writes its full
   /// training state (model parameters, Adam moments/step, Noam schedule,
-  /// RNG engine, epoch/shuffle cursor) to this path every
-  /// `checkpoint_every_epochs` epochs and after the final epoch. Writes go
-  /// to a temp file that is fsynced and atomically renamed over the
-  /// target, so a kill mid-save never leaves a torn checkpoint; see
+  /// RNG engine, epoch/shuffle cursor) to this path after every epoch.
+  /// Writes go to a temp file that is fsynced and atomically renamed over
+  /// the target, so a kill mid-save never leaves a torn checkpoint; see
   /// SsinTrainer::ResumeFrom for the resume contract.
   std::string checkpoint_path;
-  int checkpoint_every_epochs = 1;
 
   uint64_t seed = 17;
   bool verbose = false;
@@ -118,9 +116,9 @@ class SsinTrainer {
   int64_t epochs_completed() const { return epochs_completed_; }
 
  private:
-  /// The per-batch loop body shared by the serial and parallel paths; adds
-  /// each item's loss to `*loss_sum`/`*loss_count` and leaves the batch's
-  /// mean gradient accumulated in the model's parameters.
+  /// Runs one batch across `state`'s pool; adds each item's loss to
+  /// `*loss_sum`/`*loss_count` and leaves the batch's mean gradient
+  /// accumulated in the model's parameters.
   /// `node_ids` maps sequence positions to stations (per-item plans and
   /// legal-pair relpos rows are derived from it).
   void RunBatch(const std::vector<int>& items, size_t start, size_t end,

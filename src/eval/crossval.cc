@@ -45,33 +45,12 @@ CrossValidationResult CrossValidate(
   CrossValidationResult result;
   MetricsAccumulator pooled;
   const int end = options.end < 0 ? data.num_timestamps() : options.end;
-  const int num_threads = ThreadPool::ResolveThreadCount(options.num_threads);
 
-  if (num_threads == 1) {
-    for (int fold = 0; fold < k; ++fold) {
-      const NodeSplit split = SplitForFold(folds, fold);
-      std::unique_ptr<SpatialInterpolator> method = factory();
-      EvalResult eval = EvaluateInterpolator(method.get(), data, split,
-                                             options);
-      // Re-accumulate into the pooled metrics.
-      for (int t = options.begin; t < end; t += options.stride) {
-        const std::vector<double> predictions = method->InterpolateTimestamp(
-            data.Values(t), split.train_ids, split.test_ids);
-        for (size_t q = 0; q < split.test_ids.size(); ++q) {
-          pooled.Add(data.Value(t, split.test_ids[q]), predictions[q]);
-        }
-      }
-      result.folds.push_back(std::move(eval));
-    }
-    result.pooled = pooled.Compute();
-    return result;
-  }
-
-  // Parallel path: every interpolator is created serially on the calling
-  // thread (factories may share an Rng or other mutable state), then folds
-  // fit and evaluate concurrently; each fold's timestamps run serially
-  // inside its worker. Pooled metrics are reduced on the calling thread in
-  // (fold, timestamp) order, matching the serial run exactly.
+  // Every interpolator is created on the calling thread before any fold
+  // runs (factories may share an Rng or other mutable state); then folds fit
+  // and evaluate across the pool, each fold's timestamps in order inside
+  // its slot. Pooled metrics are reduced on the calling thread in
+  // (fold, timestamp) order, so every thread count gives the same result.
   std::vector<NodeSplit> splits(k);
   std::vector<std::unique_ptr<SpatialInterpolator>> methods;
   for (int fold = 0; fold < k; ++fold) {
@@ -82,7 +61,7 @@ CrossValidationResult CrossValidate(
   std::vector<std::vector<std::vector<double>>> fold_predictions(k);
   EvalOptions fold_options = options;
   fold_options.num_threads = 1;  // Parallelism lives at the fold level.
-  ThreadPool pool(num_threads);
+  ThreadPool pool(options.num_threads);
   pool.ParallelFor(k, [&](int64_t fold, int /*slot*/) {
     const NodeSplit& split = splits[fold];
     fold_evals[fold] = EvaluateInterpolator(methods[fold].get(), data, split,

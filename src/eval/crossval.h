@@ -27,11 +27,11 @@ std::vector<std::vector<int>> MakeFolds(int num_stations, int k, Rng* rng);
 
 /// Runs the full k-fold protocol. `factory` must produce a fresh
 /// interpolator per fold (training state must not leak between folds).
-/// With options.num_threads != 1 the folds fit and evaluate concurrently
-/// on a pool: factories are still invoked serially on the calling thread
-/// (they may share an Rng), each fold's interpolator is touched by exactly
-/// one worker, and metrics are reduced in fold order, so the result is
-/// identical to a serial run for deterministic interpolators.
+/// All k factories run first, in fold order on the calling thread (they may
+/// share an Rng); then the folds fit and evaluate on a pool of
+/// options.num_threads, each fold's interpolator touched by exactly one
+/// worker, and metrics are reduced in fold order, so the result is the same
+/// at every thread count for deterministic interpolators.
 CrossValidationResult CrossValidate(
     const std::function<std::unique_ptr<SpatialInterpolator>()>& factory,
     const SpatialDataset& data, int k, Rng* rng,

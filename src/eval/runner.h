@@ -15,11 +15,11 @@ struct EvalOptions {
   int end = -1;    ///< Exclusive; -1 = all timestamps.
   int stride = 1;  ///< Evaluate every stride-th timestamp.
   /// Worker threads passed to the interpolator's InterpolateBatch; 0 = one
-  /// per hardware thread, 1 = serial. Values > 1 require per-timestamp
-  /// interpolation to be safe to run concurrently (true of every method in
-  /// this repo after Fit(); predictions and metrics are reduced in
-  /// timestamp order, so results are identical to a serial run). Fit()
-  /// itself always runs on the calling thread.
+  /// per hardware thread, 1 = the calling thread only. Values > 1 require
+  /// per-timestamp interpolation to be safe to run concurrently (true of
+  /// every method in this repo after Fit(); predictions and metrics are
+  /// reduced in timestamp order, so results are identical at every thread
+  /// count). Fit() itself always runs on the calling thread.
   int num_threads = 1;
 
   /// Run telemetry: when true, the evaluation enables the process-wide
@@ -47,8 +47,8 @@ struct EvalResult {
 };
 
 /// The timestamps an EvalOptions selects on `data`, in evaluation order.
-/// Both the serial and the parallel evaluation paths iterate exactly this
-/// list, so the two visit identical timestamp sets by construction.
+/// Every thread count iterates exactly this list, so all visit identical
+/// timestamp sets by construction.
 std::vector<int> SelectedTimestamps(const SpatialDataset& data,
                                     const EvalOptions& options);
 

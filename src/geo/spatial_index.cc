@@ -140,33 +140,6 @@ std::vector<int> SpatialIndex::KNearest(const PointKm& query, int k,
   return out;
 }
 
-std::vector<int> SpatialIndex::WithinRadius(const PointKm& query,
-                                            double radius_km,
-                                            int exclude) const {
-  if (radius_km < 0.0 || size() == 0) return {};
-  const double r2 = radius_km * radius_km;
-
-  std::vector<Candidate> hits;
-  const int c0 = CellCol(query.x - radius_km);
-  const int c1 = CellCol(query.x + radius_km);
-  const int r0 = CellRow(query.y - radius_km);
-  const int r1 = CellRow(query.y + radius_km);
-  for (int cr = r0; cr <= r1; ++cr) {
-    for (int cc = c0; cc <= c1; ++cc) {
-      for (int idx : cells_[static_cast<size_t>(cr) * cols_ + cc]) {
-        if (idx == exclude) continue;
-        const double d2 = Dist2(query, points_[idx]);
-        if (d2 <= r2) hits.emplace_back(d2, idx);
-      }
-    }
-  }
-  std::sort(hits.begin(), hits.end());
-  std::vector<int> out;
-  out.reserve(hits.size());
-  for (const Candidate& c : hits) out.push_back(c.second);
-  return out;
-}
-
 std::vector<int> BruteForceKNearest(const std::vector<PointKm>& points,
                                     const PointKm& query, int k,
                                     int exclude) {

@@ -8,7 +8,7 @@
 namespace ssin {
 
 /// Uniform grid hash over planar station coordinates, answering k-nearest
-/// and radius queries in roughly O(k) per query for quasi-uniform networks.
+/// queries in roughly O(k) per query for quasi-uniform networks.
 ///
 /// This is the scaling backbone for neighbor-limited shielded attention
 /// (ROADMAP item 3): at L=10k stations a per-query candidate scan over all
@@ -34,12 +34,6 @@ class SpatialIndex {
   /// callers use it to drop the query point itself.
   std::vector<int> KNearest(const PointKm& query, int k,
                             int exclude = -1) const;
-
-  /// Indices of every point within `radius_km` of `query` (inclusive),
-  /// ascending by (squared distance, index). Empty when no point is in
-  /// range or the radius is negative.
-  std::vector<int> WithinRadius(const PointKm& query, double radius_km,
-                                int exclude = -1) const;
 
   int size() const { return static_cast<int>(points_.size()); }
 

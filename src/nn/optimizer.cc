@@ -4,17 +4,6 @@
 
 namespace ssin {
 
-void Sgd::Step() {
-  for (Parameter* p : params_) {
-    for (int64_t i = 0; i < p->value.numel(); ++i) {
-      double g = p->grad[i];
-      if (weight_decay_ > 0.0) g += weight_decay_ * p->value[i];
-      p->value[i] -= learning_rate_ * g;
-    }
-    p->grad.Fill(0.0);
-  }
-}
-
 Adam::Adam(std::vector<Parameter*> params, double beta1, double beta2,
            double eps, double weight_decay)
     : Optimizer(std::move(params)),

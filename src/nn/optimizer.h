@@ -31,18 +31,6 @@ class Optimizer {
   double learning_rate_ = 1e-3;
 };
 
-/// Plain stochastic gradient descent with optional L2 weight decay.
-class Sgd : public Optimizer {
- public:
-  explicit Sgd(std::vector<Parameter*> params, double weight_decay = 0.0)
-      : Optimizer(std::move(params)), weight_decay_(weight_decay) {}
-
-  void Step() override;
-
- private:
-  double weight_decay_;
-};
-
 /// Adam (Kingma & Ba, 2015). Paper settings: beta1=0.9, beta2=0.98,
 /// eps=1e-9.
 class Adam : public Optimizer {

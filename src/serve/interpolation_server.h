@@ -31,8 +31,8 @@ struct ServerConfig {
   /// whatever is queued immediately; higher values trade tail latency for
   /// bigger batches).
   int64_t batch_linger_us = 200;
-  /// Thread fan-out of each InterpolateBatch dispatch (1 = serial, 0 =
-  /// one per hardware thread).
+  /// Thread fan-out of each InterpolateBatch dispatch (1 = the batcher
+  /// thread only, 0 = one per hardware thread).
   int batch_threads = 1;
   /// Start with the batcher paused (Resume() starts serving). Lets tests
   /// and replay drivers fill the queue deterministically before the first

@@ -356,20 +356,6 @@ Var GatherRows(Var x, std::vector<int> rows) {
   });
 }
 
-Var Reshape(Var x, std::vector<int> shape) {
-  Graph* g = x.graph;
-  SSIN_CHECK(x.valid());
-  Tensor out = x.value().Reshaped(shape);
-  const int out_id = g->size();
-  const int x_id = x.id;
-  return g->AddNode(std::move(out), g->requires_grad(x.id), [=](Graph* gr) {
-    if (!gr->requires_grad(x_id)) return;
-    const Tensor& dout = gr->grad(out_id);
-    Tensor& dx = gr->grad(x_id);
-    for (int64_t i = 0; i < dout.numel(); ++i) dx[i] += dout[i];
-  });
-}
-
 Var Sum(Var x) {
   Graph* g = x.graph;
   SSIN_CHECK(x.valid());

@@ -51,9 +51,6 @@ Var LayerNorm(Var x, Var gamma, Var beta, double eps = 1e-5);
 /// Row gather: selects rows of x [m,n] -> [|rows|, n].
 Var GatherRows(Var x, std::vector<int> rows);
 
-/// Shape change preserving element count (gradient reshaped back).
-Var Reshape(Var x, std::vector<int> shape);
-
 /// Sum of all elements -> scalar.
 Var Sum(Var x);
 

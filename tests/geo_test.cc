@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -130,52 +129,15 @@ TEST(SpatialIndexTest, KBeyondSetSizeReturnsEveryPoint) {
   EXPECT_TRUE(index.KNearest({0, 0}, 0).empty());
 }
 
-TEST(SpatialIndexTest, RadiusQueriesAreInclusiveSortedAndCanBeEmpty) {
-  std::vector<PointKm> pts;
-  for (int i = 0; i < 10; ++i) pts.push_back({static_cast<double>(i), 0.0});
-  const SpatialIndex index(pts);
-  // Inclusive boundary: the point at exactly radius distance is returned.
-  EXPECT_EQ(index.WithinRadius({0, 0}, 3.0), (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(index.WithinRadius({0, 0}, 3.0, /*exclude=*/0),
-            (std::vector<int>{1, 2, 3}));
-  EXPECT_TRUE(index.WithinRadius({100, 100}, 5.0).empty());
-  EXPECT_TRUE(index.WithinRadius({0, 0}, -1.0).empty());
-
-  // Differential check against a brute-force filter on a random cloud.
-  Rng rng(55);
-  std::vector<PointKm> cloud;
-  for (int i = 0; i < 150; ++i) {
-    cloud.push_back({rng.Uniform(0, 60), rng.Uniform(0, 60)});
-  }
-  const SpatialIndex cloud_index(cloud);
-  for (int q = 0; q < 20; ++q) {
-    const PointKm query{rng.Uniform(-10, 70), rng.Uniform(-10, 70)};
-    const double radius = rng.Uniform(0, 25);
-    std::vector<std::pair<double, int>> expected;
-    for (int i = 0; i < static_cast<int>(cloud.size()); ++i) {
-      const double dx = cloud[i].x - query.x, dy = cloud[i].y - query.y;
-      const double d2 = dx * dx + dy * dy;
-      if (d2 <= radius * radius) expected.emplace_back(d2, i);
-    }
-    std::sort(expected.begin(), expected.end());
-    std::vector<int> expected_ids;
-    for (const auto& [d2, i] : expected) expected_ids.push_back(i);
-    EXPECT_EQ(cloud_index.WithinRadius(query, radius), expected_ids);
-  }
-}
-
 TEST(SpatialIndexTest, DegenerateGeometriesStayCorrect) {
   // Empty set.
   const SpatialIndex empty((std::vector<PointKm>()));
   EXPECT_TRUE(empty.KNearest({0, 0}, 5).empty());
-  EXPECT_TRUE(empty.WithinRadius({0, 0}, 5.0).empty());
 
   // All points coincident: pure index-order ties, zero-area grid.
   const std::vector<PointKm> same(7, PointKm{3.0, 4.0});
   const SpatialIndex same_index(same);
   EXPECT_EQ(same_index.KNearest({0, 0}, 3), (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(same_index.WithinRadius({3, 4}, 0.0),
-            (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
 
   // Collinear points: one axis degenerates to a single cell.
   std::vector<PointKm> line;

@@ -959,6 +959,11 @@ TEST(InferenceValidationDeath, RejectsMalformedIdLists) {
                "queried twice");
   EXPECT_DEATH(ssin.InterpolateTimestamp(values, {}, {2}),
                "at least one observed");
+  // A batch checks every entry's observed values, not only the first's.
+  std::vector<double> poisoned = f.data.Values(1);
+  poisoned[2] = std::nan("");
+  EXPECT_DEATH(ssin.InterpolateBatch({&values, &poisoned}, {0, 1, 2}, {3}),
+               "observed id 2 has non-finite value nan");
 }
 
 TEST(InferenceValidationDeath, EmptyF32CalibrationBatchRejected) {

@@ -5,13 +5,12 @@
 ///    neighbor lists cover every observed station, and caps per-query key
 ///    counts at k+1 otherwise;
 ///  * geometry level — SpatialContext::NearestObservedKeys returns the
-///    geometric k nearest observed stations, ascending by sequence
-///    position, self excluded; a radius_km cut filters candidates before
-///    the k cap with identical tie-breaking (full coverage = pure k-NN);
-///    RelposForPairs row t is the standardized RawRelPos of legal pair t;
-///    RawRelPos keeps the self-pair, symmetry, opposite-azimuth and
-///    travel-distance conventions; the streaming Build statistics match
-///    the retired transient-vector computation;
+///    geometric k nearest observed stations (by road distance on
+///    travel-distance networks), ascending by sequence position, self
+///    excluded; RelposForPairs row t is the standardized RawRelPos of
+///    legal pair t; RawRelPos keeps the self-pair, symmetry,
+///    opposite-azimuth and travel-distance conventions; the streaming
+///    Build statistics match the retired transient-vector computation;
 ///  * system level — serving (engine and autograd) under
 ///    SetNeighborK(k >= num_observed) is bit-identical to full shielding,
 ///    the engine still matches autograd under a real cap, four threads
@@ -208,83 +207,37 @@ TEST(NearestObservedKeysTest, KBeyondObservedCountReturnsAllMinusSelf) {
   }
 }
 
-TEST(NearestObservedKeysTest, RadiusFiltersBeforeKCaps) {
-  const int length = 12;
-  SpatialContext context;
-  context.Build(LineDataset(length), AllIds(length));
-  std::vector<uint8_t> observed(length, 1);
-  observed[10] = observed[11] = 0;
-
-  // Radius alone (k = 0): every observed station within 2.5 km survives.
-  const std::vector<std::vector<int>> radius_only =
-      context.NearestObservedKeys(AllIds(length), observed, /*k=*/0,
-                                  /*radius_km=*/2.5);
-  EXPECT_EQ(radius_only[11], (std::vector<int>{9}));  // x=9 at 2 km.
-  EXPECT_EQ(radius_only[5], (std::vector<int>{3, 4, 6, 7}));
-
-  // The cut is inclusive: x=2 at exactly 2 km stays in.
-  const std::vector<std::vector<int>> boundary =
-      context.NearestObservedKeys(AllIds(length), observed, /*k=*/0,
-                                  /*radius_km=*/2.0);
-  EXPECT_EQ(boundary[0], (std::vector<int>{1, 2}));
-
-  // Radius + k composed: the k nearest in-radius keys survive; a tight
-  // radius can leave fewer than k.
-  const std::vector<std::vector<int>> combined =
-      context.NearestObservedKeys(AllIds(length), observed, /*k=*/2,
-                                  /*radius_km=*/2.5);
-  EXPECT_EQ(combined[5], (std::vector<int>{4, 6}));
-  EXPECT_EQ(combined[11], (std::vector<int>{9}));
-}
-
-TEST(NearestObservedKeysTest, FullCoverageRadiusEqualsPureKnn) {
-  const int length = 12;
-  SpatialContext context;
-  context.Build(LineDataset(length), AllIds(length));
-  std::vector<uint8_t> observed(length, 1);
-  observed[10] = observed[11] = 0;
-  // A radius holding every pair changes nothing: the truncated in-radius
-  // list is exactly the k nearest, ties and all.
-  EXPECT_EQ(context.NearestObservedKeys(AllIds(length), observed, 3,
-                                        /*radius_km=*/1000.0),
-            context.NearestObservedKeys(AllIds(length), observed, 3));
-}
-
-TEST(LimitedPlanTest, FullCoverageRadiusPlanEqualsFullShieldedPlan) {
-  const int length = 30;
-  std::vector<uint8_t> observed(length, 0);
-  for (int i = 0; i < length; i += 2) observed[i] = 1;  // 15 observed.
-  SpatialContext context;
-  context.Build(LineDataset(length), AllIds(length));
-
-  // A radius covering the whole line (k = 0) reproduces the full shielded
-  // plan bit for bit — key order, offsets, pair rows.
-  AttentionPlan full;
-  BuildAttentionPlan(observed, /*shielded=*/true, &full);
-  SpaFormerConfig covering = TinyModel();
-  covering.neighbor_radius_km = 2.0 * length;
-  ExpectPlansIdentical(
-      full, *BuildSequencePlan(covering, context, AllIds(length), observed));
-
-  // With the radius out of the way, radius + k equals the pure k-NN plan.
-  SpaFormerConfig knn_only = TinyModel();
-  knn_only.neighbor_k = 4;
-  SpaFormerConfig both = knn_only;
-  both.neighbor_radius_km = 2.0 * length;
-  ExpectPlansIdentical(
-      *BuildSequencePlan(knn_only, context, AllIds(length), observed),
-      *BuildSequencePlan(both, context, AllIds(length), observed));
-
-  // A tight radius prunes keys on its own: at most the two observed
-  // stations within 2 km of any query survive (plus the query itself).
-  SpaFormerConfig tight = TinyModel();
-  tight.neighbor_radius_km = 2.0;
-  const std::shared_ptr<const AttentionPlan> tight_plan =
-      BuildSequencePlan(tight, context, AllIds(length), observed);
-  for (int i = 0; i < length; ++i) {
-    EXPECT_LE(tight_plan->offset[i + 1] - tight_plan->offset[i], 3)
-        << "query " << i;
+TEST(NearestObservedKeysTest, TravelDistanceOrdersByRoad) {
+  // Five stations on a line, but the road network ranks station 0's
+  // neighbours 4, then 2 and 3 (tied), then 1 — the reverse of the planar
+  // order for 4 and 1.
+  const int length = 5;
+  SpatialDataset data = LineDataset(length);
+  Matrix travel(length, length);
+  for (int a = 0; a < length; ++a) {
+    for (int b = 0; b < length; ++b) {
+      if (a != b) travel(a, b) = 10.0 + std::abs(a - b);
+    }
   }
+  const double from_zero[length] = {0.0, 9.0, 2.0, 2.0, 1.0};
+  for (int j = 1; j < length; ++j) {
+    travel(0, j) = travel(j, 0) = from_zero[j];
+  }
+  data.SetTravelDistance(travel);
+  SpatialContext context;
+  context.Build(data, AllIds(length));
+  ASSERT_TRUE(context.has_travel_distance());
+
+  const std::vector<uint8_t> observed(length, 1);
+  const auto keys_of_zero = [&](int k) {
+    return context.NearestObservedKeys(AllIds(length), observed, k)[0];
+  };
+  EXPECT_EQ(keys_of_zero(1), (std::vector<int>{4}));
+  // The 2 km tie between stations 2 and 3 breaks by sequence position.
+  EXPECT_EQ(keys_of_zero(2), (std::vector<int>{2, 4}));
+  EXPECT_EQ(keys_of_zero(3), (std::vector<int>{2, 3, 4}));
+  EXPECT_EQ(keys_of_zero(4), (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(keys_of_zero(100), (std::vector<int>{1, 2, 3, 4}));
 }
 
 TEST(SpatialContextTest, RelposForPairsStandardizesRawRelPosOfEachPair) {
@@ -445,51 +398,6 @@ TEST(KnnServingTest, KCoveringObservedIsBitIdenticalToFullShielding) {
 
   // And k = num_observed exactly (the tight bound) is still identical.
   model.SetNeighborK(static_cast<int>(f.observed_ids.size()));
-  EXPECT_EQ(model.InterpolateTimestamp(f.data.Values(0), f.observed_ids,
-                                       f.query_ids),
-            full_engine[0]);
-}
-
-TEST(KnnServingTest, CoveringRadiusIsBitIdenticalToFullShielding) {
-  Fixture f;
-  SsinInterpolator model(TinyModel(), FastTraining());
-  model.Fit(f.data, f.observed_ids);
-
-  std::vector<std::vector<double>> full_engine;
-  for (int t = 0; t < 4; ++t) {
-    full_engine.push_back(model.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids));
-  }
-
-  // SetNeighborRadius must invalidate cached layouts just like SetNeighborK:
-  // the plan embeds the radius cut.
-  const int64_t invalidations_before = model.layout_cache().invalidations();
-  model.SetNeighborRadius(1e6);  // Covers any pair in the small region.
-  EXPECT_EQ(model.neighbor_radius_km(), 1e6);
-  EXPECT_GT(model.layout_cache().invalidations(), invalidations_before);
-
-  for (int t = 0; t < 4; ++t) {
-    EXPECT_EQ(model.InterpolateTimestamp(f.data.Values(t), f.observed_ids,
-                                         f.query_ids),
-              full_engine[t]);
-  }
-
-  // A real (tight) radius still agrees with the autograd reference path.
-  model.SetNeighborRadius(10.0);
-  for (int t = 0; t < 4; ++t) {
-    const std::vector<double> engine = model.InterpolateTimestamp(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    const std::vector<double> autograd = model.InterpolateTimestampAutograd(
-        f.data.Values(t), f.observed_ids, f.query_ids);
-    ASSERT_EQ(engine.size(), autograd.size());
-    for (size_t q = 0; q < engine.size(); ++q) {
-      EXPECT_NEAR(engine[q], autograd[q], 1e-12);
-      EXPECT_TRUE(std::isfinite(engine[q]));
-    }
-  }
-
-  // Radius 0 removes the cut and restores full shielding bit for bit.
-  model.SetNeighborRadius(0.0);
   EXPECT_EQ(model.InterpolateTimestamp(f.data.Values(0), f.observed_ids,
                                        f.query_ids),
             full_engine[0]);

@@ -138,33 +138,6 @@ TEST(EncoderTest, StackForwardAndGradFlow) {
   EXPECT_EQ(touched, static_cast<int>(encoder.Parameters().size()));
 }
 
-TEST(SgdTest, ConvergesOnQuadratic) {
-  // min (w - 3)^2.
-  Rng rng(10);
-  Linear layer(1, 1, false, &rng);
-  Sgd opt(layer.Parameters());
-  opt.set_learning_rate(0.1);
-  for (int step = 0; step < 200; ++step) {
-    layer.ZeroGrad();
-    Graph g;
-    Var w_out = layer.Forward(g.Constant(Tensor({1, 1}, 1.0)));
-    Var loss = MseLoss(w_out, Tensor({1, 1}, 3.0));
-    g.Backward(loss);
-    opt.Step();
-  }
-  EXPECT_NEAR(layer.Parameters()[0]->value[0], 3.0, 1e-4);
-}
-
-TEST(SgdTest, WeightDecayShrinksWeights) {
-  Rng rng(11);
-  Linear layer(1, 1, false, &rng);
-  layer.Parameters()[0]->value[0] = 1.0;
-  Sgd opt(layer.Parameters(), /*weight_decay=*/0.5);
-  opt.set_learning_rate(0.1);
-  opt.Step();  // Zero gradient; decay only.
-  EXPECT_NEAR(layer.Parameters()[0]->value[0], 0.95, 1e-12);
-}
-
 TEST(AdamTest, ConvergesOnQuadratic) {
   Rng rng(12);
   Linear layer(1, 1, false, &rng);

@@ -176,16 +176,6 @@ TEST(OpsGradTest, GatherRows) {
   EXPECT_LT(r.max_rel_err, kGradTol);
 }
 
-TEST(OpsGradTest, Reshape) {
-  auto r = CheckGradients(
-      {RandomTensor({2, 6}, 17)},
-      [](Graph*, const std::vector<Var>& v) {
-        Var reshaped = Reshape(v[0], {3, 4});
-        return Sum(Mul(reshaped, reshaped));
-      });
-  EXPECT_LT(r.max_rel_err, kGradTol);
-}
-
 TEST(OpsGradTest, MseLoss) {
   Tensor target = RandomTensor({4, 1}, 18);
   auto r = CheckGradients(
