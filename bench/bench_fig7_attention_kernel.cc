@@ -21,9 +21,10 @@
 /// BM_ServeHotPath_* times the graph-free serving arithmetic at the same
 /// configuration, composed from the serving chain's row kernels
 /// (nn/serving_kernels.h) under simd::ScalarOps (f64) and simd::VecOps
-/// (f64, f32), so the per-ISA kernel speedup is visible next to the
-/// training numbers. The two VecOps benches also report the real workspace
-/// arena high-water mark of SpaFormer::Predict (f64) / PredictF32 (f32).
+/// (f64, f32), so the vector kernels' speedup on the build's ISA is visible
+/// next to the training numbers. The two VecOps benches also report the
+/// real workspace arena high-water mark of SpaFormer::Predict (f64) /
+/// PredictF32 (f32).
 /// scripts/run_bench.sh drives this binary and records
 /// BENCH_attention.json (including the active ISA and the derived
 /// speedups).

@@ -5,20 +5,9 @@
 #include <cstdint>
 
 /// \file
-/// Compile-time SIMD dispatch layer for the hot serving kernels.
-///
-/// One instruction set is selected per build (never at runtime):
-///
-///   SSIN_SIMD_AVX2     x86-64 with AVX2+FMA (CMake adds -mavx2 -mfma when
-///                      the compiler supports them and SSIN_SIMD is ON)
-///   SSIN_SIMD_NEON     aarch64 / ARM with NEON
-///   SSIN_SIMD_PORTABLE everything else: plain loops annotated with
-///                      '#pragma omp simd' (-fopenmp-simd, no OpenMP
-///                      runtime) so auto-vectorizers may still kick in
-///
-/// Building with -DSSIN_SIMD=OFF defines SSIN_SIMD_DISABLED and forces the
-/// portable path with no pragmas — bit-compatible with the scalar
-/// reference.
+/// The vector primitives under the hot kernels (matmul, layer norm,
+/// shielded attention, the serving row kernels), one definition for every
+/// target.
 ///
 /// Kernels are written once against a *policy struct* carrying the
 /// primitive operations (dot products, axpy, row reductions), templated on
@@ -27,7 +16,17 @@
 ///   ScalarOps  strictly sequential loops — the historical kernel
 ///              arithmetic, kept callable as the bit-exact f64 reference
 ///              for the differential kernel tests
-///   VecOps     the ISA-dispatched implementations used in production
+///   VecOps     the production primitives: the same loops annotated with
+///              '#pragma omp simd' (-fopenmp-simd, no OpenMP runtime), so
+///              the compiler picks the vector instructions from the
+///              build's target flags — AVX2+FMA under the default x86-64
+///              flags (CMake adds -mavx2 -mfma when SSIN_SIMD is ON), NEON
+///              on aarch64
+///
+/// The primitives name no instruction set, and nothing is chosen at run
+/// time. Building with -DSSIN_SIMD=OFF defines SSIN_SIMD_DISABLED, which
+/// makes VecOps an alias of ScalarOps: the OFF build runs exactly the
+/// reference arithmetic.
 ///
 /// VecOps reassociates reductions (vector-lane partial sums), so its f64
 /// results can differ from ScalarOps in the last bits; the differential
@@ -42,63 +41,26 @@
 /// to tests/kernel_differential_test.cc comparing the two before switching
 /// any caller to VecOps.
 
-#if !defined(SSIN_SIMD_DISABLED) && defined(__AVX2__) && defined(__FMA__)
-#define SSIN_SIMD_AVX2 1
-#include <immintrin.h>
-#elif !defined(SSIN_SIMD_DISABLED) && defined(__ARM_NEON)
-#define SSIN_SIMD_NEON 1
-#include <arm_neon.h>
-#else
-#define SSIN_SIMD_PORTABLE 1
-#endif
-
 namespace ssin {
 namespace simd {
 
-/// Name of the ISA the build dispatches to — recorded by benches so a
-/// BENCH_*.json is self-describing.
+/// Name of the instruction set VecOps is compiled for — recorded by benches
+/// so a BENCH_*.json is self-describing.
 inline const char* IsaName() {
-#if defined(SSIN_SIMD_AVX2)
-  return "avx2";
-#elif defined(SSIN_SIMD_NEON)
-  return "neon";
-#elif defined(SSIN_SIMD_DISABLED)
+#if defined(SSIN_SIMD_DISABLED)
   return "scalar";
+#elif defined(__AVX2__) && defined(__FMA__)
+  return "avx2";
+#elif defined(__ARM_NEON)
+  return "neon";
 #else
   return "portable";
 #endif
 }
 
-#if defined(SSIN_SIMD_AVX2)
-
-namespace internal {
-
-inline double HSum(__m256d v) {
-  __m128d lo = _mm256_castpd256_pd128(v);
-  const __m128d hi = _mm256_extractf128_pd(v, 1);
-  lo = _mm_add_pd(lo, hi);
-  const __m128d swapped = _mm_unpackhi_pd(lo, lo);
-  return _mm_cvtsd_f64(_mm_add_sd(lo, swapped));
-}
-
-inline float HSum(__m256 v) {
-  __m128 lo = _mm256_castps256_ps128(v);
-  const __m128 hi = _mm256_extractf128_ps(v, 1);
-  lo = _mm_add_ps(lo, hi);
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  return _mm_cvtss_f32(lo);
-}
-
-}  // namespace internal
-
-#endif  // SSIN_SIMD_AVX2
-
 /// Strictly sequential primitives: the exact arithmetic (operation order
 /// included) of the historical scalar kernels. Differential reference.
 struct ScalarOps {
-  static constexpr bool kVectorized = false;
-
   template <typename T>
   static T Dot(const T* x, const T* y, int n) {
     T s = 0;
@@ -173,403 +135,17 @@ struct ScalarOps {
   }
 };
 
-/// ISA-dispatched primitives; same interface as ScalarOps. Reductions use
-/// vector-lane partial sums (reassociated), elementwise ops are exact.
+#if defined(SSIN_SIMD_DISABLED)
+
+/// -DSSIN_SIMD=OFF: production runs the reference primitives themselves.
+using VecOps = ScalarOps;
+
+#else
+
+/// ScalarOps' loops under '#pragma omp simd'; same interface. Reductions
+/// use vector-lane partial sums (reassociated); elementwise ops evaluate
+/// ScalarOps' expression per element.
 struct VecOps {
-  static constexpr bool kVectorized = true;
-
-#if defined(SSIN_SIMD_AVX2)
-
-  static double Dot(const double* x, const double* y, int n) {
-    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-    __m256d acc2 = _mm256_setzero_pd(), acc3 = _mm256_setzero_pd();
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i),
-                             _mm256_loadu_pd(y + i), acc0);
-      acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 4),
-                             _mm256_loadu_pd(y + i + 4), acc1);
-      acc2 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 8),
-                             _mm256_loadu_pd(y + i + 8), acc2);
-      acc3 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i + 12),
-                             _mm256_loadu_pd(y + i + 12), acc3);
-    }
-    for (; i + 4 <= n; i += 4) {
-      acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(x + i),
-                             _mm256_loadu_pd(y + i), acc0);
-    }
-    double s = internal::HSum(
-        _mm256_add_pd(_mm256_add_pd(acc0, acc1), _mm256_add_pd(acc2, acc3)));
-    for (; i < n; ++i) s += x[i] * y[i];
-    return s;
-  }
-
-  static float Dot(const float* x, const float* y, int n) {
-    __m256 acc0 = _mm256_setzero_ps(), acc1 = _mm256_setzero_ps();
-    int i = 0;
-    for (; i + 16 <= n; i += 16) {
-      acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i),
-                             _mm256_loadu_ps(y + i), acc0);
-      acc1 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i + 8),
-                             _mm256_loadu_ps(y + i + 8), acc1);
-    }
-    for (; i + 8 <= n; i += 8) {
-      acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(x + i),
-                             _mm256_loadu_ps(y + i), acc0);
-    }
-    float s = internal::HSum(_mm256_add_ps(acc0, acc1));
-    for (; i < n; ++i) s += x[i] * y[i];
-    return s;
-  }
-
-  static double Dot3(const double* x, const double* y, const double* z,
-                     int n) {
-    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      acc0 = _mm256_fmadd_pd(
-          _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)),
-          _mm256_loadu_pd(z + i), acc0);
-      acc1 = _mm256_fmadd_pd(
-          _mm256_mul_pd(_mm256_loadu_pd(x + i + 4),
-                        _mm256_loadu_pd(y + i + 4)),
-          _mm256_loadu_pd(z + i + 4), acc1);
-    }
-    for (; i + 4 <= n; i += 4) {
-      acc0 = _mm256_fmadd_pd(
-          _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)),
-          _mm256_loadu_pd(z + i), acc0);
-    }
-    double s = internal::HSum(_mm256_add_pd(acc0, acc1));
-    for (; i < n; ++i) s += x[i] * y[i] * z[i];
-    return s;
-  }
-
-  static float Dot3(const float* x, const float* y, const float* z, int n) {
-    __m256 acc = _mm256_setzero_ps();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      acc = _mm256_fmadd_ps(
-          _mm256_mul_ps(_mm256_loadu_ps(x + i), _mm256_loadu_ps(y + i)),
-          _mm256_loadu_ps(z + i), acc);
-    }
-    float s = internal::HSum(acc);
-    for (; i < n; ++i) s += x[i] * y[i] * z[i];
-    return s;
-  }
-
-  static void Axpy(double a, const double* x, double* out, int n) {
-    const __m256d va = _mm256_set1_pd(a);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      _mm256_storeu_pd(out + i, _mm256_fmadd_pd(va, _mm256_loadu_pd(x + i),
-                                                _mm256_loadu_pd(out + i)));
-    }
-    for (; i < n; ++i) out[i] += a * x[i];
-  }
-
-  static void Axpy(float a, const float* x, float* out, int n) {
-    const __m256 va = _mm256_set1_ps(a);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      _mm256_storeu_ps(out + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(x + i),
-                                                _mm256_loadu_ps(out + i)));
-    }
-    for (; i < n; ++i) out[i] += a * x[i];
-  }
-
-  static void Axpy4(double a0, double a1, double a2, double a3,
-                    const double* x0, const double* x1, const double* x2,
-                    const double* x3, double* out, int n) {
-    const __m256d v0 = _mm256_set1_pd(a0), v1 = _mm256_set1_pd(a1);
-    const __m256d v2 = _mm256_set1_pd(a2), v3 = _mm256_set1_pd(a3);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      __m256d acc = _mm256_loadu_pd(out + i);
-      acc = _mm256_fmadd_pd(v0, _mm256_loadu_pd(x0 + i), acc);
-      acc = _mm256_fmadd_pd(v1, _mm256_loadu_pd(x1 + i), acc);
-      acc = _mm256_fmadd_pd(v2, _mm256_loadu_pd(x2 + i), acc);
-      acc = _mm256_fmadd_pd(v3, _mm256_loadu_pd(x3 + i), acc);
-      _mm256_storeu_pd(out + i, acc);
-    }
-    for (; i < n; ++i) {
-      out[i] += a0 * x0[i] + a1 * x1[i] + a2 * x2[i] + a3 * x3[i];
-    }
-  }
-
-  static void Axpy4(float a0, float a1, float a2, float a3, const float* x0,
-                    const float* x1, const float* x2, const float* x3,
-                    float* out, int n) {
-    const __m256 v0 = _mm256_set1_ps(a0), v1 = _mm256_set1_ps(a1);
-    const __m256 v2 = _mm256_set1_ps(a2), v3 = _mm256_set1_ps(a3);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      __m256 acc = _mm256_loadu_ps(out + i);
-      acc = _mm256_fmadd_ps(v0, _mm256_loadu_ps(x0 + i), acc);
-      acc = _mm256_fmadd_ps(v1, _mm256_loadu_ps(x1 + i), acc);
-      acc = _mm256_fmadd_ps(v2, _mm256_loadu_ps(x2 + i), acc);
-      acc = _mm256_fmadd_ps(v3, _mm256_loadu_ps(x3 + i), acc);
-      _mm256_storeu_ps(out + i, acc);
-    }
-    for (; i < n; ++i) {
-      out[i] += a0 * x0[i] + a1 * x1[i] + a2 * x2[i] + a3 * x3[i];
-    }
-  }
-
-  static void Add(const double* x, double* out, int n) {
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      _mm256_storeu_pd(
-          out + i, _mm256_add_pd(_mm256_loadu_pd(out + i),
-                                 _mm256_loadu_pd(x + i)));
-    }
-    for (; i < n; ++i) out[i] += x[i];
-  }
-
-  static void Add(const float* x, float* out, int n) {
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      _mm256_storeu_ps(
-          out + i, _mm256_add_ps(_mm256_loadu_ps(out + i),
-                                 _mm256_loadu_ps(x + i)));
-    }
-    for (; i < n; ++i) out[i] += x[i];
-  }
-
-  static void Relu(double* x, int n) {
-    const __m256d zero = _mm256_setzero_pd();
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      _mm256_storeu_pd(x + i, _mm256_max_pd(_mm256_loadu_pd(x + i), zero));
-    }
-    for (; i < n; ++i) {
-      if (x[i] < 0.0) x[i] = 0.0;
-    }
-  }
-
-  static void Relu(float* x, int n) {
-    const __m256 zero = _mm256_setzero_ps();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      _mm256_storeu_ps(x + i, _mm256_max_ps(_mm256_loadu_ps(x + i), zero));
-    }
-    for (; i < n; ++i) {
-      if (x[i] < 0.0f) x[i] = 0.0f;
-    }
-  }
-
-  static double Sum(const double* x, int n) {
-    __m256d acc0 = _mm256_setzero_pd(), acc1 = _mm256_setzero_pd();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(x + i));
-      acc1 = _mm256_add_pd(acc1, _mm256_loadu_pd(x + i + 4));
-    }
-    for (; i + 4 <= n; i += 4) {
-      acc0 = _mm256_add_pd(acc0, _mm256_loadu_pd(x + i));
-    }
-    double s = internal::HSum(_mm256_add_pd(acc0, acc1));
-    for (; i < n; ++i) s += x[i];
-    return s;
-  }
-
-  static float Sum(const float* x, int n) {
-    __m256 acc = _mm256_setzero_ps();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) acc = _mm256_add_ps(acc, _mm256_loadu_ps(x + i));
-    float s = internal::HSum(acc);
-    for (; i < n; ++i) s += x[i];
-    return s;
-  }
-
-  static double SumSqDiff(const double* x, double mean, int n) {
-    const __m256d vm = _mm256_set1_pd(mean);
-    __m256d acc = _mm256_setzero_pd();
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d d = _mm256_sub_pd(_mm256_loadu_pd(x + i), vm);
-      acc = _mm256_fmadd_pd(d, d, acc);
-    }
-    double s = internal::HSum(acc);
-    for (; i < n; ++i) {
-      const double d = x[i] - mean;
-      s += d * d;
-    }
-    return s;
-  }
-
-  static float SumSqDiff(const float* x, float mean, int n) {
-    const __m256 vm = _mm256_set1_ps(mean);
-    __m256 acc = _mm256_setzero_ps();
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256 d = _mm256_sub_ps(_mm256_loadu_ps(x + i), vm);
-      acc = _mm256_fmadd_ps(d, d, acc);
-    }
-    float s = internal::HSum(acc);
-    for (; i < n; ++i) {
-      const float d = x[i] - mean;
-      s += d * d;
-    }
-    return s;
-  }
-
-  static void NormScale(const double* x, double mean, double istd,
-                        const double* gamma, const double* beta, double* out,
-                        double* xhat, int n) {
-    const __m256d vm = _mm256_set1_pd(mean);
-    const __m256d vi = _mm256_set1_pd(istd);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      const __m256d xh =
-          _mm256_mul_pd(_mm256_sub_pd(_mm256_loadu_pd(x + i), vm), vi);
-      if (xhat != nullptr) _mm256_storeu_pd(xhat + i, xh);
-      _mm256_storeu_pd(out + i,
-                       _mm256_fmadd_pd(xh, _mm256_loadu_pd(gamma + i),
-                                       _mm256_loadu_pd(beta + i)));
-    }
-    for (; i < n; ++i) {
-      const double xh = (x[i] - mean) * istd;
-      if (xhat != nullptr) xhat[i] = xh;
-      out[i] = xh * gamma[i] + beta[i];
-    }
-  }
-
-  static void NormScale(const float* x, float mean, float istd,
-                        const float* gamma, const float* beta, float* out,
-                        float* xhat, int n) {
-    const __m256 vm = _mm256_set1_ps(mean);
-    const __m256 vi = _mm256_set1_ps(istd);
-    int i = 0;
-    for (; i + 8 <= n; i += 8) {
-      const __m256 xh =
-          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(x + i), vm), vi);
-      if (xhat != nullptr) _mm256_storeu_ps(xhat + i, xh);
-      _mm256_storeu_ps(out + i,
-                       _mm256_fmadd_ps(xh, _mm256_loadu_ps(gamma + i),
-                                       _mm256_loadu_ps(beta + i)));
-    }
-    for (; i < n; ++i) {
-      const float xh = (x[i] - mean) * istd;
-      if (xhat != nullptr) xhat[i] = xh;
-      out[i] = xh * gamma[i] + beta[i];
-    }
-  }
-
-#elif defined(SSIN_SIMD_NEON)
-
-  static double Dot(const double* x, const double* y, int n) {
-    float64x2_t acc0 = vdupq_n_f64(0.0), acc1 = vdupq_n_f64(0.0);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      acc0 = vfmaq_f64(acc0, vld1q_f64(x + i), vld1q_f64(y + i));
-      acc1 = vfmaq_f64(acc1, vld1q_f64(x + i + 2), vld1q_f64(y + i + 2));
-    }
-    double s = vaddvq_f64(vaddq_f64(acc0, acc1));
-    for (; i < n; ++i) s += x[i] * y[i];
-    return s;
-  }
-
-  static float Dot(const float* x, const float* y, int n) {
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      acc = vfmaq_f32(acc, vld1q_f32(x + i), vld1q_f32(y + i));
-    }
-    float s = vaddvq_f32(acc);
-    for (; i < n; ++i) s += x[i] * y[i];
-    return s;
-  }
-
-  static double Dot3(const double* x, const double* y, const double* z,
-                     int n) {
-    float64x2_t acc = vdupq_n_f64(0.0);
-    int i = 0;
-    for (; i + 2 <= n; i += 2) {
-      acc = vfmaq_f64(acc, vmulq_f64(vld1q_f64(x + i), vld1q_f64(y + i)),
-                      vld1q_f64(z + i));
-    }
-    double s = vaddvq_f64(acc);
-    for (; i < n; ++i) s += x[i] * y[i] * z[i];
-    return s;
-  }
-
-  static float Dot3(const float* x, const float* y, const float* z, int n) {
-    float32x4_t acc = vdupq_n_f32(0.0f);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      acc = vfmaq_f32(acc, vmulq_f32(vld1q_f32(x + i), vld1q_f32(y + i)),
-                      vld1q_f32(z + i));
-    }
-    float s = vaddvq_f32(acc);
-    for (; i < n; ++i) s += x[i] * y[i] * z[i];
-    return s;
-  }
-
-  static void Axpy(double a, const double* x, double* out, int n) {
-    const float64x2_t va = vdupq_n_f64(a);
-    int i = 0;
-    for (; i + 2 <= n; i += 2) {
-      vst1q_f64(out + i, vfmaq_f64(vld1q_f64(out + i), va, vld1q_f64(x + i)));
-    }
-    for (; i < n; ++i) out[i] += a * x[i];
-  }
-
-  static void Axpy(float a, const float* x, float* out, int n) {
-    const float32x4_t va = vdupq_n_f32(a);
-    int i = 0;
-    for (; i + 4 <= n; i += 4) {
-      vst1q_f32(out + i, vfmaq_f32(vld1q_f32(out + i), va, vld1q_f32(x + i)));
-    }
-    for (; i < n; ++i) out[i] += a * x[i];
-  }
-
-  template <typename T>
-  static void Axpy4(T a0, T a1, T a2, T a3, const T* x0, const T* x1,
-                    const T* x2, const T* x3, T* out, int n) {
-    Axpy(a0, x0, out, n);
-    Axpy(a1, x1, out, n);
-    Axpy(a2, x2, out, n);
-    Axpy(a3, x3, out, n);
-  }
-
-  template <typename T>
-  static void Add(const T* x, T* out, int n) {
-    for (int i = 0; i < n; ++i) out[i] += x[i];
-  }
-
-  template <typename T>
-  static void Relu(T* x, int n) {
-    for (int i = 0; i < n; ++i) {
-      if (x[i] < T(0)) x[i] = T(0);
-    }
-  }
-
-  template <typename T>
-  static T Sum(const T* x, int n) {
-    T s = 0;
-    for (int i = 0; i < n; ++i) s += x[i];
-    return s;
-  }
-
-  template <typename T>
-  static T SumSqDiff(const T* x, T mean, int n) {
-    T s = 0;
-    for (int i = 0; i < n; ++i) {
-      const T d = x[i] - mean;
-      s += d * d;
-    }
-    return s;
-  }
-
-  template <typename T>
-  static void NormScale(const T* x, T mean, T istd, const T* gamma,
-                        const T* beta, T* out, T* xhat, int n) {
-    ScalarOps::NormScale(x, mean, istd, gamma, beta, out, xhat, n);
-  }
-
-#else  // SSIN_SIMD_PORTABLE
-
   template <typename T>
   static T Dot(const T* x, const T* y, int n) {
     T s = 0;
@@ -637,9 +213,9 @@ struct VecOps {
                         const T* beta, T* out, T* xhat, int n) {
     ScalarOps::NormScale(x, mean, istd, gamma, beta, out, xhat, n);
   }
-
-#endif
 };
+
+#endif  // SSIN_SIMD_DISABLED
 
 // ------------------------------------------------------------------------
 // Shared kernel templates. These are the single implementations behind the

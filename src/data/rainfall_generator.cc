@@ -306,7 +306,7 @@ SpatialDataset RainfallGenerator::GenerateHoursAt(
   std::vector<Station> all_stations = stations_;
   for (size_t i = 0; i < extra_points.size(); ++i) {
     Station s;
-    s.id = "Q" + std::to_string(i);
+    s.id = std::string("Q").append(std::to_string(i));
     s.position = extra_points[i];
     all_stations.push_back(std::move(s));
   }

@@ -84,7 +84,7 @@ TrafficGenerator::TrafficGenerator(const TrafficNetworkConfig& config)
   sensor_stations_.reserve(sensor_nodes_.size());
   for (size_t i = 0; i < sensor_nodes_.size(); ++i) {
     Station s;
-    s.id = "S" + std::to_string(i);
+    s.id = std::string("S").append(std::to_string(i));
     s.position = graph_.position(sensor_nodes_[i]);
     sensor_stations_.push_back(std::move(s));
   }

@@ -42,15 +42,12 @@ CrossValidationResult CrossValidate(
   const std::vector<std::vector<int>> folds =
       MakeFolds(data.num_stations(), k, rng);
 
-  CrossValidationResult result;
-  MetricsAccumulator pooled;
-  const int end = options.end < 0 ? data.num_timestamps() : options.end;
-
   // Every interpolator is created on the calling thread before any fold
   // runs (factories may share an Rng or other mutable state); then folds fit
   // and evaluate across the pool, each fold's timestamps in order inside
-  // its slot. Pooled metrics are reduced on the calling thread in
-  // (fold, timestamp) order, so every thread count gives the same result.
+  // its slot. Each evaluation keeps the (truth, prediction) pairs it scored,
+  // and the pooled metrics merge them on the calling thread in (fold,
+  // timestamp) order, so every thread count gives the same result.
   std::vector<NodeSplit> splits(k);
   std::vector<std::unique_ptr<SpatialInterpolator>> methods;
   for (int fold = 0; fold < k; ++fold) {
@@ -58,27 +55,19 @@ CrossValidationResult CrossValidate(
     methods.push_back(factory());
   }
   std::vector<EvalResult> fold_evals(k);
-  std::vector<std::vector<std::vector<double>>> fold_predictions(k);
+  std::vector<MetricsAccumulator> fold_pairs(k);
   EvalOptions fold_options = options;
   fold_options.num_threads = 1;  // Parallelism lives at the fold level.
   ThreadPool pool(options.num_threads);
   pool.ParallelFor(k, [&](int64_t fold, int /*slot*/) {
-    const NodeSplit& split = splits[fold];
-    fold_evals[fold] = EvaluateInterpolator(methods[fold].get(), data, split,
-                                            fold_options);
-    for (int t = options.begin; t < end; t += options.stride) {
-      fold_predictions[fold].push_back(methods[fold]->InterpolateTimestamp(
-          data.Values(t), split.train_ids, split.test_ids));
-    }
+    fold_evals[fold] = EvaluateInterpolator(
+        methods[fold].get(), data, splits[fold], fold_options,
+        &fold_pairs[fold]);
   });
+  CrossValidationResult result;
+  MetricsAccumulator pooled;
   for (int fold = 0; fold < k; ++fold) {
-    size_t i = 0;
-    for (int t = options.begin; t < end; t += options.stride, ++i) {
-      const std::vector<double>& predictions = fold_predictions[fold][i];
-      for (size_t q = 0; q < splits[fold].test_ids.size(); ++q) {
-        pooled.Add(data.Value(t, splits[fold].test_ids[q]), predictions[q]);
-      }
-    }
+    pooled.Merge(fold_pairs[fold]);
     result.folds.push_back(std::move(fold_evals[fold]));
   }
   result.pooled = pooled.Compute();

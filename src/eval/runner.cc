@@ -42,7 +42,8 @@ void FlushTelemetryPhase(const EvalOptions& options, const char* kind) {
 
 EvalResult RunEvaluation(SpatialInterpolator* method,
                          const SpatialDataset& data, const NodeSplit& split,
-                         const EvalOptions& options, bool fit) {
+                         const EvalOptions& options, bool fit,
+                         MetricsAccumulator* pairs) {
   EvalResult result;
   result.method = method->Name();
 
@@ -87,6 +88,7 @@ EvalResult RunEvaluation(SpatialInterpolator* method,
   }
   result.interpolate_seconds = interp_timer.Seconds();
   result.metrics = acc.Compute();
+  if (pairs != nullptr) *pairs = std::move(acc);
   if (options.telemetry) FlushTelemetryPhase(options, "serve");
   return result;
 }
@@ -96,15 +98,17 @@ EvalResult RunEvaluation(SpatialInterpolator* method,
 EvalResult EvaluateInterpolator(SpatialInterpolator* method,
                                 const SpatialDataset& data,
                                 const NodeSplit& split,
-                                const EvalOptions& options) {
-  return RunEvaluation(method, data, split, options, /*fit=*/true);
+                                const EvalOptions& options,
+                                MetricsAccumulator* pairs) {
+  return RunEvaluation(method, data, split, options, /*fit=*/true, pairs);
 }
 
 EvalResult EvaluateWithoutFit(SpatialInterpolator* method,
                               const SpatialDataset& data,
                               const NodeSplit& split,
                               const EvalOptions& options) {
-  return RunEvaluation(method, data, split, options, /*fit=*/false);
+  return RunEvaluation(method, data, split, options, /*fit=*/false,
+                       /*pairs=*/nullptr);
 }
 
 void PrintResultsTable(const std::string& title,

@@ -6,7 +6,7 @@ namespace ssin {
 
 Adam::Adam(std::vector<Parameter*> params, double beta1, double beta2,
            double eps, double weight_decay)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       beta1_(beta1),
       beta2_(beta2),
       eps_(eps),
@@ -77,7 +77,7 @@ double NoamSchedule::LearningRate(int64_t step) const {
   return scale_ * std::min(1.0 / std::sqrt(s), s / std::pow(warmup_, 1.5));
 }
 
-void NoamSchedule::Step(Optimizer* opt) {
+void NoamSchedule::Step(Adam* opt) {
   ++step_;
   opt->set_learning_rate(LearningRate(step_));
 }

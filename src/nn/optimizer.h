@@ -7,39 +7,21 @@
 
 namespace ssin {
 
-/// Optimizer interface over a fixed parameter list. Gradients are expected
-/// to be accumulated into Parameter::grad (see Graph::Backward); Step()
-/// consumes them and zeroes them.
-class Optimizer {
- public:
-  explicit Optimizer(std::vector<Parameter*> params)
-      : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
-
-  /// Applies one update with the current learning rate and clears grads.
-  virtual void Step() = 0;
-
-  void set_learning_rate(double lr) { learning_rate_ = lr; }
-  double learning_rate() const { return learning_rate_; }
-
-  void ZeroGrad() {
-    for (Parameter* p : params_) p->grad.Fill(0.0);
-  }
-
- protected:
-  std::vector<Parameter*> params_;
-  double learning_rate_ = 1e-3;
-};
-
-/// Adam (Kingma & Ba, 2015). Paper settings: beta1=0.9, beta2=0.98,
-/// eps=1e-9.
-class Adam : public Optimizer {
+/// Adam (Kingma & Ba, 2015) over a fixed parameter list. Paper settings:
+/// beta1=0.9, beta2=0.98, eps=1e-9. Gradients are expected to be
+/// accumulated into Parameter::grad (see Graph::Backward); Step() consumes
+/// them and zeroes them.
+class Adam {
  public:
   explicit Adam(std::vector<Parameter*> params, double beta1 = 0.9,
                 double beta2 = 0.98, double eps = 1e-9,
                 double weight_decay = 0.0);
 
-  void Step() override;
+  /// Applies one update with the current learning rate and clears grads.
+  void Step();
+
+  void set_learning_rate(double lr) { learning_rate_ = lr; }
+  double learning_rate() const { return learning_rate_; }
 
   int64_t step_count() const { return step_; }
 
@@ -54,6 +36,8 @@ class Adam : public Optimizer {
                     std::vector<Tensor> v);
 
  private:
+  std::vector<Parameter*> params_;
+  double learning_rate_ = 1e-3;
   double beta1_;
   double beta2_;
   double eps_;
@@ -79,7 +63,7 @@ class NoamSchedule {
   double LearningRate(int64_t step) const;
 
   /// Advances the internal step and applies the new rate to `opt`.
-  void Step(Optimizer* opt);
+  void Step(Adam* opt);
 
   int64_t step() const { return step_; }
 

@@ -82,12 +82,6 @@ class Tensor {
     return const_cast<Tensor*>(this)->At(r, c);
   }
 
-  /// Returns a copy with a new shape of identical element count.
-  Tensor Reshaped(std::vector<int> new_shape) const {
-    SSIN_CHECK_EQ(Numel(new_shape), numel());
-    return Tensor(std::move(new_shape), data_);
-  }
-
   bool SameShape(const Tensor& other) const { return shape_ == other.shape_; }
 
   void Fill(double v) { std::fill(data_.begin(), data_.end(), v); }

@@ -22,7 +22,7 @@ SpatialDataset LinearFieldDataset(int num_stations, uint64_t seed,
   Rng rng(seed);
   std::vector<Station> stations(num_stations);
   for (int i = 0; i < num_stations; ++i) {
-    stations[i].id = "S" + std::to_string(i);
+    stations[i].id = std::string("S").append(std::to_string(i));
     stations[i].position = {rng.Uniform(0, 30), rng.Uniform(0, 30)};
   }
   SpatialDataset data(std::move(stations));

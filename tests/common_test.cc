@@ -127,7 +127,7 @@ TEST(RngTest, ForkIsIndependentStream) {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   const double first = timer.Seconds();
   EXPECT_GE(first, 0.0);
   EXPECT_GE(timer.Seconds(), first);  // Monotone.

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -134,6 +135,41 @@ TEST(CrossValTest, PooledMetricsAreFinite) {
   }
   EXPECT_GE(result.pooled.rmse, lo - 1e-9);
   EXPECT_LE(result.pooled.rmse, hi + 1e-9);
+}
+
+// Plain IDW that counts the timestamps it is asked to predict.
+class CountingIdw : public IdwInterpolator {
+ public:
+  explicit CountingIdw(std::atomic<int>* calls) : calls_(calls) {}
+
+  std::vector<double> InterpolateTimestamp(
+      const std::vector<double>& all_values,
+      const std::vector<int>& observed_ids,
+      const std::vector<int>& query_ids) override {
+    calls_->fetch_add(1);
+    return IdwInterpolator::InterpolateTimestamp(all_values, observed_ids,
+                                                 query_ids);
+  }
+
+ private:
+  std::atomic<int>* calls_;
+};
+
+TEST(CrossValTest, PredictsEachFoldTimestampOnce) {
+  // The pooled metrics come from the folds' own evaluation pass: k folds x
+  // T timestamps is k*T predictions, not one more pass on top.
+  RainfallRegionConfig region = HkRegionConfig();
+  region.num_gauges = 24;
+  RainfallGenerator gen(region);
+  SpatialDataset data = gen.GenerateHours(20, 13);
+  std::atomic<int> calls{0};
+  Rng rng(3);
+  const CrossValidationResult result = CrossValidate(
+      [&calls] { return std::make_unique<CountingIdw>(&calls); }, data,
+      /*k=*/4, &rng);
+  EXPECT_EQ(calls.load(), 4 * 20);
+  // Every station is held out once per timestamp.
+  EXPECT_EQ(result.pooled.count, 24 * 20);
 }
 
 // ------------------------------------------------------------------- Tuner

@@ -41,6 +41,15 @@ double PolicyTol() {
   return std::is_same<T, float>::value ? kF32Tol : kF64Tol;
 }
 
+#if defined(SSIN_SIMD_DISABLED)
+// -DSSIN_SIMD=OFF promises the reference arithmetic in production: VecOps
+// is ScalarOps itself, so every sweep below compares the policy with itself.
+TEST(KernelDifferentialTest, SimdOffBuildRunsScalarOps) {
+  static_assert(std::is_same_v<simd::VecOps, simd::ScalarOps>);
+  EXPECT_STREQ(simd::IsaName(), "scalar");
+}
+#endif
+
 // ---------------------------------------------------------------------------
 // Matmul family: out += a*b, out += dc*b^T, out += a^T*dc.
 

@@ -27,13 +27,6 @@ TEST(TensorTest, Scalar) {
   EXPECT_DOUBLE_EQ(s[0], 7.0);
 }
 
-TEST(TensorTest, Reshape) {
-  Tensor t({2, 3}, {0, 1, 2, 3, 4, 5});
-  Tensor r = t.Reshaped({3, 2});
-  EXPECT_EQ(r.dim(0), 3);
-  EXPECT_DOUBLE_EQ(r.At(2, 1), 5.0);  // Row-major order preserved.
-}
-
 TEST(TensorTest, Accumulate) {
   Tensor a({3}, {1, 2, 3});
   Tensor b({3}, {10, 20, 30});
