@@ -23,7 +23,9 @@ echo "== telemetry_test (TSan) =="
 
 echo "== parallel_equivalence_test (TSan) =="
 # Four-thread data-parallel training against the serial run
-# (ParallelTrainingEquivalence.FourThreadsMatchSerial).
+# (ParallelTrainingEquivalence.FourThreadsMatchSerial), and four-thread
+# TIN/TPS/OK evaluation, whose workers share one interpolator
+# (ParallelEvalEquivalence.TinTpsAndKrigingMatchSerialBitwise).
 "${BUILD_DIR}/tests/parallel_equivalence_test"
 
 echo "== kernel_differential_test (TSan) =="

@@ -42,20 +42,4 @@ std::vector<double> IdwInterpolator::InterpolateTimestamp(
   return out;
 }
 
-double IdwInterpolator::InterpolateAt(const PointKm& query,
-                                      const std::vector<PointKm>& points,
-                                      const std::vector<double>& values,
-                                      double power) {
-  SSIN_CHECK_EQ(points.size(), values.size());
-  double weight_sum = 0.0, value_sum = 0.0;
-  for (size_t i = 0; i < points.size(); ++i) {
-    const double d = DistanceKm(query, points[i]);
-    if (d < kExactHitKm) return values[i];
-    const double w = 1.0 / std::pow(d, power);
-    weight_sum += w;
-    value_sum += w * values[i];
-  }
-  return weight_sum > 0.0 ? value_sum / weight_sum : 0.0;
-}
-
 }  // namespace ssin

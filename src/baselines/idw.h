@@ -26,13 +26,6 @@ class IdwInterpolator : public SpatialInterpolator {
       const std::vector<int>& observed_ids,
       const std::vector<int>& query_ids) override;
 
-  /// Interpolates at an arbitrary planar point from explicit observations
-  /// (geographic distance only; exposed for grid demos).
-  static double InterpolateAt(const PointKm& query,
-                              const std::vector<PointKm>& points,
-                              const std::vector<double>& values,
-                              double power = 2.0);
-
  private:
   double power_;
   StationGeometry geometry_;

@@ -1,6 +1,10 @@
 #include "baselines/kriging.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "baselines/variogram.h"
+#include "common/matrix.h"
 
 namespace ssin {
 
@@ -31,7 +35,7 @@ std::vector<double> KrigingInterpolator::InterpolateTimestamp(
   // Variogram estimation for this hour's field.
   VariogramModel model;
   const std::vector<VariogramBin> bins = EmpiricalVariogram(points, values);
-  if (!FitVariogram(bins, type_, &model)) {
+  if (!FitVariogram(bins, VariogramModel::Type::kSpherical, &model)) {
     // Constant or near-constant field: fall back to a linear variogram
     // (prediction degrades gracefully to distance-weighting of a constant).
     model.type = VariogramModel::Type::kLinear;
@@ -45,12 +49,10 @@ std::vector<double> KrigingInterpolator::InterpolateTimestamp(
     }
     model.range = max_lag;
   }
-  last_model_ = model;
 
-  // Kriging system (shared by all queries of this timestamp). OK has a
-  // single unbiasedness constraint; UK adds linear drift constraints.
-  const int drift = universal_ ? 3 : 1;  // {1} or {1, x, y}.
-  const int size = n + drift;
+  // Kriging system (shared by all queries of this timestamp), bordered by
+  // the single unbiasedness constraint.
+  const int size = n + 1;
   Matrix system(size, size);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < n; ++j) {
@@ -58,12 +60,6 @@ std::vector<double> KrigingInterpolator::InterpolateTimestamp(
     }
     system(i, n) = 1.0;
     system(n, i) = 1.0;
-    if (universal_) {
-      system(i, n + 1) = points[i].x;
-      system(n + 1, i) = points[i].x;
-      system(i, n + 2) = points[i].y;
-      system(n + 2, i) = points[i].y;
-    }
   }
 
   Matrix inverse;
@@ -80,10 +76,6 @@ std::vector<double> KrigingInterpolator::InterpolateTimestamp(
     const PointKm& p = geometry_.position(q);
     for (int i = 0; i < n; ++i) rhs[i] = model(DistanceKm(p, points[i]));
     rhs[n] = 1.0;
-    if (universal_) {
-      rhs[n + 1] = p.x;
-      rhs[n + 2] = p.y;
-    }
     for (int r = 0; r < size; ++r) {
       double sum = 0.0;
       for (int c = 0; c < size; ++c) sum += inverse(r, c) * rhs[c];

@@ -4,16 +4,15 @@
 #include <string>
 #include <vector>
 
-#include "baselines/variogram.h"
-#include "common/matrix.h"
 #include "core/interpolation.h"
 
 namespace ssin {
 
-/// Ordinary Kriging (paper baseline; spherical variogram reported best).
+/// Ordinary Kriging (paper baseline) with the spherical variogram, which
+/// the paper reports best.
 ///
 /// Per timestamp it (1) estimates the empirical semivariogram of the
-/// observed values, (2) fits the parametric model by weighted least
+/// observed values, (2) fits the spherical model by weighted least
 /// squares, and (3) solves the OK system
 ///   [Gamma  1] [lambda]   [gamma(q)]
 ///   [1^T    0] [mu    ] = [1       ]
@@ -21,15 +20,7 @@ namespace ssin {
 /// to a linear variogram, which reduces OK toward distance weighting.
 class KrigingInterpolator : public SpatialInterpolator {
  public:
-  /// `universal` switches to Universal Kriging (paper §2's main OK
-  /// variant): the unbiasedness constraints cover a linear spatial drift
-  /// (1, x, y) rather than just the constant mean.
-  explicit KrigingInterpolator(
-      VariogramModel::Type type = VariogramModel::Type::kSpherical,
-      bool universal = false)
-      : type_(type), universal_(universal) {}
-
-  std::string Name() const override { return universal_ ? "UK" : "OK"; }
+  std::string Name() const override { return "OK"; }
 
   void Fit(const SpatialDataset& data,
            const std::vector<int>& train_ids) override;
@@ -39,14 +30,8 @@ class KrigingInterpolator : public SpatialInterpolator {
       const std::vector<int>& observed_ids,
       const std::vector<int>& query_ids) override;
 
-  /// The variogram fitted for the most recent timestamp (for diagnostics).
-  const VariogramModel& last_variogram() const { return last_model_; }
-
  private:
-  VariogramModel::Type type_;
-  bool universal_;
   StationGeometry geometry_;
-  VariogramModel last_model_;
 };
 
 }  // namespace ssin

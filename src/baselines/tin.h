@@ -1,11 +1,9 @@
 #ifndef SSIN_BASELINES_TIN_H_
 #define SSIN_BASELINES_TIN_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "baselines/delaunay.h"
 #include "core/interpolation.h"
 
 namespace ssin {
@@ -27,6 +25,13 @@ class TinInterpolator : public SpatialInterpolator {
       const std::vector<int>& observed_ids,
       const std::vector<int>& query_ids) override;
 
+  /// Triangulates the observed stations once on the calling thread, then
+  /// applies the query plans to every timestamp across the pool.
+  std::vector<std::vector<double>> InterpolateBatch(
+      const std::vector<const std::vector<double>*>& batch_values,
+      const std::vector<int>& observed_ids,
+      const std::vector<int>& query_ids, int num_threads = 1) override;
+
  private:
   /// Interpolation plan for one query against one observed set: either
   /// barycentric weights over 3 stations or a single nearest station.
@@ -36,15 +41,15 @@ class TinInterpolator : public SpatialInterpolator {
     int count;  // 3 inside the hull, 1 outside.
   };
 
-  QueryPlan PlanFor(int query, const std::vector<int>& observed_ids);
+  /// Triangulates the observed stations and plans every query against
+  /// them, in query order.
+  std::vector<QueryPlan> Plan(const std::vector<int>& observed_ids,
+                              const std::vector<int>& query_ids) const;
+
+  static std::vector<double> Apply(const std::vector<QueryPlan>& plans,
+                                   const std::vector<double>& all_values);
 
   StationGeometry geometry_;
-  // Triangulation and plans are cached per observed set (the observed set
-  // is fixed across timestamps in the paper's evaluation).
-  std::vector<int> cached_observed_;
-  std::unique_ptr<DelaunayTriangulation> triangulation_;
-  std::vector<QueryPlan> plan_cache_;
-  std::vector<int> plan_queries_;
 };
 
 }  // namespace ssin

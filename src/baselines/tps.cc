@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+
+#include "common/thread_pool.h"
 
 namespace ssin {
 
@@ -80,9 +83,6 @@ double TpsInterpolator::GcvScore(const std::vector<int>& observed_ids,
 void TpsInterpolator::Fit(const SpatialDataset& data,
                           const std::vector<int>& train_ids) {
   geometry_.Capture(data, /*use_travel_distance=*/false);
-  fit_data_ = &data;
-  fit_train_ids_ = train_ids;
-  cached_observed_.clear();
 
   // Choose lambda by GCV on a sample of training timestamps, predicting
   // train gauges from train gauges (no test information).
@@ -121,19 +121,21 @@ void TpsInterpolator::Fit(const SpatialDataset& data,
   lambda_ = grid[best] * kernel_scale;
 }
 
-void TpsInterpolator::PrepareSolver(const std::vector<int>& observed_ids) {
-  cached_observed_ = observed_ids;
+Matrix TpsInterpolator::SystemInverse(
+    const std::vector<int>& observed_ids) const {
   std::vector<PointKm> points;
   points.reserve(observed_ids.size());
   for (int o : observed_ids) points.push_back(geometry_.position(o));
-  const bool ok = Invert(BuildSystem(points, lambda_), &system_inverse_);
+  Matrix inverse;
+  const bool ok = Invert(BuildSystem(points, lambda_), &inverse);
   SSIN_CHECK(ok) << "TPS system is singular (duplicate stations?)";
+  return inverse;
 }
 
-std::vector<double> TpsInterpolator::InterpolateTimestamp(
-    const std::vector<double>& all_values,
-    const std::vector<int>& observed_ids, const std::vector<int>& query_ids) {
-  if (observed_ids != cached_observed_) PrepareSolver(observed_ids);
+std::vector<double> TpsInterpolator::Apply(
+    const Matrix& system_inverse, const std::vector<double>& all_values,
+    const std::vector<int>& observed_ids,
+    const std::vector<int>& query_ids) const {
   const int n = static_cast<int>(observed_ids.size());
 
   // Solve for spline coefficients: [w; a] = inv * [y; 0].
@@ -141,7 +143,7 @@ std::vector<double> TpsInterpolator::InterpolateTimestamp(
   for (int r = 0; r < n + 3; ++r) {
     double sum = 0.0;
     for (int j = 0; j < n; ++j) {
-      sum += system_inverse_(r, j) * all_values[observed_ids[j]];
+      sum += system_inverse(r, j) * all_values[observed_ids[j]];
     }
     coeff[r] = sum;
   }
@@ -157,6 +159,28 @@ std::vector<double> TpsInterpolator::InterpolateTimestamp(
     }
     out.push_back(value);
   }
+  return out;
+}
+
+std::vector<double> TpsInterpolator::InterpolateTimestamp(
+    const std::vector<double>& all_values,
+    const std::vector<int>& observed_ids, const std::vector<int>& query_ids) {
+  return Apply(SystemInverse(observed_ids), all_values, observed_ids,
+               query_ids);
+}
+
+std::vector<std::vector<double>> TpsInterpolator::InterpolateBatch(
+    const std::vector<const std::vector<double>*>& batch_values,
+    const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
+    int num_threads) {
+  const Matrix system_inverse = SystemInverse(observed_ids);
+  std::vector<std::vector<double>> out(batch_values.size());
+  ThreadPool pool(num_threads);
+  pool.ParallelFor(static_cast<int64_t>(batch_values.size()),
+                   [&](int64_t i, int /*slot*/) {
+                     out[i] = Apply(system_inverse, *batch_values[i],
+                                    observed_ids, query_ids);
+                   });
   return out;
 }
 

@@ -32,26 +32,33 @@ class TpsInterpolator : public SpatialInterpolator {
       const std::vector<int>& observed_ids,
       const std::vector<int>& query_ids) override;
 
-  double chosen_lambda() const { return lambda_; }
+  /// Inverts the TPS system of the observed stations once on the calling
+  /// thread, then applies it to every timestamp across the pool.
+  std::vector<std::vector<double>> InterpolateBatch(
+      const std::vector<const std::vector<double>*>& batch_values,
+      const std::vector<int>& observed_ids,
+      const std::vector<int>& query_ids, int num_threads = 1) override;
 
   /// The TPS radial basis phi(r) = r^2 log r (0 at r = 0).
   static double Kernel(double r);
 
  private:
-  /// (Re)builds the cached solver for an observed set.
-  void PrepareSolver(const std::vector<int>& observed_ids);
+  /// The (n+3)x(n+3) inverse of the TPS system over the observed stations.
+  Matrix SystemInverse(const std::vector<int>& observed_ids) const;
+
+  /// Fits the spline to one timestamp's observed values through
+  /// `system_inverse` and evaluates it at the queries.
+  std::vector<double> Apply(const Matrix& system_inverse,
+                            const std::vector<double>& all_values,
+                            const std::vector<int>& observed_ids,
+                            const std::vector<int>& query_ids) const;
 
   /// GCV score of one value vector under smoothing `lambda`.
   double GcvScore(const std::vector<int>& observed_ids,
                   const std::vector<double>& y, double lambda) const;
 
   StationGeometry geometry_;
-  const SpatialDataset* fit_data_ = nullptr;  ///< For GCV sampling.
-  std::vector<int> fit_train_ids_;
   double lambda_ = 0.0;
-
-  std::vector<int> cached_observed_;
-  Matrix system_inverse_;  ///< (n+3)x(n+3) inverse of the TPS system.
 };
 
 }  // namespace ssin

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -26,15 +25,6 @@ double VariogramModel::operator()(double h) const {
       return nugget + partial_sill * (h / range);
   }
   return 0.0;
-}
-
-std::string VariogramModel::ToString() const {
-  static const char* kNames[] = {"spherical", "exponential", "gaussian",
-                                 "linear"};
-  std::ostringstream out;
-  out << kNames[static_cast<int>(type)] << "(nugget=" << nugget
-      << ", psill=" << partial_sill << ", range=" << range << ")";
-  return out.str();
 }
 
 std::vector<VariogramBin> EmpiricalVariogram(

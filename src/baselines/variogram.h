@@ -1,7 +1,6 @@
 #ifndef SSIN_BASELINES_VARIOGRAM_H_
 #define SSIN_BASELINES_VARIOGRAM_H_
 
-#include <string>
 #include <vector>
 
 #include "geo/coords.h"
@@ -19,8 +18,6 @@ struct VariogramModel {
 
   /// Semivariance at lag h >= 0.
   double operator()(double h) const;
-
-  std::string ToString() const;
 };
 
 /// One bin of an empirical semivariogram.

@@ -3,57 +3,7 @@
 #include <cmath>
 #include <utility>
 
-#include "common/simd.h"
-
 namespace ssin {
-
-Matrix Matrix::Transposed() const {
-  Matrix t(cols_, rows_);
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  }
-  return t;
-}
-
-Matrix Matrix::operator*(const Matrix& other) const {
-  SSIN_CHECK_EQ(cols_, other.rows_);
-  Matrix out(rows_, other.cols_);
-  // Same blocked kernel as the tensor matmuls (vectorized per the build's
-  // ISA); kriging-style solves build dense Gram products where it pays.
-  simd::MatMulAccRows<double, simd::VecOps>(data_.data(),
-                                            other.data_.data(),
-                                            out.data_.data(), cols_,
-                                            other.cols_, 0, rows_);
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& other) const {
-  SSIN_CHECK_EQ(rows_, other.rows_);
-  SSIN_CHECK_EQ(cols_, other.cols_);
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] += other.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& other) const {
-  SSIN_CHECK_EQ(rows_, other.rows_);
-  SSIN_CHECK_EQ(cols_, other.cols_);
-  Matrix out = *this;
-  for (size_t i = 0; i < data_.size(); ++i) out.data_[i] -= other.data_[i];
-  return out;
-}
-
-Matrix Matrix::ScaledBy(double s) const {
-  Matrix out = *this;
-  for (double& v : out.data_) v *= s;
-  return out;
-}
-
-double Matrix::Norm() const {
-  double sq = 0.0;
-  for (double v : data_) sq += v * v;
-  return std::sqrt(sq);
-}
 
 namespace {
 
@@ -115,17 +65,6 @@ void LuSolve(const Matrix& lu, const std::vector<int>& perm,
 
 }  // namespace
 
-bool SolveLinearSystem(const Matrix& a, const std::vector<double>& b,
-                       std::vector<double>* x) {
-  SSIN_CHECK_EQ(a.rows(), a.cols());
-  SSIN_CHECK_EQ(static_cast<size_t>(a.rows()), b.size());
-  Matrix lu = a;
-  std::vector<int> perm;
-  if (!LuDecompose(&lu, &perm)) return false;
-  LuSolve(lu, perm, b, x);
-  return true;
-}
-
 bool SolveLinearSystem(const Matrix& a, const Matrix& b, Matrix* x) {
   SSIN_CHECK_EQ(a.rows(), a.cols());
   SSIN_CHECK_EQ(a.rows(), b.rows());
@@ -144,38 +83,6 @@ bool SolveLinearSystem(const Matrix& a, const Matrix& b, Matrix* x) {
 
 bool Invert(const Matrix& a, Matrix* inv) {
   return SolveLinearSystem(a, Matrix::Identity(a.rows()), inv);
-}
-
-bool Cholesky(const Matrix& a, Matrix* l) {
-  const int n = a.rows();
-  SSIN_CHECK_EQ(n, a.cols());
-  *l = Matrix(n, n);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j <= i; ++j) {
-      double sum = a(i, j);
-      for (int k = 0; k < j; ++k) sum -= (*l)(i, k) * (*l)(j, k);
-      if (i == j) {
-        if (sum <= 0.0) return false;
-        (*l)(i, j) = std::sqrt(sum);
-      } else {
-        (*l)(i, j) = sum / (*l)(j, j);
-      }
-    }
-  }
-  return true;
-}
-
-bool SolveLeastSquares(const Matrix& a, const std::vector<double>& b,
-                       std::vector<double>* x, double ridge) {
-  SSIN_CHECK_EQ(static_cast<size_t>(a.rows()), b.size());
-  const Matrix at = a.Transposed();
-  Matrix normal = at * a;
-  for (int i = 0; i < normal.rows(); ++i) normal(i, i) += ridge;
-  std::vector<double> rhs(a.cols(), 0.0);
-  for (int i = 0; i < a.cols(); ++i) {
-    for (int r = 0; r < a.rows(); ++r) rhs[i] += at(i, r) * b[r];
-  }
-  return SolveLinearSystem(normal, rhs, x);
 }
 
 }  // namespace ssin

@@ -43,42 +43,19 @@ class Matrix {
   const std::vector<double>& data() const { return data_; }
   std::vector<double>& data() { return data_; }
 
-  Matrix Transposed() const;
-  Matrix operator*(const Matrix& other) const;
-  Matrix operator+(const Matrix& other) const;
-  Matrix operator-(const Matrix& other) const;
-  Matrix ScaledBy(double s) const;
-
-  /// Frobenius norm.
-  double Norm() const;
-
  private:
   int rows_ = 0;
   int cols_ = 0;
   std::vector<double> data_;
 };
 
-/// Solves A x = b by LU decomposition with partial pivoting.
-/// Returns false when A is (numerically) singular. A is n x n, b has n
-/// entries; on success *x holds the solution.
-bool SolveLinearSystem(const Matrix& a, const std::vector<double>& b,
-                       std::vector<double>* x);
-
-/// Solves A X = B for multiple right-hand sides (B is n x k).
+/// Solves A X = B for the right-hand-side columns of B (A is n x n, B is
+/// n x k) by LU decomposition with partial pivoting. Returns false when A
+/// is (numerically) singular; on success *x holds the n x k solution.
 bool SolveLinearSystem(const Matrix& a, const Matrix& b, Matrix* x);
 
 /// Inverts a square matrix via LU; returns false if singular.
 bool Invert(const Matrix& a, Matrix* inv);
-
-/// Cholesky factorization of an SPD matrix: A = L L^T with L lower
-/// triangular. Returns false if A is not positive definite.
-bool Cholesky(const Matrix& a, Matrix* l);
-
-/// Solves the least squares problem min ||A x - b||_2 through the normal
-/// equations with Tikhonov damping `ridge` (used by variogram fitting where
-/// the design matrix can be poorly conditioned).
-bool SolveLeastSquares(const Matrix& a, const std::vector<double>& b,
-                       std::vector<double>* x, double ridge = 0.0);
 
 }  // namespace ssin
 

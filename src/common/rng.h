@@ -75,9 +75,6 @@ class Rng {
     return perm;
   }
 
-  /// Derives an independent child generator; handy for per-worker streams.
-  Rng Fork() { return Rng(engine_()); }
-
   /// The engine state as text (std::mt19937_64 stream format), so training
   /// checkpoints can resume the exact random stream.
   std::string SerializeState() const {

@@ -219,10 +219,9 @@ struct VecOps {
 
 // ------------------------------------------------------------------------
 // Shared kernel templates. These are the single implementations behind the
-// tensor-level matmul/layernorm entry points (src/tensor/ops.cc), the
-// classical-solver Matrix product (src/common/matrix.cc), and the serving
-// row kernels (src/nn/serving_kernels.h) — instantiated with VecOps in
-// production and ScalarOps as the differential-test reference.
+// tensor-level matmul/layernorm entry points (src/tensor/ops.cc) and the
+// serving row kernels (src/nn/serving_kernels.h) — instantiated with VecOps
+// in production and ScalarOps as the differential-test reference.
 
 /// Blocked MatMulAcc over rows [i_lo, i_hi): the inner-product dimension is
 /// unrolled by 4 so each pass streams four resident b rows through out_row

@@ -33,9 +33,8 @@
 ///     in disabled builds (they then export metrics with no spans).
 ///
 /// Runtime model: one process-wide flag (SetEnabled) gates spans and the
-/// Enabled()-guarded probes. TrainConfig::telemetry and
-/// EvalOptions::telemetry switch it on for their runs; enabling is sticky
-/// until SetEnabled(false). Counters, gauges and histograms record
+/// Enabled()-guarded probes. EvalOptions::telemetry switches it on for its
+/// run; enabling is sticky until SetEnabled(false). Counters, gauges and histograms record
 /// whenever they are called, whatever the flag — they are plain
 /// statistics, not timing probes.
 

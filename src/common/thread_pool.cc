@@ -125,8 +125,8 @@ void ThreadPool::WorkerLoop() {
       ScopedInsidePoolTask inside;
       // RunChunk catches and forwards its own exceptions; a future task
       // type that lets one escape must not take down this worker (and with
-      // it the pool's InterpolateBatch, Train or CrossValidate call, the
-      // scope every pool lives in), so contain it here.
+      // it the pool's InterpolateBatch or Train call, the scope every pool
+      // lives in), so contain it here.
       try {
         task.fn();
       } catch (const std::exception& e) {

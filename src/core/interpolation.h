@@ -46,9 +46,11 @@ class SpatialInterpolator {
   /// `num_threads` sizes the thread pool the timestamps fan across (0 = one
   /// per hardware thread; a pool of one runs the same loop on the calling
   /// thread). The default implementation loops over
-  /// InterpolateTimestamp; SpaFormer overrides it with the graph-free
-  /// inference engine, validating and building the sequence layout once
-  /// for the whole batch.
+  /// InterpolateTimestamp, so that must be safe to call concurrently. TIN
+  /// and TPS override it to build their per-layout plan once on the
+  /// calling thread; SpaFormer overrides it with the graph-free inference
+  /// engine, validating and building the sequence layout once for the
+  /// whole batch.
   virtual std::vector<std::vector<double>> InterpolateBatch(
       const std::vector<const std::vector<double>*>& batch_values,
       const std::vector<int>& observed_ids,

@@ -109,7 +109,6 @@ SsinTrainer::SsinTrainer(SpaFormer* model, const SpatialContext* context,
 
 TrainStats SsinTrainer::Train(const SpatialDataset& data,
                               const std::vector<int>& train_ids) {
-  if (config_.telemetry) telemetry::SetEnabled(true);
   SSIN_TRACE_SPAN("train.run");
   const int num_sequences = data.num_timestamps();
   const int length = static_cast<int>(train_ids.size());

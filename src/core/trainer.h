@@ -53,14 +53,6 @@ struct TrainConfig {
 
   uint64_t seed = 17;
   bool verbose = false;
-
-  /// Opt-in run telemetry: when true, Train() turns on the process-wide
-  /// telemetry runtime (telemetry::SetEnabled(true)) before the first
-  /// epoch, so the train.* metrics, trace spans and timing probes record.
-  /// It never turns telemetry *off* — a caller that enabled it globally
-  /// keeps it. Instrumentation is read-only: enabling it changes no
-  /// numeric result (pinned by the equivalence tests).
-  bool telemetry = false;
 };
 
 /// Per-run training statistics.

@@ -22,15 +22,6 @@ void SpatialDataset::SetTravelDistance(Matrix distance) {
   travel_distance_ = std::move(distance);
 }
 
-SpatialDataset SpatialDataset::SliceTimestamps(int begin, int end) const {
-  SSIN_CHECK(begin >= 0 && begin <= end && end <= num_timestamps());
-  SpatialDataset out(stations_);
-  for (int t = begin; t < end; ++t) out.AddTimestamp(values_[t]);
-  if (travel_distance_.has_value()) out.SetTravelDistance(*travel_distance_);
-  out.SetNonNegative(non_negative_);
-  return out;
-}
-
 SpatialDataset SpatialDataset::ConcatTimestamps(
     const SpatialDataset& other) const {
   SSIN_CHECK_EQ(num_stations(), other.num_stations());

@@ -61,9 +61,6 @@ class SpatialDataset {
     return *travel_distance_;
   }
 
-  /// A copy containing only timestamps [begin, end).
-  SpatialDataset SliceTimestamps(int begin, int end) const;
-
   /// A copy with the timestamps of `other` appended (same stations).
   SpatialDataset ConcatTimestamps(const SpatialDataset& other) const;
 

@@ -12,12 +12,6 @@ void MetricsAccumulator::Add(double truth, double prediction) {
   predictions_.push_back(prediction);
 }
 
-void MetricsAccumulator::Merge(const MetricsAccumulator& other) {
-  truths_.insert(truths_.end(), other.truths_.begin(), other.truths_.end());
-  predictions_.insert(predictions_.end(), other.predictions_.begin(),
-                      other.predictions_.end());
-}
-
 Metrics MetricsAccumulator::Compute() const {
   Metrics m;
   m.count = count();

@@ -23,7 +23,6 @@ struct Metrics {
 class MetricsAccumulator {
  public:
   void Add(double truth, double prediction);
-  void Merge(const MetricsAccumulator& other);
 
   /// Finalized metrics over everything added so far.
   Metrics Compute() const;

@@ -11,6 +11,8 @@ OutageResult EvaluateUnderOutage(SpatialInterpolator* method,
                                  int begin, int end, int stride) {
   SSIN_CHECK_GE(outage_fraction, 0.0);
   SSIN_CHECK_LT(outage_fraction, 1.0);
+  // Two survivors are kept per timestamp, so two must exist.
+  SSIN_CHECK_GE(split.train_ids.size(), 2u);
   if (end < 0) end = data.num_timestamps();
 
   OutageResult result;
@@ -38,20 +40,6 @@ OutageResult EvaluateUnderOutage(SpatialInterpolator* method,
   }
   result.metrics = acc.Compute();
   return result;
-}
-
-std::vector<OutageResult> OutageSweep(SpatialInterpolator* method,
-                                      const SpatialDataset& data,
-                                      const NodeSplit& split,
-                                      const std::vector<double>& fractions,
-                                      uint64_t seed, int stride) {
-  std::vector<OutageResult> results;
-  for (double fraction : fractions) {
-    Rng rng(seed);  // Same outage pattern for every method/level pairing.
-    results.push_back(EvaluateUnderOutage(method, data, split, fraction,
-                                          &rng, 0, -1, stride));
-  }
-  return results;
 }
 
 }  // namespace ssin

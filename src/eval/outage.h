@@ -25,22 +25,16 @@ struct OutageResult {
 /// Evaluates `method` under per-timestamp random outages: for each
 /// evaluated timestamp, each train station independently drops out with
 /// probability `outage_fraction`; predictions for the test stations use
-/// the surviving ones. The method must already be Fit() on the full
-/// training set (models are trained once and must survive outages at
-/// serving time, which is the operational scenario).
+/// the surviving ones; at least two survive every timestamp, so the split
+/// needs two or more training stations. The method must already be Fit()
+/// on the full training set (models are trained once and must survive
+/// outages at serving time, which is the operational scenario).
 OutageResult EvaluateUnderOutage(SpatialInterpolator* method,
                                  const SpatialDataset& data,
                                  const NodeSplit& split,
                                  double outage_fraction, Rng* rng,
                                  int begin = 0, int end = -1,
                                  int stride = 1);
-
-/// Sweeps several outage levels (fit must have been done by the caller).
-std::vector<OutageResult> OutageSweep(SpatialInterpolator* method,
-                                      const SpatialDataset& data,
-                                      const NodeSplit& split,
-                                      const std::vector<double>& fractions,
-                                      uint64_t seed, int stride = 1);
 
 }  // namespace ssin
 

@@ -42,8 +42,7 @@ void FlushTelemetryPhase(const EvalOptions& options, const char* kind) {
 
 EvalResult RunEvaluation(SpatialInterpolator* method,
                          const SpatialDataset& data, const NodeSplit& split,
-                         const EvalOptions& options, bool fit,
-                         MetricsAccumulator* pairs) {
+                         const EvalOptions& options, bool fit) {
   EvalResult result;
   result.method = method->Name();
 
@@ -88,7 +87,6 @@ EvalResult RunEvaluation(SpatialInterpolator* method,
   }
   result.interpolate_seconds = interp_timer.Seconds();
   result.metrics = acc.Compute();
-  if (pairs != nullptr) *pairs = std::move(acc);
   if (options.telemetry) FlushTelemetryPhase(options, "serve");
   return result;
 }
@@ -98,17 +96,15 @@ EvalResult RunEvaluation(SpatialInterpolator* method,
 EvalResult EvaluateInterpolator(SpatialInterpolator* method,
                                 const SpatialDataset& data,
                                 const NodeSplit& split,
-                                const EvalOptions& options,
-                                MetricsAccumulator* pairs) {
-  return RunEvaluation(method, data, split, options, /*fit=*/true, pairs);
+                                const EvalOptions& options) {
+  return RunEvaluation(method, data, split, options, /*fit=*/true);
 }
 
 EvalResult EvaluateWithoutFit(SpatialInterpolator* method,
                               const SpatialDataset& data,
                               const NodeSplit& split,
                               const EvalOptions& options) {
-  return RunEvaluation(method, data, split, options, /*fit=*/false,
-                       /*pairs=*/nullptr);
+  return RunEvaluation(method, data, split, options, /*fit=*/false);
 }
 
 void PrintResultsTable(const std::string& title,

@@ -55,14 +55,11 @@ std::vector<int> SelectedTimestamps(const SpatialDataset& data,
 /// Runs the paper's evaluation protocol: the interpolator is Fit() on the
 /// training stations' history, then for each evaluated timestamp predicts
 /// the held-out stations from the training stations' readings; metrics
-/// aggregate over all (timestamp, test station) pairs. When `pairs` is
-/// non-null it receives those (truth, prediction) pairs in (timestamp,
-/// test station) order, so a caller can pool several evaluations.
+/// aggregate over all (timestamp, test station) pairs.
 EvalResult EvaluateInterpolator(SpatialInterpolator* method,
                                 const SpatialDataset& data,
                                 const NodeSplit& split,
-                                const EvalOptions& options = EvalOptions(),
-                                MetricsAccumulator* pairs = nullptr);
+                                const EvalOptions& options = EvalOptions());
 
 /// Variant that skips Fit() (for already-trained / transferred models).
 EvalResult EvaluateWithoutFit(SpatialInterpolator* method,

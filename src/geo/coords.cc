@@ -13,18 +13,6 @@ double HaversineKm(const LatLon& a, const LatLon& b) {
   return 2.0 * kEarthRadiusKm * std::asin(std::min(1.0, std::sqrt(s)));
 }
 
-double AzimuthRad(const LatLon& a, const LatLon& b) {
-  const double lat1 = DegToRad(a.lat);
-  const double lat2 = DegToRad(b.lat);
-  const double dlon = DegToRad(b.lon - a.lon);
-  const double y = std::sin(dlon) * std::cos(lat2);
-  const double x = std::cos(lat1) * std::sin(lat2) -
-                   std::sin(lat1) * std::cos(lat2) * std::cos(dlon);
-  double azimuth = std::atan2(y, x);
-  if (azimuth < 0.0) azimuth += 2.0 * kPi;
-  return azimuth;
-}
-
 PointKm ProjectEquirectangular(const LatLon& p, const LatLon& origin) {
   const double lat0 = DegToRad(origin.lat);
   PointKm out;

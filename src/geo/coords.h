@@ -26,11 +26,6 @@ inline double RadToDeg(double rad) { return rad * 180.0 / kPi; }
 /// Great-circle distance in km (haversine).
 double HaversineKm(const LatLon& a, const LatLon& b);
 
-/// Initial bearing from a to b, in radians in [0, 2*pi): the azimuth of the
-/// paper's relative position r_ij — the angle between north and the line
-/// connecting the two locations, measured clockwise.
-double AzimuthRad(const LatLon& a, const LatLon& b);
-
 /// Equirectangular projection around a reference latitude; adequate for the
 /// city/state-scale regions (HK ~50 km, BW ~250 km) this library targets.
 PointKm ProjectEquirectangular(const LatLon& p, const LatLon& origin);
@@ -38,7 +33,9 @@ PointKm ProjectEquirectangular(const LatLon& p, const LatLon& origin);
 /// Euclidean helpers on projected points.
 double DistanceKm(const PointKm& a, const PointKm& b);
 
-/// Azimuth (clockwise from north, [0, 2*pi)) on the projected plane.
+/// Azimuth on the projected plane, in radians in [0, 2*pi): the azimuth of
+/// the paper's relative position r_ij — the angle between north and the
+/// line connecting the two locations, measured clockwise.
 double AzimuthRad(const PointKm& a, const PointKm& b);
 
 }  // namespace ssin

@@ -3,6 +3,8 @@
 #include <queue>
 #include <utility>
 
+#include "common/check.h"
+
 namespace ssin {
 
 int RoadGraph::AddNode(const PointKm& position) {
@@ -40,16 +42,6 @@ std::vector<double> RoadGraph::ShortestPathsFrom(int source) const {
     }
   }
   return dist;
-}
-
-Matrix RoadGraph::AllPairsTravelDistance() const {
-  const int n = num_nodes();
-  Matrix out(n, n);
-  for (int s = 0; s < n; ++s) {
-    std::vector<double> dist = ShortestPathsFrom(s);
-    for (int t = 0; t < n; ++t) out(s, t) = dist[t];
-  }
-  return out;
 }
 
 }  // namespace ssin

@@ -4,7 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "common/matrix.h"
 #include "geo/coords.h"
 
 namespace ssin {
@@ -28,11 +27,9 @@ class RoadGraph {
   const PointKm& position(int id) const { return positions_[id]; }
   const std::vector<PointKm>& positions() const { return positions_; }
 
-  /// Single-source shortest path travel distances (Dijkstra).
+  /// Single-source shortest path travel distances (Dijkstra);
+  /// kUnreachable for nodes disconnected from `source`.
   std::vector<double> ShortestPathsFrom(int source) const;
-
-  /// All-pairs travel distance matrix; kUnreachable for disconnected pairs.
-  Matrix AllPairsTravelDistance() const;
 
  private:
   struct Edge {

@@ -180,10 +180,9 @@ void InterpolationServer::Shutdown() {
   if (batcher_.joinable()) batcher_.join();
 }
 
-bool InterpolationServer::WaitWhilePaused() {
+void InterpolationServer::WaitWhilePaused() {
   std::unique_lock<std::mutex> lock(pause_mu_);
   pause_cv_.wait(lock, [this] { return !paused_ || draining_; });
-  return !draining_;
 }
 
 void InterpolationServer::BatcherLoop() {

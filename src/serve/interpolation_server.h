@@ -167,9 +167,9 @@ class InterpolationServer {
   /// `serve.rejected_total.<reason>`, and returns `status`.
   SubmitStatus Reject(SubmitStatus status);
   void BatcherLoop();
-  /// Blocks while paused; returns false when shutdown was requested and
-  /// the batcher should drain without further pausing.
-  bool WaitWhilePaused();
+  /// Blocks while paused, unless shutdown was requested (the batcher then
+  /// drains without further pausing).
+  void WaitWhilePaused();
   /// One micro-batch: every request in `group` shares (model, layout).
   void DispatchGroup(const std::vector<QueuedRequest*>& group);
   telemetry::Histogram* LatencyHistogramFor(const std::string& model) const;

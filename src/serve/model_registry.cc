@@ -102,10 +102,6 @@ bool ModelRegistry::Promote(const std::string& name,
   return true;
 }
 
-bool ModelRegistry::Contains(const std::string& name) const {
-  return FindEntry(name) != nullptr;
-}
-
 std::vector<std::string> ModelRegistry::Names() const {
   std::lock_guard<std::mutex> lock(map_mu_);
   std::vector<std::string> names;

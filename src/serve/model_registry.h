@@ -53,7 +53,6 @@ class ModelRegistry {
   /// of the call. Concurrent promotions of the same model serialize.
   bool Promote(const std::string& name, SsinInterpolator& source);
 
-  bool Contains(const std::string& name) const;
   std::vector<std::string> Names() const;
 
   /// Completed promotions across all models (also mirrored into the

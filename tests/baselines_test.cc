@@ -156,12 +156,6 @@ TEST(IdwTest, NearestStationDominates) {
   EXPECT_GT(out[0], 95.0);
 }
 
-TEST(IdwTest, StaticPointHelper) {
-  const double v = IdwInterpolator::InterpolateAt(
-      {0.5, 0.0}, {{0, 0}, {1, 0}}, {0.0, 10.0});
-  EXPECT_NEAR(v, 5.0, 1e-9);  // Symmetric midpoint.
-}
-
 // --------------------------------------------------------------------- TIN
 
 TEST(TinTest, ReproducesLinearFieldInsideHull) {
@@ -178,7 +172,9 @@ TEST(TinTest, ReproducesLinearFieldInsideHull) {
   EXPECT_GE(exact, 5);  // Most random queries land inside the hull.
 }
 
-TEST(TinTest, CachesAcrossTimestamps) {
+TEST(TinTest, BatchMatchesPerTimestampCalls) {
+  // InterpolateBatch triangulates once for the whole batch; each
+  // InterpolateTimestamp call triangulates on its own. Both must agree.
   SpatialDataset data = LinearFieldDataset(25, 55);
   data.AddTimestamp(data.Values(0));  // Second timestamp, same values.
   TinInterpolator tin;
@@ -188,6 +184,11 @@ TEST(TinTest, CachesAcrossTimestamps) {
   const auto b =
       tin.InterpolateTimestamp(data.Values(1), Range(0, 20), {21, 23});
   EXPECT_DOUBLE_EQ(a[0], b[0]);
+  const auto batch = tin.InterpolateBatch({&data.Values(0), &data.Values(1)},
+                                          Range(0, 20), {21, 23});
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch[0], a);
+  EXPECT_EQ(batch[1], b);
 }
 
 // --------------------------------------------------------------------- TPS
@@ -336,37 +337,6 @@ TEST(KrigingTest, InterpolatesSmoothField) {
       ok.InterpolateTimestamp(data.Values(0), Range(0, 70), Range(70, 80));
   for (int q = 0; q < 10; ++q) {
     EXPECT_NEAR(out[q], data.Value(0, 70 + q), 0.25);
-  }
-}
-
-TEST(UniversalKrigingTest, CapturesLinearDriftExactly) {
-  // A pure linear trend is exactly the drift UK models; OK must chase it
-  // with covariances and do worse on extrapolating queries.
-  SpatialDataset data = LinearFieldDataset(30, 62, 2.0, 1.0, -0.5);
-  KrigingInterpolator uk(VariogramModel::Type::kSpherical,
-                         /*universal=*/true);
-  uk.Fit(data, Range(0, 25));
-  EXPECT_EQ(uk.Name(), "UK");
-  const auto out =
-      uk.InterpolateTimestamp(data.Values(0), Range(0, 25), Range(25, 30));
-  for (int q = 0; q < 5; ++q) {
-    EXPECT_NEAR(out[q], data.Value(0, 25 + q), 1e-4);
-  }
-}
-
-TEST(UniversalKrigingTest, MatchesOkOnConstantField) {
-  SpatialDataset data = LinearFieldDataset(20, 63, 4.0, 0.0, 0.0);
-  KrigingInterpolator ok;
-  KrigingInterpolator uk(VariogramModel::Type::kSpherical, true);
-  ok.Fit(data, Range(0, 16));
-  uk.Fit(data, Range(0, 16));
-  const auto a =
-      ok.InterpolateTimestamp(data.Values(0), Range(0, 16), Range(16, 20));
-  const auto b =
-      uk.InterpolateTimestamp(data.Values(0), Range(0, 16), Range(16, 20));
-  for (int q = 0; q < 4; ++q) {
-    EXPECT_NEAR(a[q], 4.0, 1e-6);
-    EXPECT_NEAR(b[q], 4.0, 1e-6);
   }
 }
 

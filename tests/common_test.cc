@@ -113,17 +113,6 @@ TEST(RngTest, NormalMoments) {
   EXPECT_NEAR(stats.stddev(), 0.5, 0.02);
 }
 
-TEST(RngTest, ForkIsIndependentStream) {
-  Rng a(5);
-  Rng child = a.Fork();
-  // The fork should not replay the parent's stream.
-  Rng b(5);
-  b.Fork();
-  double parent_next = a.Uniform();
-  EXPECT_DOUBLE_EQ(parent_next, b.Uniform());
-  EXPECT_NE(parent_next, child.Uniform());
-}
-
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer timer;
   volatile double sink = 0.0;

@@ -20,13 +20,12 @@ TEST(DatasetTest, AddAndSlice) {
   EXPECT_EQ(data.num_timestamps(), 5);
   EXPECT_DOUBLE_EQ(data.Value(2, 1), 4.0);
 
-  SpatialDataset slice = data.SliceTimestamps(1, 3);
-  EXPECT_EQ(slice.num_timestamps(), 2);
-  EXPECT_DOUBLE_EQ(slice.Value(0, 0), 1.0);
-
-  SpatialDataset merged = slice.ConcatTimestamps(data.SliceTimestamps(0, 1));
-  EXPECT_EQ(merged.num_timestamps(), 3);
-  EXPECT_DOUBLE_EQ(merged.Value(2, 2), 0.0);
+  SpatialDataset merged = data.ConcatTimestamps(data);
+  EXPECT_EQ(merged.num_timestamps(), 10);
+  EXPECT_DOUBLE_EQ(merged.Value(2, 1), 4.0);
+  EXPECT_DOUBLE_EQ(merged.Value(5, 2), 0.0);  // The appended t = 0.
+  EXPECT_DOUBLE_EQ(merged.Value(7, 1), 4.0);
+  EXPECT_EQ(data.num_timestamps(), 5);  // The source is untouched.
 }
 
 TEST(DatasetTest, TravelDistancePropagatesThroughSlice) {
@@ -36,9 +35,9 @@ TEST(DatasetTest, TravelDistancePropagatesThroughSlice) {
   Matrix travel(2, 2);
   travel(0, 1) = travel(1, 0) = 7.0;
   data.SetTravelDistance(travel);
-  SpatialDataset slice = data.SliceTimestamps(0, 1);
-  ASSERT_TRUE(slice.has_travel_distance());
-  EXPECT_DOUBLE_EQ(slice.travel_distance()(0, 1), 7.0);
+  SpatialDataset merged = data.ConcatTimestamps(data);
+  ASSERT_TRUE(merged.has_travel_distance());
+  EXPECT_DOUBLE_EQ(merged.travel_distance()(0, 1), 7.0);
 }
 
 TEST(NodeSplitTest, DisjointAndComplete) {

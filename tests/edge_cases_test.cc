@@ -12,7 +12,6 @@
 #include "data/rainfall_generator.h"
 #include "eval/metrics.h"
 #include "eval/outage.h"
-#include "eval/raster.h"
 #include "nn/attention.h"
 #include "nn/serialize.h"
 #include "tensor/ops.h"
@@ -164,15 +163,6 @@ TEST(MetricsEdgeTest, ConstantTruthGivesNanNse) {
   const Metrics m = ComputeMetrics({2, 2, 2}, {1, 2, 3});
   EXPECT_TRUE(std::isnan(m.nse));
   EXPECT_GT(m.rmse, 0.0);
-}
-
-TEST(RasterEdgeTest, ConstantFieldPgmDoesNotDivideByZero) {
-  Raster raster(3, 3, 0, 0, 1.0);
-  raster.SetValues(std::vector<double>(9, 7.0));
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ssin_const.pgm").string();
-  EXPECT_TRUE(raster.WritePgm(path));
-  std::remove(path.c_str());
 }
 
 TEST(StationGeometryEdgeTest, FallsBackToEuclidWithoutTravel) {

@@ -41,20 +41,6 @@ TEST(MetricsTest, EmptyIsSafe) {
   EXPECT_DOUBLE_EQ(m.rmse, 0.0);
 }
 
-TEST(MetricsTest, MergeEqualsJointComputation) {
-  MetricsAccumulator a, b, joint;
-  Rng rng(8);
-  for (int i = 0; i < 50; ++i) {
-    const double truth = rng.Normal();
-    const double pred = truth + rng.Normal(0, 0.3);
-    (i % 2 == 0 ? a : b).Add(truth, pred);
-    joint.Add(truth, pred);
-  }
-  a.Merge(b);
-  EXPECT_NEAR(a.Compute().rmse, joint.Compute().rmse, 1e-12);
-  EXPECT_NEAR(a.Compute().nse, joint.Compute().nse, 1e-12);
-}
-
 TEST(MetricsTest, NseNeverExceedsOne) {
   Rng rng(9);
   for (int trial = 0; trial < 20; ++trial) {
@@ -228,8 +214,9 @@ TEST(NonNegativeClampTest, RainfallDatasetsDefaultOn) {
   RainfallGenerator gen(config);
   const SpatialDataset data = gen.GenerateHours(5, 5);
   EXPECT_TRUE(data.non_negative());
-  // Slices keep the physical-quantity flag.
-  EXPECT_TRUE(data.SliceTimestamps(1, 3).non_negative());
+  // Concatenations (bench_fig11's growing history) keep the
+  // physical-quantity flag.
+  EXPECT_TRUE(data.ConcatTimestamps(data).non_negative());
 
   std::vector<Station> stations(2);
   stations[0].position = {0.0, 0.0};

@@ -1,65 +1,17 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "baselines/idw.h"
 #include "data/rainfall_generator.h"
-#include "eval/crossval.h"
 #include "eval/outage.h"
-#include "eval/raster.h"
+#include "eval/runner.h"
 #include "eval/tuner.h"
 
 namespace ssin {
 namespace {
-
-// ------------------------------------------------------------------ Raster
-
-TEST(RasterTest, GeometryAndAccess) {
-  Raster raster(4, 3, 10.0, 20.0, 2.0);
-  EXPECT_EQ(raster.width(), 4);
-  EXPECT_EQ(raster.height(), 3);
-  const PointKm c = raster.CellCenter(0, 0);
-  EXPECT_DOUBLE_EQ(c.x, 11.0);
-  EXPECT_DOUBLE_EQ(c.y, 21.0);
-  const PointKm far = raster.CellCenter(3, 2);
-  EXPECT_DOUBLE_EQ(far.x, 17.0);
-  EXPECT_DOUBLE_EQ(far.y, 25.0);
-  EXPECT_EQ(raster.CellCenters().size(), 12u);
-}
-
-TEST(RasterTest, ValuesAndStats) {
-  Raster raster(2, 2, 0, 0, 1.0);
-  raster.SetValues({1.0, 2.0, 3.0, 6.0});
-  EXPECT_DOUBLE_EQ(raster.MinValue(), 1.0);
-  EXPECT_DOUBLE_EQ(raster.MaxValue(), 6.0);
-  EXPECT_DOUBLE_EQ(raster.MeanValue(), 3.0);
-  EXPECT_DOUBLE_EQ(raster.FractionAbove(2.5), 0.5);
-  EXPECT_DOUBLE_EQ(raster.FractionAbove(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(raster.FractionAbove(10.0), 0.0);
-}
-
-TEST(RasterTest, PgmRoundTripHeader) {
-  Raster raster(5, 4, 0, 0, 1.0);
-  std::vector<double> values(20);
-  for (size_t i = 0; i < values.size(); ++i) values[i] = i * 0.5;
-  raster.SetValues(values);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "ssin_raster.pgm").string();
-  ASSERT_TRUE(raster.WritePgm(path));
-  std::ifstream in(path, std::ios::binary);
-  std::string magic;
-  int w, h, maxv;
-  in >> magic >> w >> h >> maxv;
-  EXPECT_EQ(magic, "P5");
-  EXPECT_EQ(w, 5);
-  EXPECT_EQ(h, 4);
-  EXPECT_EQ(maxv, 255);
-  std::remove(path.c_str());
-}
 
 // ------------------------------------------------------------------ Outage
 
@@ -90,8 +42,12 @@ TEST(OutageTest, ErrorGrowsWithOutage) {
 
   IdwInterpolator idw;
   idw.Fit(data, split.train_ids);
-  const std::vector<OutageResult> sweep =
-      OutageSweep(&idw, data, split, {0.0, 0.5, 0.9}, 6);
+  std::vector<OutageResult> sweep;
+  for (double fraction : {0.0, 0.5, 0.9}) {
+    Rng outage_rng(6);  // Same outage draws at every level.
+    sweep.push_back(
+        EvaluateUnderOutage(&idw, data, split, fraction, &outage_rng));
+  }
   ASSERT_EQ(sweep.size(), 3u);
   EXPECT_LT(sweep[0].metrics.rmse, sweep[2].metrics.rmse);
   for (const OutageResult& r : sweep) {
@@ -99,77 +55,22 @@ TEST(OutageTest, ErrorGrowsWithOutage) {
   }
 }
 
-// ---------------------------------------------------------- Cross-validate
+TEST(OutageDeathTest, RefusesSplitWithOneTrainingStation) {
+  // Two survivors are drawn per timestamp; with one training station the
+  // refill loop could never find a second.
+  std::vector<Station> stations(2);
+  stations[1].position = {1.0, 0.0};
+  SpatialDataset data(stations);
+  data.AddTimestamp({1.0, 2.0});
+  Rng rng(4);
+  const NodeSplit split = RandomNodeSplit(2, 0.5, &rng);
+  ASSERT_EQ(split.train_ids.size(), 1u);
 
-TEST(CrossValTest, FoldsPartitionStations) {
-  Rng rng(7);
-  const auto folds = MakeFolds(23, 4, &rng);
-  ASSERT_EQ(folds.size(), 4u);
-  std::set<int> seen;
-  for (const auto& fold : folds) {
-    EXPECT_GE(fold.size(), 5u);
-    EXPECT_LE(fold.size(), 6u);
-    for (int id : fold) {
-      EXPECT_TRUE(seen.insert(id).second) << "duplicate station " << id;
-    }
-  }
-  EXPECT_EQ(seen.size(), 23u);
-}
-
-TEST(CrossValTest, PooledMetricsAreFinite) {
-  RainfallRegionConfig region = HkRegionConfig();
-  region.num_gauges = 30;
-  RainfallGenerator gen(region);
-  SpatialDataset data = gen.GenerateHours(15, 8);
-  Rng rng(9);
-  const CrossValidationResult result = CrossValidate(
-      [] { return std::make_unique<IdwInterpolator>(); }, data, 3, &rng);
-  ASSERT_EQ(result.folds.size(), 3u);
-  EXPECT_TRUE(std::isfinite(result.pooled.rmse));
-  EXPECT_EQ(result.pooled.count, 3u * 15u * 10u);
-  // Pooled error should be in the range spanned by the folds.
-  double lo = 1e18, hi = -1e18;
-  for (const EvalResult& fold : result.folds) {
-    lo = std::min(lo, fold.metrics.rmse);
-    hi = std::max(hi, fold.metrics.rmse);
-  }
-  EXPECT_GE(result.pooled.rmse, lo - 1e-9);
-  EXPECT_LE(result.pooled.rmse, hi + 1e-9);
-}
-
-// Plain IDW that counts the timestamps it is asked to predict.
-class CountingIdw : public IdwInterpolator {
- public:
-  explicit CountingIdw(std::atomic<int>* calls) : calls_(calls) {}
-
-  std::vector<double> InterpolateTimestamp(
-      const std::vector<double>& all_values,
-      const std::vector<int>& observed_ids,
-      const std::vector<int>& query_ids) override {
-    calls_->fetch_add(1);
-    return IdwInterpolator::InterpolateTimestamp(all_values, observed_ids,
-                                                 query_ids);
-  }
-
- private:
-  std::atomic<int>* calls_;
-};
-
-TEST(CrossValTest, PredictsEachFoldTimestampOnce) {
-  // The pooled metrics come from the folds' own evaluation pass: k folds x
-  // T timestamps is k*T predictions, not one more pass on top.
-  RainfallRegionConfig region = HkRegionConfig();
-  region.num_gauges = 24;
-  RainfallGenerator gen(region);
-  SpatialDataset data = gen.GenerateHours(20, 13);
-  std::atomic<int> calls{0};
-  Rng rng(3);
-  const CrossValidationResult result = CrossValidate(
-      [&calls] { return std::make_unique<CountingIdw>(&calls); }, data,
-      /*k=*/4, &rng);
-  EXPECT_EQ(calls.load(), 4 * 20);
-  // Every station is held out once per timestamp.
-  EXPECT_EQ(result.pooled.count, 24 * 20);
+  IdwInterpolator idw;
+  idw.Fit(data, split.train_ids);
+  Rng outage_rng(6);
+  EXPECT_DEATH(EvaluateUnderOutage(&idw, data, split, 0.0, &outage_rng),
+               "train_ids");
 }
 
 // ------------------------------------------------------------------- Tuner

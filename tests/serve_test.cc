@@ -201,8 +201,6 @@ TEST(ModelRegistryTest, PromoteSwapsActiveAndCountsSwaps) {
   SsinInterpolator* standby_raw = standby.get();
   registry.Register("hk", std::move(active), std::move(standby));
 
-  EXPECT_TRUE(registry.Contains("hk"));
-  EXPECT_FALSE(registry.Contains("bw"));
   EXPECT_EQ(registry.Acquire("bw"), nullptr);
   EXPECT_EQ(registry.Acquire("hk").get(), active_raw);
 
@@ -541,6 +539,52 @@ TEST(InterpolationServerTest, ShutdownDrainsAcceptedThenRejects) {
   EXPECT_EQ(server.rejected_total(), 1);
   EXPECT_EQ(rejected->Value(), rejected_before + 1);
   EXPECT_EQ(shutdown->Value(), shutdown_before + 1);
+}
+
+TEST(InterpolationServerTest, PauseHoldsLaterRequestsUntilResume) {
+  // Pause() contract: once it returns, the batcher cuts at most one more
+  // wave (the one it may already be waiting for); every request submitted
+  // after that wave stays queued until Resume() serves it.
+  ServeFixture& f = Fixture();
+  ServerConfig config;
+  config.batch_linger_us = 0;
+  InterpolationServer server(config);
+  auto [active, standby] = f.MakeBuffers();
+  server.registry().Register("hk", std::move(active), std::move(standby));
+  ExpectExactly(InterpolateAccepted(&server, f.RequestFor(0)),
+                f.expected_a[0], "request before the pause");
+  // Let the batcher go back to waiting on the queue.
+  while (server.batches_total() < 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  server.Pause();
+  // A batcher already waiting on the queue may serve this request as its
+  // one more wave; a batcher that saw the pause first holds it.
+  std::future<std::vector<double>> first;
+  ASSERT_EQ(server.Submit(f.RequestFor(1), &first), SubmitStatus::kAccepted);
+  const bool first_served = first.wait_for(std::chrono::seconds(2)) ==
+                            std::future_status::ready;
+  const int64_t batches = first_served ? 2 : 1;
+  while (server.batches_total() < batches) std::this_thread::yield();
+
+  std::vector<std::future<std::vector<double>>> held(3);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(server.Submit(f.RequestFor(2 + i), &held[i]),
+              SubmitStatus::kAccepted);
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const auto& future : held) {
+    EXPECT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout);
+  }
+  EXPECT_EQ(server.queue_depth(), first_served ? 3u : 4u);
+  EXPECT_EQ(server.batches_total(), batches);
+
+  server.Resume();
+  ExpectExactly(first.get(), f.expected_a[1], "request cut at the pause");
+  for (int i = 0; i < 3; ++i) {
+    ExpectExactly(held[i].get(), f.expected_a[2 + i], "held request");
+  }
 }
 
 TEST(InterpolationServerDeathTest, ZeroMaxBatchSizeRefused) {

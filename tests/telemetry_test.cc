@@ -798,7 +798,7 @@ SpaFormerConfig TinyModel() {
   return config;
 }
 
-TrainConfig TinyTraining(bool with_telemetry) {
+TrainConfig TinyTraining() {
   TrainConfig config;
   config.epochs = 2;
   config.masks_per_sequence = 2;
@@ -806,14 +806,12 @@ TrainConfig TinyTraining(bool with_telemetry) {
   config.warmup_steps = 4;
   config.lr_factor = 0.2;
   config.seed = 23;
-  config.telemetry = with_telemetry;
   return config;
 }
 
 std::pair<std::vector<double>, std::vector<double>> TrainTiny(
-    const SpatialDataset& data, const std::vector<int>& train_ids,
-    bool with_telemetry) {
-  SsinInterpolator ssin(TinyModel(), TinyTraining(with_telemetry));
+    const SpatialDataset& data, const std::vector<int>& train_ids) {
+  SsinInterpolator ssin(TinyModel(), TinyTraining());
   ssin.Fit(data, train_ids);
   std::vector<double> flat;
   for (Parameter* p : ssin.model()->Parameters()) {
@@ -831,14 +829,13 @@ TEST_F(TelemetryTest, TrainingBitIdenticalWithTelemetryOnAndOff) {
   for (int i = 0; i < 12; ++i) train_ids.push_back(i);
 
   telemetry::SetEnabled(false);
-  const auto [off_loss, off_params] =
-      TrainTiny(data, train_ids, /*with_telemetry=*/false);
+  const auto [off_loss, off_params] = TrainTiny(data, train_ids);
   ASSERT_FALSE(telemetry::Enabled());
 
-  const auto [on_loss, on_params] =
-      TrainTiny(data, train_ids, /*with_telemetry=*/true);
+  telemetry::SetEnabled(true);
+  const auto [on_loss, on_params] = TrainTiny(data, train_ids);
   if (telemetry::CompiledIn()) {
-    EXPECT_TRUE(telemetry::Enabled());  // TrainConfig::telemetry opted in.
+    EXPECT_TRUE(telemetry::Enabled());
     EXPECT_GT(GetCounter("train.steps")->Value(), 0);
   }
 
@@ -906,12 +903,12 @@ TEST_F(TelemetryTest, EveryCounterAndHistogramReportsItsWindow) {
   for (int i = 0; i < data.num_stations(); ++i) {
     (i < 12 ? observed_ids : query_ids).push_back(i);
   }
-  SsinInterpolator source(TinyModel(), TinyTraining(true));
+  SsinInterpolator source(TinyModel(), TinyTraining());
   source.Fit(data, observed_ids);
   auto active = std::make_shared<SsinInterpolator>(TinyModel(),
-                                                   TinyTraining(true));
+                                                   TinyTraining());
   auto standby = std::make_shared<SsinInterpolator>(TinyModel(),
-                                                    TinyTraining(true));
+                                                    TinyTraining());
   active->Prepare(data, observed_ids);
   standby->Prepare(data, observed_ids);
   {
