@@ -79,11 +79,6 @@ void JsonWriter::Bool(bool value) {
   out_ += value ? "true" : "false";
 }
 
-void JsonWriter::Null() {
-  BeforeValue();
-  out_ += "null";
-}
-
 void JsonWriter::Escape(const std::string& value) {
   out_ += '"';
   for (char c : value) {

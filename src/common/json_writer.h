@@ -34,7 +34,6 @@ class JsonWriter {
   void Number(double value);  ///< null when !isfinite(value).
   void Int(int64_t value);
   void Bool(bool value);
-  void Null();
 
   /// The document so far. Valid JSON once every container is closed.
   const std::string& str() const { return out_; }

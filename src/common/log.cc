@@ -1,6 +1,5 @@
 #include "common/log.h"
 
-#include <atomic>
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
@@ -27,9 +26,6 @@ LogLevel LevelFromEnv() {
   return LogLevel::kInfo;
 }
 
-/// -1 = not overridden; otherwise the forced level.
-std::atomic<int> g_override{-1};
-
 char LevelTag(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug:
@@ -47,14 +43,8 @@ char LevelTag(LogLevel level) {
 }  // namespace
 
 LogLevel MinLogLevel() {
-  const int forced = g_override.load(std::memory_order_relaxed);
-  if (forced >= 0) return static_cast<LogLevel>(forced);
   static const LogLevel env_level = LevelFromEnv();  // Parsed once.
   return env_level;
-}
-
-void SetMinLogLevel(LogLevel level) {
-  g_override.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
 namespace internal {

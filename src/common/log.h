@@ -8,9 +8,8 @@
 /// "[ssin I] epoch 3" to stderr as one fprintf (so concurrent threads never
 /// interleave mid-line). The minimum level defaults to Info and can be
 /// overridden with the SSIN_LOG_LEVEL environment variable (DEBUG, INFO,
-/// WARN, ERROR — or 0-3), parsed once at first use; SetMinLogLevel()
-/// overrides it programmatically (tests). Messages below the minimum level
-/// never evaluate their stream arguments.
+/// WARN, ERROR — or 0-3), parsed once at first use. Messages below the
+/// minimum level never evaluate their stream arguments.
 
 namespace ssin {
 
@@ -21,11 +20,8 @@ enum class LogLevel : int {
   kError = 3,
 };
 
-/// The effective minimum level (env-derived unless overridden).
+/// The effective minimum level (from SSIN_LOG_LEVEL).
 LogLevel MinLogLevel();
-
-/// Programmatic override, taking precedence over SSIN_LOG_LEVEL.
-void SetMinLogLevel(LogLevel level);
 
 namespace internal {
 

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <atomic>
 #include <exception>
 
 #include "common/check.h"
@@ -71,7 +72,11 @@ struct ThreadPool::ForState {
   std::mutex mu;
   std::condition_variable done_cv;
   int pending = 0;           // Chunks not yet finished (guarded by mu).
-  bool cancelled = false;    // Set on first exception (guarded by mu).
+  // Set on the first exception, under mu next to `error`. A chunk reads it
+  // at start without mu: locking there would order every chunk after each
+  // chunk that finished before it, hiding from TSan the races between
+  // chunks that do not overlap in time.
+  std::atomic<bool> cancelled{false};
   std::exception_ptr error;  // First exception thrown (guarded by mu).
 };
 
@@ -148,12 +153,7 @@ void ThreadPool::WorkerLoop() {
 }
 
 void ThreadPool::RunChunk(ForState* state, int chunk) {
-  bool cancelled;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    cancelled = state->cancelled;
-  }
-  if (!cancelled) {
+  if (!state->cancelled.load(std::memory_order_relaxed)) {
     const int64_t lo = state->n * chunk / state->chunks;
     const int64_t hi = state->n * (chunk + 1) / state->chunks;
     try {
@@ -161,7 +161,7 @@ void ThreadPool::RunChunk(ForState* state, int chunk) {
     } catch (...) {
       std::lock_guard<std::mutex> lock(state->mu);
       if (!state->error) state->error = std::current_exception();
-      state->cancelled = true;
+      state->cancelled.store(true, std::memory_order_relaxed);
     }
   }
   {

@@ -242,7 +242,7 @@ std::shared_ptr<SequenceLayout> BuildLayout(
 
   if (model->config().position_mode != SpaFormerConfig::PositionMode::kSrpe) {
     model->EmbedLayoutPositions(layout.get(), Tensor(), ws);
-    layout->sape_f32 = TensorF32::FromTensor(layout->sape);
+    layout->sape_f32 = TensorF32::From(layout->sape);
     return layout;
   }
   SSIN_CHECK(store != nullptr) << "an SRPE layout needs a pair store";

@@ -162,6 +162,17 @@ struct SequenceLayout {
   IndexedSrpe<T> SrpeRows() const {
     return store->View<T>(store_rows.data());
   }
+
+  /// The embedded absolute positions in T: sape or sape_f32 (SAPE mode
+  /// only).
+  template <typename T>
+  const BasicTensor<T>& Sape() const {
+    if constexpr (std::is_same_v<T, double>) {
+      return sape;
+    } else {
+      return sape_f32;
+    }
+  }
 };
 
 /// Builds the complete layout for one (observed_ids, query_ids) sequence:

@@ -1,5 +1,7 @@
 #include "core/spaformer.h"
 
+#include <type_traits>
+
 #include "common/telemetry.h"
 #include "core/inference_engine.h"
 
@@ -69,18 +71,6 @@ void ResolveEmbedding(const Linear* linear, const Fcn2* fcn,
   ResolveLinear(*linear, resolve, &out->fc1);
   out->fc2 = ServingLinear<T>();
   out->relu = false;
-}
-
-void CheckServingInput(const Tensor& x, const SequenceLayout& layout,
-                       bool srpe) {
-  SSIN_CHECK_EQ(x.dim(1), 1);
-  SSIN_CHECK_EQ(layout.length(), x.dim(0));
-  SSIN_CHECK(layout.plan != nullptr);
-  if (srpe) {
-    SSIN_CHECK(layout.store != nullptr) << "layout lacks its pair store";
-    SSIN_CHECK_EQ(static_cast<int64_t>(layout.store_rows.size()),
-                  layout.plan->num_pairs());
-  }
 }
 
 }  // namespace
@@ -201,22 +191,48 @@ void SpaFormer::EmbedLayoutPositions(SequenceLayout* layout,
   }
 }
 
+template <typename T>
+const BasicTensor<T>& SpaFormer::PredictRows(const Tensor& x,
+                                             const SequenceLayout& layout,
+                                             const ServingWeights<T>& w,
+                                             InferenceWorkspace* ws) {
+  const bool srpe =
+      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
+  SSIN_CHECK_EQ(x.dim(1), 1);
+  SSIN_CHECK_EQ(layout.length(), x.dim(0));
+  SSIN_CHECK(layout.plan != nullptr);
+  if (srpe) {
+    SSIN_CHECK(layout.store != nullptr) << "layout lacks its pair store";
+    SSIN_CHECK_EQ(static_cast<int64_t>(layout.store_rows.size()),
+                  layout.plan->num_pairs());
+  } else {
+    SSIN_CHECK(!layout.Sape<T>().empty())
+        << "layout lacks its embedded positions";
+  }
+  const T* input;
+  if constexpr (std::is_same_v<T, double>) {
+    input = x.data();
+  } else {
+    // Narrow the input values once; everything downstream stays in T.
+    T* narrowed = ws->arena<T>().Acquire(x.shape())->data();
+    for (int64_t i = 0; i < x.numel(); ++i) narrowed[i] = static_cast<T>(x[i]);
+    input = narrowed;
+  }
+  const IndexedSrpe<T> c = srpe ? layout.SrpeRows<T>() : IndexedSrpe<T>();
+  return ServingForward(w, input, srpe ? &c : nullptr,
+                        srpe ? nullptr : &layout.Sape<T>(), *layout.plan,
+                        layout.num_observed, ws);
+}
+
 const Tensor& SpaFormer::Predict(const Tensor& x, const SequenceLayout& layout,
                                  InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.predict");
-  const bool srpe =
-      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
-  CheckServingInput(x, layout, srpe);
   ws->Reset();
   // The f64 view points straight at the parameters; re-resolving it per
   // call costs a few dozen pointer stores and needs no invalidation.
   ServingWeights<double>* w = ws->serving_weights();
   ResolveServingWeights(WeightResolver<double>(ParameterValue), w);
-  const IndexedSrpe<double> c =
-      srpe ? layout.SrpeRows<double>() : IndexedSrpe<double>();
-  return ServingForward(*w, x.data(), srpe ? &c : nullptr,
-                        srpe ? nullptr : &layout.sape, *layout.plan,
-                        layout.num_observed, ws);
+  return PredictRows(x, layout, *w, ws);
 }
 
 const TensorF32& SpaFormer::PredictF32(const Tensor& x,
@@ -224,23 +240,8 @@ const TensorF32& SpaFormer::PredictF32(const Tensor& x,
                                        const F32WeightCache::Map& w,
                                        InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("spaformer.predict_f32");
-  const bool srpe =
-      config_.position_mode == SpaFormerConfig::PositionMode::kSrpe;
-  CheckServingInput(x, layout, srpe);
-  SSIN_CHECK(srpe || !layout.sape_f32.empty())
-      << "layout lacks converted f32 positions";
   ws->Reset();
-  // Narrow the input values once; everything downstream stays f32.
-  TensorF32* x32 = ws->AcquireF32(x.shape());
-  const double* src = x.data();
-  for (int64_t i = 0; i < x.numel(); ++i) {
-    x32->data()[i] = static_cast<float>(src[i]);
-  }
-  const IndexedSrpe<float> c =
-      srpe ? layout.SrpeRows<float>() : IndexedSrpe<float>();
-  return ServingForward(w.view, x32->data(), srpe ? &c : nullptr,
-                        srpe ? nullptr : &layout.sape_f32, *layout.plan,
-                        layout.num_observed, ws);
+  return PredictRows(x, layout, w.view, ws);
 }
 
 }  // namespace ssin

@@ -160,6 +160,15 @@ class SpaFormer : public Module {
 
   Var ApplyEmbedding(Linear* linear, Fcn2* fcn, Var in);
 
+  /// The body Predict and PredictF32 share: checks `layout` against x,
+  /// narrows x to T (f32), and runs the serving chain over `w` and the
+  /// layout's T-precision positions. The caller resets `ws`.
+  template <typename T>
+  const BasicTensor<T>& PredictRows(const Tensor& x,
+                                    const SequenceLayout& layout,
+                                    const ServingWeights<T>& w,
+                                    InferenceWorkspace* ws);
+
   SpaFormerConfig config_;
 
   // Input Embedding Module (scalar value -> d_model).

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <utility>
 
 #include "common/telemetry.h"
 #include "common/thread_pool.h"
@@ -185,13 +186,9 @@ std::shared_ptr<const SequenceLayout> SsinInterpolator::LayoutFor(
 
 std::vector<double> SsinInterpolator::PredictWithLayout(
     const std::vector<double>& all_values, const SequenceLayout& layout,
-    InferenceWorkspace* ws) {
+    ServingPrecision precision, InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("serve.predict");
   const int64_t begin_ns = telemetry::Enabled() ? telemetry::NowNs() : -1;
-  // Latch the precision once per request: a concurrent
-  // set_serving_precision (or a MeasureF32ServingDelta mid-measurement
-  // flip) must never switch arithmetic halfway through one prediction.
-  const ServingPrecision precision = serving_precision();
   std::vector<double> observed_values;
   observed_values.reserve(layout.num_observed);
   for (int i = 0; i < layout.num_observed; ++i) {
@@ -204,20 +201,11 @@ std::vector<double> SsinInterpolator::PredictWithLayout(
       observed_values, layout.length() - layout.num_observed, options);
 
   // Predict returns the query (trailing) rows only; target position p is
-  // its row p - num_observed. The f32 path reads the same converted-weight
-  // snapshot from every thread and destandardizes/clamps in f64, so only
-  // the network arithmetic narrows.
+  // its row p - num_observed. Both precisions destandardize and clamp in
+  // f64, so only the network arithmetic narrows in f32.
   std::vector<double> out;
   out.reserve(seq.target_positions.size());
-  if (seq.target_positions.empty()) {
-    // No query rows: nothing to predict, but the latency observation this
-    // call already started still lands below (an empty request is still a
-    // served request).
-  } else if (precision == ServingPrecision::kFloat32) {
-    std::shared_ptr<const F32WeightCache::Map> weights =
-        f32_weights_.EnsureFrom(model_.get());
-    const TensorF32& values =
-        model_->PredictF32(seq.input, layout, *weights, ws);
+  const auto destandardize = [&](const auto& values) {
     for (int position : seq.target_positions) {
       out.push_back(ApplyNonNegative(
           Destandardize(static_cast<double>(
@@ -225,13 +213,18 @@ std::vector<double> SsinInterpolator::PredictWithLayout(
                         seq.stats),
           non_negative_));
     }
+  };
+  if (seq.target_positions.empty()) {
+    // No query rows: nothing to predict, but the latency observation this
+    // call already started still lands below (an empty request is still a
+    // served request).
+  } else if (precision == ServingPrecision::kFloat32) {
+    // Every thread reads the same converted-weight snapshot.
+    std::shared_ptr<const F32WeightCache::Map> weights =
+        f32_weights_.EnsureFrom(model_.get());
+    destandardize(model_->PredictF32(seq.input, layout, *weights, ws));
   } else {
-    const Tensor& values = model_->Predict(seq.input, layout, ws);
-    for (int position : seq.target_positions) {
-      out.push_back(ApplyNonNegative(
-          Destandardize(values[position - layout.num_observed], seq.stats),
-          non_negative_));
-    }
+    destandardize(model_->Predict(seq.input, layout, ws));
   }
   if (begin_ns >= 0) {
     PredictLatencyHistogram()->Observe(
@@ -269,16 +262,13 @@ int SsinInterpolator::neighbor_k() const {
 std::vector<double> SsinInterpolator::InterpolateTimestamp(
     const std::vector<double>& all_values,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids) {
-  SSIN_CHECK(prepared_) << "call Fit() first";
-  ValidateInterpolationIds(all_values, context_.num_stations(), observed_ids,
-                           query_ids);
-  std::shared_ptr<const SequenceLayout> layout =
-      LayoutFor(observed_ids, query_ids);
-  // A fresh workspace keeps this entry point safe for concurrent callers
-  // (the eval runner's parallel path); batched serving reuses workspaces
-  // through InterpolateBatch instead.
-  InferenceWorkspace ws;
-  return PredictWithLayout(all_values, *layout, &ws);
+  // A batch of one builds its own workspace, which keeps this entry point
+  // safe for concurrent callers (the eval runner's parallel path). The call
+  // is not virtual: a subclass that times InterpolateBatch as a dispatch
+  // must not count single calls.
+  std::vector<std::vector<double>> out = SsinInterpolator::InterpolateBatch(
+      {&all_values}, observed_ids, query_ids);
+  return std::move(out[0]);
 }
 
 std::vector<double> SsinInterpolator::InterpolateTimestampAutograd(
@@ -327,17 +317,14 @@ double SsinInterpolator::MeasureF32ServingDelta(
     const std::vector<const std::vector<double>*>& batch_values,
     const std::vector<int>& observed_ids,
     const std::vector<int>& query_ids) {
-  SSIN_CHECK(prepared_) << "call Fit() first";
-  // The entry precision is restored on every exit path — including an
-  // InterpolateBatch that throws — so a failed measurement can never leave
-  // the interpolator stuck in the wrong precision.
-  ScopedPrecisionRestore restore(this);
-  set_serving_precision(ServingPrecision::kFloat64);
-  std::vector<std::vector<double>> ref =
-      InterpolateBatch(batch_values, observed_ids, query_ids);
-  set_serving_precision(ServingPrecision::kFloat32);
-  std::vector<std::vector<double>> f32 =
-      InterpolateBatch(batch_values, observed_ids, query_ids);
+  // Each pass names its precision, so concurrent requests keep serving at
+  // the configured one.
+  const std::vector<std::vector<double>> ref =
+      PredictBatch(batch_values, observed_ids, query_ids,
+                   ServingPrecision::kFloat64, /*num_threads=*/1);
+  const std::vector<std::vector<double>> f32 =
+      PredictBatch(batch_values, observed_ids, query_ids,
+                   ServingPrecision::kFloat32, /*num_threads=*/1);
 
   double max_delta = 0.0;
   for (size_t i = 0; i < ref.size(); ++i) {
@@ -369,6 +356,14 @@ std::vector<std::vector<double>> SsinInterpolator::InterpolateBatch(
     const std::vector<const std::vector<double>*>& batch_values,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
     int num_threads) {
+  return PredictBatch(batch_values, observed_ids, query_ids,
+                      serving_precision(), num_threads);
+}
+
+std::vector<std::vector<double>> SsinInterpolator::PredictBatch(
+    const std::vector<const std::vector<double>*>& batch_values,
+    const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
+    ServingPrecision precision, int num_threads) {
   SSIN_CHECK(prepared_) << "call Fit() first";
   SSIN_TRACE_SPAN("serve.batch");
   std::vector<std::vector<double>> out(batch_values.size());
@@ -405,6 +400,7 @@ std::vector<std::vector<double>> SsinInterpolator::InterpolateBatch(
                    [&](int64_t i, int slot) {
                      telemetry::ScopedTrace trace(trace_id);
                      out[i] = PredictWithLayout(*batch_values[i], *layout,
+                                                precision,
                                                 workspaces[slot].get());
                    });
   return out;

@@ -30,11 +30,12 @@ class SsinInterpolator : public SpatialInterpolator {
   void Fit(const SpatialDataset& data,
            const std::vector<int>& train_ids) override;
 
-  /// Serves one timestamp through the graph-free inference engine: the
-  /// sequence layout (attention plan + pre-embedded positions) comes from
-  /// the layout cache, the encoder stack runs without any autograd
-  /// bookkeeping. Numerically identical to the autograd reference below.
-  /// Safe to call concurrently after Fit().
+  /// Serves one timestamp through the graph-free inference engine: a
+  /// batch of one through InterpolateBatch. The sequence layout (attention
+  /// plan + pre-embedded positions) comes from the layout cache, the
+  /// encoder stack runs without any autograd bookkeeping. Numerically
+  /// identical to the autograd reference below. Safe to call concurrently
+  /// after Fit().
   std::vector<double> InterpolateTimestamp(
       const std::vector<double>& all_values,
       const std::vector<int>& observed_ids,
@@ -50,8 +51,9 @@ class SsinInterpolator : public SpatialInterpolator {
 
   /// Batched serving: validates and resolves the sequence layout once,
   /// then fans the timestamps across a pool with one inference workspace
-  /// per pool slot. Results are identical to per-timestamp calls at any
-  /// thread count.
+  /// per pool slot. The serving precision is read once, so the whole batch
+  /// is served at one precision. Results are identical to per-timestamp
+  /// calls at any thread count.
   std::vector<std::vector<double>> InterpolateBatch(
       const std::vector<const std::vector<double>*>& batch_values,
       const std::vector<int>& observed_ids,
@@ -121,8 +123,8 @@ class SsinInterpolator : public SpatialInterpolator {
 
   /// Switches serving precision directly (no accuracy check). Training,
   /// checkpoints and InterpolateTimestampAutograd always stay f64. Safe to
-  /// call while other threads serve: the flag is atomic and every request
-  /// latches it once at predict start, so no request mixes precisions.
+  /// call while other threads serve: the flag is atomic and every batch
+  /// reads it once, so no batch mixes precisions.
   void set_serving_precision(ServingPrecision precision) {
     serving_precision_.store(precision, std::memory_order_release);
   }
@@ -130,31 +132,11 @@ class SsinInterpolator : public SpatialInterpolator {
     return serving_precision_.load(std::memory_order_acquire);
   }
 
-  /// RAII restore of the serving precision: captures the precision at
-  /// construction and stores it back at destruction, on normal *and*
-  /// exceptional exit. MeasureF32ServingDelta flips the live precision to
-  /// compare both paths; this guard is what guarantees a throwing
-  /// InterpolateBatch cannot leave the interpolator stuck mid-flip.
-  class ScopedPrecisionRestore {
-   public:
-    explicit ScopedPrecisionRestore(SsinInterpolator* interpolator)
-        : interpolator_(interpolator),
-          saved_(interpolator->serving_precision()) {}
-    ~ScopedPrecisionRestore() { interpolator_->set_serving_precision(saved_); }
-    ScopedPrecisionRestore(const ScopedPrecisionRestore&) = delete;
-    ScopedPrecisionRestore& operator=(const ScopedPrecisionRestore&) = delete;
-
-   private:
-    SsinInterpolator* interpolator_;
-    ServingPrecision saved_;
-  };
-
   /// Runs `batch_values` through both precisions and returns the largest
   /// absolute f64-vs-f32 difference across every prediction, in output
-  /// units (mm of rainfall). The serving precision is restored on exit
-  /// (ScopedPrecisionRestore); while the measurement runs, concurrent
-  /// requests each serve one consistent precision — f64 or f32, never a
-  /// mix within a request.
+  /// units (mm of rainfall). Both passes name their precision
+  /// explicitly, so the live serving precision is left alone: requests
+  /// served meanwhile, on any thread, keep the configured precision.
   double MeasureF32ServingDelta(
       const std::vector<const std::vector<double>*>& batch_values,
       const std::vector<int>& observed_ids,
@@ -215,10 +197,19 @@ class SsinInterpolator : public SpatialInterpolator {
       const std::vector<int>& observed_ids,
       const std::vector<int>& query_ids);
 
-  /// One graph-free forward pass: standardize, Predict, destandardize and
-  /// clamp. `ws` must be used by one thread at a time.
+  /// InterpolateBatch at an explicit precision.
+  std::vector<std::vector<double>> PredictBatch(
+      const std::vector<const std::vector<double>*>& batch_values,
+      const std::vector<int>& observed_ids,
+      const std::vector<int>& query_ids, ServingPrecision precision,
+      int num_threads);
+
+  /// One graph-free forward pass at `precision`: standardize, Predict or
+  /// PredictF32, destandardize and clamp. `ws` must be used by one thread
+  /// at a time.
   std::vector<double> PredictWithLayout(const std::vector<double>& all_values,
                                         const SequenceLayout& layout,
+                                        ServingPrecision precision,
                                         InferenceWorkspace* ws);
 
   /// Invalidates every weight-derived serving cache (layouts with their
@@ -234,8 +225,8 @@ class SsinInterpolator : public SpatialInterpolator {
   TrainStats train_stats_;
   LayoutCache layout_cache_;
   F32WeightCache f32_weights_;
-  /// Atomic: serving threads read it (once per request) while admin calls
-  /// (EnableF32Serving, MeasureF32ServingDelta, hot-swap probes) write it.
+  /// Atomic: serving threads read it (once per batch) while admin calls
+  /// (set_serving_precision, EnableF32Serving) write it.
   std::atomic<ServingPrecision> serving_precision_{
       ServingPrecision::kFloat64};
   /// Instance arena high-water mark; reset by InvalidateServingCaches.

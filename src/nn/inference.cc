@@ -2,46 +2,34 @@
 
 namespace ssin {
 
-size_t InferenceWorkspace::ArenaBytes() const {
-  size_t bytes = 0;
+template <typename T>
+BasicTensor<T>* InferenceWorkspace::Arena<T>::Acquire(
+    const std::vector<int>& shape) {
+  if (cursor_ == slots_.size()) {
+    slots_.push_back(std::make_unique<BasicTensor<T>>(shape));
+  }
+  BasicTensor<T>* t = slots_[cursor_++].get();
+  if (t->shape() != shape) *t = BasicTensor<T>(shape);
+  return t;
+}
+
+template <typename T>
+T* InferenceWorkspace::Arena<T>::Scratch(size_t n) {
+  if (scratch_.size() < n) scratch_.resize(n);
+  return scratch_.data();
+}
+
+template <typename T>
+size_t InferenceWorkspace::Arena<T>::bytes() const {
+  size_t bytes = scratch_.size() * sizeof(T);
   for (const auto& slot : slots_) {
-    bytes += static_cast<size_t>(slot->numel()) * sizeof(double);
+    bytes += static_cast<size_t>(slot->numel()) * sizeof(T);
   }
-  for (const auto& slot : f32_slots_) {
-    bytes += static_cast<size_t>(slot->numel()) * sizeof(float);
-  }
-  bytes += scratch_f64_.size() * sizeof(double);
-  bytes += scratch_f32_.size() * sizeof(float);
   return bytes;
 }
 
-double* InferenceWorkspace::ScratchF64(size_t n) {
-  if (scratch_f64_.size() < n) scratch_f64_.resize(n);
-  return scratch_f64_.data();
-}
-
-float* InferenceWorkspace::ScratchF32(size_t n) {
-  if (scratch_f32_.size() < n) scratch_f32_.resize(n);
-  return scratch_f32_.data();
-}
-
-Tensor* InferenceWorkspace::Acquire(const std::vector<int>& shape) {
-  if (cursor_ == slots_.size()) {
-    slots_.push_back(std::make_unique<Tensor>(shape));
-  }
-  Tensor* t = slots_[cursor_++].get();
-  if (t->shape() != shape) *t = Tensor(shape);
-  return t;
-}
-
-TensorF32* InferenceWorkspace::AcquireF32(const std::vector<int>& shape) {
-  if (f32_cursor_ == f32_slots_.size()) {
-    f32_slots_.push_back(std::make_unique<TensorF32>(shape));
-  }
-  TensorF32* t = f32_slots_[f32_cursor_++].get();
-  if (t->shape() != shape) *t = TensorF32(shape);
-  return t;
-}
+template class InferenceWorkspace::Arena<double>;
+template class InferenceWorkspace::Arena<float>;
 
 std::shared_ptr<const F32WeightCache::Snapshot> F32WeightCache::Current()
     const {

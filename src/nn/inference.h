@@ -4,6 +4,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -18,78 +19,89 @@ namespace ssin {
 /// The serving chain (nn/serving.h, behind SpaFormer::Predict/PredictF32)
 /// evaluates the network without an autograd Graph: no tape nodes, no
 /// backward closures, no gradient buffers. Intermediate activations
-/// instead come from this bump-allocated arena: Acquire() hands out
-/// tensors in call order and Reset() rewinds the cursor, so after the
-/// first sequence every subsequent forward pass with the same shapes runs
-/// allocation-free. A workspace is
-/// single-threaded by design — batched serving keeps one per thread-pool
-/// slot.
-///
-/// The float32 serving mode draws its activations from a parallel arena of
-/// TensorF32 slots (AcquireF32) with its own cursor, so mixed f64/f32 use
-/// of one workspace — e.g. layout embedding in f64, then f32 serving —
-/// never aliases storage across precisions.
+/// instead come from a bump-allocated Arena, one per element type
+/// (arena<double>() for f64 serving, arena<float>() for f32): Acquire()
+/// hands out tensors in call order and Reset() rewinds both cursors, so
+/// after the first sequence every subsequent forward pass with the same
+/// shapes runs allocation-free. The two arenas share no storage, so mixed
+/// use of one workspace — e.g. layout embedding in f64, then f32 serving —
+/// never aliases across precisions. A workspace is single-threaded by
+/// design — batched serving keeps one per thread-pool slot.
 class InferenceWorkspace {
  public:
+  /// The storage of one element type: arena tensors, the serving kernels'
+  /// row tiles, and the attention kernel's per-query scores.
+  template <typename T>
+  class Arena {
+   public:
+    /// Next arena tensor, reshaped to `shape` if it does not match.
+    /// Contents are unspecified (kernels that accumulate must clear it —
+    /// the serving row kernels do). The returned pointer stays valid until
+    /// the workspace is destroyed; the *contents* are valid until the next
+    /// Reset().
+    BasicTensor<T>* Acquire(const std::vector<int>& shape);
+
+    /// Reusable flat scratch for the serving kernels' per-row tiles (FFN
+    /// hidden + epilogue temporaries). Grows monotonically, never shrinks;
+    /// contents are unspecified. Unlike Acquire there is no cursor — each
+    /// encoder layer re-slices the same buffer, which is what keeps the
+    /// [L, d_ff] hidden activation out of the arena entirely.
+    T* Scratch(size_t n);
+
+    /// Per-query score scratch of the attention kernel; one buffer serves
+    /// every layer/head invocation.
+    std::vector<T>* scores() { return &scores_; }
+
+    /// Arena slots allocated so far (test hook: steady-state forward
+    /// passes must not grow it).
+    size_t num_slots() const { return slots_.size(); }
+
+    /// Bytes held by the arena tensors plus the row-kernel scratch.
+    size_t bytes() const;
+
+   private:
+    friend class InferenceWorkspace;
+
+    // unique_ptr slots: the vector may grow while earlier tensors are
+    // still referenced by the caller, so the tensors themselves must not
+    // move.
+    std::vector<std::unique_ptr<BasicTensor<T>>> slots_;
+    size_t cursor_ = 0;
+    std::vector<T> scores_;
+    std::vector<T> scratch_;
+  };
+
   InferenceWorkspace() = default;
   InferenceWorkspace(const InferenceWorkspace&) = delete;
   InferenceWorkspace& operator=(const InferenceWorkspace&) = delete;
 
-  /// Rewinds the arena; previously acquired tensors may be handed out
+  /// Rewinds both arenas; previously acquired tensors may be handed out
   /// again. Call once at the start of each sequence.
   void Reset() {
-    cursor_ = 0;
-    f32_cursor_ = 0;
+    f64_.cursor_ = 0;
+    f32_.cursor_ = 0;
   }
 
-  /// Next arena tensor, reshaped to `shape` if it does not match.
-  /// Contents are unspecified (kernels that accumulate must clear it — the
-  /// serving row kernels do). The returned pointer stays valid until the
-  /// workspace is destroyed; the *contents* are valid until the next
-  /// Reset().
-  Tensor* Acquire(const std::vector<int>& shape);
-
-  /// Float32 sibling of Acquire, backed by its own slot vector and cursor.
-  TensorF32* AcquireF32(const std::vector<int>& shape);
-
-  /// Per-query score scratch of the attention kernel, one per precision;
-  /// one buffer serves every layer/head invocation.
-  std::vector<double>* f64_scores() { return &f64_scores_; }
-  std::vector<float>* f32_scores() { return &f32_scores_; }
-
-  /// Reusable flat scratch for the serving kernels' per-row tiles (FFN
-  /// hidden + epilogue temporaries). Grows monotonically, never shrinks;
-  /// contents are unspecified. Unlike Acquire there is no cursor — each
-  /// encoder layer re-slices the same buffer, which is what keeps the
-  /// [L, d_ff] hidden activation out of the arena entirely.
-  double* ScratchF64(size_t n);
-  float* ScratchF32(size_t n);
+  template <typename T>
+  Arena<T>& arena() {
+    if constexpr (std::is_same_v<T, double>) {
+      return f64_;
+    } else {
+      return f32_;
+    }
+  }
 
   /// Storage for the f64 serving view, which SpaFormer::Predict re-resolves
   /// on every call (pointer stores only once the table has its shape).
   ServingWeights<double>* serving_weights() { return &serving_weights_; }
 
-  /// Arena slots allocated so far (test hook: steady-state forward passes
-  /// must not grow it).
-  size_t num_slots() const { return slots_.size(); }
-  size_t num_f32_slots() const { return f32_slots_.size(); }
-
-  /// Total bytes held by the arena tensors (both precisions) plus the
-  /// row-kernel scratch tiles (telemetry: serve.workspace_arena_bytes
+  /// Total bytes of both arenas (telemetry: serve.workspace_arena_bytes
   /// gauges the per-call value, serve.arena_peak_bytes the process peak).
-  size_t ArenaBytes() const;
+  size_t ArenaBytes() const { return f64_.bytes() + f32_.bytes(); }
 
  private:
-  // unique_ptr slots: the vector may grow while earlier tensors are still
-  // referenced by the caller, so the tensors themselves must not move.
-  std::vector<std::unique_ptr<Tensor>> slots_;
-  std::vector<std::unique_ptr<TensorF32>> f32_slots_;
-  size_t cursor_ = 0;
-  size_t f32_cursor_ = 0;
-  std::vector<double> f64_scores_;
-  std::vector<float> f32_scores_;
-  std::vector<double> scratch_f64_;
-  std::vector<float> scratch_f32_;
+  Arena<double> f64_;
+  Arena<float> f32_;
   ServingWeights<double> serving_weights_;
 };
 
@@ -156,7 +168,7 @@ std::shared_ptr<const F32WeightCache::Snapshot> F32WeightCache::EnsureFrom(
   // identical values.
   auto built = std::make_shared<Snapshot>();
   for (Parameter* p : model->Parameters()) {
-    built->tensors.emplace(p, TensorF32::FromTensor(p->value));
+    built->tensors.emplace(p, TensorF32::From(p->value));
   }
   const auto& tensors = built->tensors;
   model->ResolveServingWeights(

@@ -13,38 +13,6 @@ namespace ssin {
 
 namespace {
 
-// The workspace storage of each precision: arena tensors, the fused
-// kernels' row tiles, and the attention kernel's per-query scores.
-template <typename T>
-struct Arena;
-
-template <>
-struct Arena<double> {
-  static Tensor* Acquire(InferenceWorkspace* ws, const std::vector<int>& s) {
-    return ws->Acquire(s);
-  }
-  static double* Scratch(InferenceWorkspace* ws, size_t n) {
-    return ws->ScratchF64(n);
-  }
-  static std::vector<double>* Scores(InferenceWorkspace* ws) {
-    return ws->f64_scores();
-  }
-};
-
-template <>
-struct Arena<float> {
-  static TensorF32* Acquire(InferenceWorkspace* ws,
-                            const std::vector<int>& s) {
-    return ws->AcquireF32(s);
-  }
-  static float* Scratch(InferenceWorkspace* ws, size_t n) {
-    return ws->ScratchF32(n);
-  }
-  static std::vector<float>* Scores(InferenceWorkspace* ws) {
-    return ws->f32_scores();
-  }
-};
-
 template <typename T>
 void ResolveNorm(const LayerNormLayer& norm, const WeightResolver<T>& resolve,
                  ServingNorm<T>* out) {
@@ -64,19 +32,19 @@ const T* EncoderLayerRows(const ServingWeights<T>& w,
   const int H = w.num_heads;
   const int d = w.head_dim;
   const int nq = length - tail_begin;
-  T* concat = Arena<T>::Acquire(ws, {nq, H * d})->data();
+  T* concat = ws->arena<T>().Acquire({nq, H * d})->data();
   {
     SSIN_TRACE_SPAN("encoder.attention");
     // Head-major projection arenas: q [H, nq, d]; kv [2H, L, d] with k_h
     // at block 2h and v_h at block 2h+1. Each head's attention writes its
     // column block of the concat directly (stride H*d).
-    T* q = Arena<T>::Acquire(ws, {H * nq, d})->data();
-    T* kv = Arena<T>::Acquire(ws, {2 * H * length, d})->data();
+    T* q = ws->arena<T>().Acquire({H * nq, d})->data();
+    T* kv = ws->arena<T>().Acquire({2 * H * length, d})->data();
     const T* const* wq = layer.qkv.data();
     fused::FusedQkvProjectRows<T, simd::VecOps>(x, length, dm, tail_begin, wq,
                                                 wq + H, wq + 2 * H, H, d, q,
                                                 kv);
-    std::vector<T>* scores = Arena<T>::Scores(ws);
+    std::vector<T>* scores = ws->arena<T>().scores();
     for (int h = 0; h < H; ++h) {
       PackedAttentionForwardRowsStrided<T, simd::VecOps>(
           q + static_cast<int64_t>(h) * nq * d,
@@ -92,14 +60,14 @@ const T* EncoderLayerRows(const ServingWeights<T>& w,
   // temporary, so the [L, d_ff] hidden activation never hits the arena.
   const ServingFcn<T>& ffn = layer.ffn;
   const int d_ff = ffn.fc1.out;
-  T* hidden = Arena<T>::Scratch(ws, static_cast<size_t>(d_ff) + dm);
+  T* hidden = ws->arena<T>().Scratch(static_cast<size_t>(d_ff) + dm);
   T* tmp = hidden + d_ff;
-  T* x1 = Arena<T>::Acquire(ws, {nq, dm})->data();
+  T* x1 = ws->arena<T>().Acquire({nq, dm})->data();
   fused::FusedAttentionEpilogueRows<T, simd::VecOps>(
       concat, nq, H * d, layer.wo.w, layer.wo.b, dm,
       x + static_cast<int64_t>(tail_begin) * dm, layer.norm1.gamma,
       layer.norm1.beta, layer.norm1.eps, tmp, x1);
-  T* out = Arena<T>::Acquire(ws, {nq, dm})->data();
+  T* out = ws->arena<T>().Acquire({nq, dm})->data();
   fused::FusedFfnRows<T, simd::VecOps>(
       x1, nq, dm, d_ff, ffn.fc1.w, ffn.fc1.b, ffn.fc2.w, ffn.fc2.b, ffn.relu,
       layer.norm2.gamma, layer.norm2.beta, layer.norm2.eps, hidden, tmp, out);
@@ -152,30 +120,28 @@ void ResolveEncoder(const Encoder& encoder, const WeightResolver<T>& resolve,
 }
 
 template <typename T>
-ServingTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
-                          InferenceWorkspace* ws) {
-  ServingTensor<T>* h = Arena<T>::Acquire(ws, {rows, fcn.fc1.out});
+BasicTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
+                        InferenceWorkspace* ws) {
+  BasicTensor<T>* h = ws->arena<T>().Acquire({rows, fcn.fc1.out});
   fused::LinearRows<T, simd::VecOps>(x, rows, fcn.fc1.in, fcn.fc1.w,
                                      fcn.fc1.b, fcn.fc1.out, h->data());
   if (fcn.fc2.w == nullptr) return *h;
   if (fcn.relu) simd::VecOps::Relu(h->data(), static_cast<int>(h->numel()));
-  ServingTensor<T>* out = Arena<T>::Acquire(ws, {rows, fcn.fc2.out});
+  BasicTensor<T>* out = ws->arena<T>().Acquire({rows, fcn.fc2.out});
   fused::LinearRows<T, simd::VecOps>(h->data(), rows, fcn.fc2.in, fcn.fc2.w,
                                      fcn.fc2.b, fcn.fc2.out, out->data());
   return *out;
 }
 
 template <typename T>
-const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
-                                       const T* x,
-                                       const IndexedSrpe<T>* srpe,
-                                       const ServingTensor<T>* sape,
-                                       const AttentionPlan& plan,
-                                       int tail_begin,
-                                       InferenceWorkspace* ws) {
+const BasicTensor<T>& ServingForward(const ServingWeights<T>& w, const T* x,
+                                     const IndexedSrpe<T>* srpe,
+                                     const BasicTensor<T>* sape,
+                                     const AttentionPlan& plan,
+                                     int tail_begin, InferenceWorkspace* ws) {
   const int length = plan.length;
   SSIN_CHECK(tail_begin >= 0 && tail_begin <= length);
-  ServingTensor<T>& e = FcnRows(w.value_embedding, x, length, ws);
+  BasicTensor<T>& e = FcnRows(w.value_embedding, x, length, ws);
   const int dm = e.dim(1);
   if (sape != nullptr) {
     // SAPE: positions enter additively, exactly as Forward's Add(e, sape).
@@ -198,12 +164,11 @@ const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
                               ServingFcn<T>*);                               \
   template void ResolveEncoder<T>(const Encoder&, const WeightResolver<T>&,  \
                                   ServingWeights<T>*);                       \
-  template ServingTensor<T>& FcnRows<T>(const ServingFcn<T>&, const T*, int, \
-                                        InferenceWorkspace*);                \
-  template const ServingTensor<T>& ServingForward<T>(                        \
+  template BasicTensor<T>& FcnRows<T>(const ServingFcn<T>&, const T*, int,   \
+                                      InferenceWorkspace*);                  \
+  template const BasicTensor<T>& ServingForward<T>(                          \
       const ServingWeights<T>&, const T*, const IndexedSrpe<T>*,            \
-      const ServingTensor<T>*, const AttentionPlan&, int,                    \
-      InferenceWorkspace*);
+      const BasicTensor<T>*, const AttentionPlan&, int, InferenceWorkspace*);
 
 SSIN_INSTANTIATE_SERVING(double)
 SSIN_INSTANTIATE_SERVING(float)

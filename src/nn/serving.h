@@ -103,26 +103,12 @@ template <typename T>
 void ResolveEncoder(const Encoder& encoder, const WeightResolver<T>& resolve,
                     ServingWeights<T>* w);
 
-/// Arena tensor type of each serving precision.
-template <typename T>
-struct ServingTensorOf;
-template <>
-struct ServingTensorOf<double> {
-  using type = Tensor;
-};
-template <>
-struct ServingTensorOf<float> {
-  using type = TensorF32;
-};
-template <typename T>
-using ServingTensor = typename ServingTensorOf<T>::type;
-
 /// `fcn` applied to the `rows` rows of x [rows, fcn.fc1.in]; returns the
 /// [rows, out] result, an arena tensor of `ws` (one arena tensor per dense
 /// layer, none for the activation).
 template <typename T>
-ServingTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
-                          InferenceWorkspace* ws);
+BasicTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
+                        InferenceWorkspace* ws);
 
 /// The serving forward of one sequence: value embedding of x [L, 1] (plus
 /// the pre-embedded `sape` [L, d_model] in SAPE mode), the encoder stack
@@ -136,13 +122,11 @@ ServingTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
 /// predictions, valid until the workspace's next use. The caller resets
 /// `ws`.
 template <typename T>
-const ServingTensor<T>& ServingForward(const ServingWeights<T>& w,
-                                       const T* x,
-                                       const IndexedSrpe<T>* srpe,
-                                       const ServingTensor<T>* sape,
-                                       const AttentionPlan& plan,
-                                       int tail_begin,
-                                       InferenceWorkspace* ws);
+const BasicTensor<T>& ServingForward(const ServingWeights<T>& w, const T* x,
+                                     const IndexedSrpe<T>* srpe,
+                                     const BasicTensor<T>* sape,
+                                     const AttentionPlan& plan,
+                                     int tail_begin, InferenceWorkspace* ws);
 
 }  // namespace ssin
 

@@ -11,11 +11,6 @@ const Tensor& Var::value() const {
   return graph->value(id);
 }
 
-const Tensor& Var::grad() const {
-  SSIN_CHECK(valid());
-  return graph->grad(id);
-}
-
 void Graph::RedirectGradient(Tensor* from, Tensor* to) {
   SSIN_CHECK(from != nullptr && to != nullptr);
   SSIN_CHECK(from->SameShape(*to))

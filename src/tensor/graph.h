@@ -19,7 +19,6 @@ struct Var {
 
   bool valid() const { return graph != nullptr && id >= 0; }
   const Tensor& value() const;
-  const Tensor& grad() const;
 };
 
 /// Reverse-mode autograd tape.

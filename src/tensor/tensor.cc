@@ -4,20 +4,28 @@
 
 namespace ssin {
 
-Tensor Tensor::Randn(std::vector<int> shape, Rng* rng, double stddev) {
-  Tensor t(std::move(shape));
-  for (int64_t i = 0; i < t.numel(); ++i) t[i] = rng->Normal(0.0, stddev);
+template <typename T>
+BasicTensor<T> BasicTensor<T>::Randn(std::vector<int> shape, Rng* rng,
+                                     double stddev) {
+  BasicTensor t(std::move(shape));
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<T>(rng->Normal(0.0, stddev));
+  }
   return t;
 }
 
-Tensor Tensor::RandUniform(std::vector<int> shape, Rng* rng, double lo,
-                           double hi) {
-  Tensor t(std::move(shape));
-  for (int64_t i = 0; i < t.numel(); ++i) t[i] = rng->Uniform(lo, hi);
+template <typename T>
+BasicTensor<T> BasicTensor<T>::RandUniform(std::vector<int> shape, Rng* rng,
+                                           double lo, double hi) {
+  BasicTensor t(std::move(shape));
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    t[i] = static_cast<T>(rng->Uniform(lo, hi));
+  }
   return t;
 }
 
-std::string Tensor::ShapeString() const {
+template <typename T>
+std::string BasicTensor<T>::ShapeString() const {
   std::ostringstream out;
   out << '[';
   for (int i = 0; i < rank(); ++i) {
@@ -27,5 +35,10 @@ std::string Tensor::ShapeString() const {
   out << ']';
   return out.str();
 }
+
+// tensor.h declares no extern template: one would change how the accessors
+// inline into the ops' loops, and with that the last bits of trained weights.
+template class BasicTensor<double>;
+template class BasicTensor<float>;
 
 }  // namespace ssin

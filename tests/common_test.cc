@@ -138,12 +138,9 @@ TEST(JsonWriterTest, NestedStructureAndCommas) {
   json.Bool(true);
   json.EndObject();
   json.EndArray();
-  json.Key("none");
-  json.Null();
   json.EndObject();
   EXPECT_EQ(json.str(),
-            "{\"name\":\"bench\",\"values\":[1,2,{\"ok\":true}],"
-            "\"none\":null}");
+            "{\"name\":\"bench\",\"values\":[1,2,{\"ok\":true}]}");
 }
 
 TEST(JsonWriterTest, NonFiniteNumbersBecomeNull) {

@@ -17,7 +17,6 @@
 #include <fstream>
 #include <memory>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -573,7 +572,7 @@ TEST(PairStoreEquivalence, HkFullShieldingMatchesStandaloneLayout) {
   ASSERT_TRUE(manual.srpe.SameShape(standalone->srpe));
   EXPECT_EQ(0, std::memcmp(manual.srpe.data(), standalone->srpe.data(),
                            manual.srpe.numel() * sizeof(double)));
-  const TensorF32 narrowed = TensorF32::FromTensor(manual.srpe);
+  const TensorF32 narrowed = TensorF32::From(manual.srpe);
   EXPECT_EQ(0, std::memcmp(narrowed.data(), standalone->srpe_f32.data(),
                            narrowed.numel() * sizeof(float)));
 }
@@ -754,64 +753,61 @@ TEST(F32ServingTest, WeightSnapshotConvertsOnceAndInvalidates) {
   EXPECT_TRUE(ssin.f32_weights().empty());
 }
 
-TEST(F32ServingTest, MeasureDeltaRestoresPrecisionUnderConcurrentReaders) {
+TEST(F32ServingTest,
+     MeasureDeltaLeavesConcurrentRequestsAtConfiguredPrecision) {
+  using Precision = SsinInterpolator::ServingPrecision;
   Fixture f;
   SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
   ssin.Fit(f.data, f.observed_ids);
-  ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
+  // With the clamp off, every prediction keeps its precision's rounding, so
+  // a request served at the wrong precision shows up bit for bit.
+  ssin.set_non_negative(false);
 
   std::vector<const std::vector<double>*> batch;
   for (int t = 0; t < f.data.num_timestamps(); ++t) {
     batch.push_back(&f.data.Values(t));
   }
+  std::vector<std::vector<double>> reference[2];
+  for (Precision p : {Precision::kFloat64, Precision::kFloat32}) {
+    ssin.set_serving_precision(p);
+    for (const std::vector<double>* values : batch) {
+      reference[static_cast<int>(p)].push_back(
+          ssin.InterpolateTimestamp(*values, f.observed_ids, f.query_ids));
+    }
+  }
+  ASSERT_NE(reference[0], reference[1]);
 
-  // serving_precision_ is an atomic: threads observing the precision while
-  // MeasureF32ServingDelta flips it mid-measurement must only ever see one
-  // of the two enumerators (TSan is the gate for this test), and the
-  // measurement must restore the caller's precision when it finishes.
-  std::atomic<bool> stop{false};
-  std::atomic<int> torn_reads{0};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 2; ++r) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const SsinInterpolator::ServingPrecision p = ssin.serving_precision();
-        if (p != SsinInterpolator::ServingPrecision::kFloat64 &&
-            p != SsinInterpolator::ServingPrecision::kFloat32) {
-          torn_reads.fetch_add(1);
+  for (Precision configured : {Precision::kFloat64, Precision::kFloat32}) {
+    SCOPED_TRACE(configured == Precision::kFloat64 ? "f64" : "f32");
+    ssin.set_serving_precision(configured);
+    const std::vector<std::vector<double>>& expected =
+        reference[static_cast<int>(configured)];
+
+    // One client serves while the calibration measures both precisions.
+    std::atomic<bool> stop{false};
+    std::atomic<int> served{0};
+    std::atomic<int> mismatches{0};
+    std::thread client([&] {
+      for (size_t t = 0; !stop.load(std::memory_order_acquire);
+           t = (t + 1) % batch.size()) {
+        const std::vector<double> out = ssin.InterpolateTimestamp(
+            *batch[t], f.observed_ids, f.query_ids);
+        if (out.size() != expected[t].size() ||
+            std::memcmp(out.data(), expected[t].data(),
+                        out.size() * sizeof(double)) != 0) {
+          mismatches.fetch_add(1);
         }
+        served.fetch_add(1);
       }
     });
+    for (int i = 0; i < 10 || served.load() < 20; ++i) {
+      ssin.MeasureF32ServingDelta(batch, f.observed_ids, f.query_ids);
+    }
+    stop.store(true, std::memory_order_release);
+    client.join();
+    EXPECT_EQ(mismatches.load(), 0) << "of " << served.load() << " requests";
+    EXPECT_EQ(ssin.serving_precision(), configured);
   }
-  for (int i = 0; i < 4; ++i) {
-    ssin.MeasureF32ServingDelta(batch, f.observed_ids, f.query_ids);
-    EXPECT_EQ(ssin.serving_precision(),
-              SsinInterpolator::ServingPrecision::kFloat32)
-        << "measurement " << i << " leaked its precision flip";
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& reader : readers) reader.join();
-  EXPECT_EQ(torn_reads.load(), 0);
-}
-
-TEST(F32ServingTest, ScopedPrecisionRestoreIsExceptionSafe) {
-  Fixture f;
-  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
-  ssin.Fit(f.data, f.observed_ids);
-  ssin.set_serving_precision(SsinInterpolator::ServingPrecision::kFloat32);
-
-  // The guard restores on the exceptional exit path — the failure mode the
-  // old measure-then-restore-by-hand code had.
-  EXPECT_THROW(
-      {
-        SsinInterpolator::ScopedPrecisionRestore restore(&ssin);
-        ssin.set_serving_precision(
-            SsinInterpolator::ServingPrecision::kFloat64);
-        throw std::runtime_error("mid-measurement failure");
-      },
-      std::runtime_error);
-  EXPECT_EQ(ssin.serving_precision(),
-            SsinInterpolator::ServingPrecision::kFloat32);
 }
 
 TEST(ServingArenaPeak, InstancePeakResetsOnWeightMutation) {
@@ -903,20 +899,21 @@ TEST(ServingArenaPeak, PaperConfigStaysUnderCeilings) {
 
 TEST(InferenceWorkspaceTest, ArenaReusesSlotsAfterReset) {
   InferenceWorkspace ws;
-  Tensor* a = ws.Acquire({4, 8});
-  Tensor* b = ws.Acquire({4, 8});
+  InferenceWorkspace::Arena<double>& arena = ws.arena<double>();
+  Tensor* a = arena.Acquire({4, 8});
+  Tensor* b = arena.Acquire({4, 8});
   EXPECT_NE(a, b);
-  EXPECT_EQ(ws.num_slots(), 2u);
+  EXPECT_EQ(arena.num_slots(), 2u);
 
   ws.Reset();
-  Tensor* a2 = ws.Acquire({4, 8});
-  Tensor* b2 = ws.Acquire({4, 8});
+  Tensor* a2 = arena.Acquire({4, 8});
+  Tensor* b2 = arena.Acquire({4, 8});
   EXPECT_EQ(a, a2);  // Same storage handed out again.
   EXPECT_EQ(b, b2);
-  EXPECT_EQ(ws.num_slots(), 2u);  // Steady state: no growth.
+  EXPECT_EQ(arena.num_slots(), 2u);  // Steady state: no growth.
 
   ws.Reset();
-  Tensor* c = ws.Acquire({2, 3});  // Shape change reshapes in place.
+  Tensor* c = arena.Acquire({2, 3});  // Shape change reshapes in place.
   EXPECT_EQ(c, a);
   EXPECT_EQ(c->dim(0), 2);
   EXPECT_EQ(c->dim(1), 3);
@@ -924,19 +921,19 @@ TEST(InferenceWorkspaceTest, ArenaReusesSlotsAfterReset) {
 
 TEST(InferenceWorkspaceTest, F32ArenaIsIndependentOfF64Arena) {
   InferenceWorkspace ws;
-  Tensor* a = ws.Acquire({4, 8});
-  TensorF32* fa = ws.AcquireF32({4, 8});
-  TensorF32* fb = ws.AcquireF32({2, 2});
+  Tensor* a = ws.arena<double>().Acquire({4, 8});
+  TensorF32* fa = ws.arena<float>().Acquire({4, 8});
+  TensorF32* fb = ws.arena<float>().Acquire({2, 2});
   EXPECT_NE(fa, fb);
-  EXPECT_EQ(ws.num_slots(), 1u);
-  EXPECT_EQ(ws.num_f32_slots(), 2u);
+  EXPECT_EQ(ws.arena<double>().num_slots(), 1u);
+  EXPECT_EQ(ws.arena<float>().num_slots(), 2u);
   EXPECT_EQ(ws.ArenaBytes(),
             32 * sizeof(double) + (32 + 4) * sizeof(float));
 
   ws.Reset();  // Rewinds both cursors.
-  EXPECT_EQ(ws.Acquire({4, 8}), a);
-  EXPECT_EQ(ws.AcquireF32({4, 8}), fa);
-  EXPECT_EQ(ws.num_f32_slots(), 2u);
+  EXPECT_EQ(ws.arena<double>().Acquire({4, 8}), a);
+  EXPECT_EQ(ws.arena<float>().Acquire({4, 8}), fa);
+  EXPECT_EQ(ws.arena<float>().num_slots(), 2u);
   (void)a;
 }
 
