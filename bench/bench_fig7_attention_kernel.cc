@@ -243,8 +243,8 @@ void RunServeHotPath(benchmark::State& state) {
     std::copy(x0.begin(), x0.end(), x.begin());
     for (int layer = 0; layer < kLayers; ++layer) {
       fused::FusedQkvProjectRows<T, Ops>(
-          x.data(), length, d, /*tail_begin=*/0, wq_p.data(), wk_p.data(),
-          wv_p.data(), kHeads, d, q.data(), kv.data());
+          x.data(), /*begin=*/0, length, d, /*q_begin=*/0, wq_p.data(),
+          wk_p.data(), wv_p.data(), kHeads, d, q.data(), kv.data());
       for (int head = 0; head < kHeads; ++head) {
         PackedAttentionForwardRowsStrided<T, Ops>(
             q.data() + static_cast<size_t>(head) * numel,

@@ -10,7 +10,11 @@
 ///    analytically only — its packed SRPE tensor alone would be gigabytes,
 ///    which is precisely what the neighbor limit removes — together with
 ///    plan pair counts and the plan+SRPE memory they imply, so the JSON
-///    carries the O(L*m) -> O(L*k) memory story explicitly.
+///    carries the O(L*m) -> O(L*k) memory story explicitly. These rows
+///    serve every held-out site at once, a request whose cone is the whole
+///    network. From L = 1000 a catchment row follows: 6 clustered held-out
+///    sites with the 3 gauges nearest to them out, under k=32, reporting
+///    its cone (the rows its layout evaluates) and the pairs it resolves.
 ///
 ///  * accuracy-vs-k — one model trained with full shielding at L=1000,
 ///    then served through SetNeighborK sweeping k in {4, 8, 16, 32, 64,
@@ -21,18 +25,23 @@
 /// Flags:
 ///   --smoke   tier-1 gate: an L=1000 network end-to-end — short Fit with
 ///             k=16, batched serving with finite outputs, plan pair count
-///             within the O(L*k) bound, full-vs-(k>=num_observed)
-///             bit-equality on a served timestamp, and a generous
-///             wall-clock sanity bound. No timing thresholds.
+///             within the O(L*k) bound, a catchment whose layout evaluates
+///             fewer rows than L and resolves at most |S_1|*(k+1) pairs,
+///             full-vs-(k>=num_observed) bit-equality on a served
+///             timestamp, and a generous wall-clock sanity bound. No
+///             timing thresholds.
 ///
 /// Writes BENCH_scaling.json (override the path with
 /// SSIN_BENCH_SCALING_JSON); scripts/run_bench.sh merges it into
 /// BENCH_attention.json as the "scaling" block.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -72,43 +81,105 @@ int64_t SrpeBytes(int64_t pairs, int d_k) {
   return pairs * d_k * (sizeof(double) + sizeof(float));
 }
 
-/// One row of the ms-vs-L curve (one network size, one shielding mode).
+/// One served request: observed ids and query ids.
+struct Request {
+  std::vector<int> observed;
+  std::vector<int> query;
+};
+
+/// One row of the ms-vs-L curve (one network size, one shielding mode, one
+/// request: every held-out site, or a catchment).
 struct ScalePoint {
   int length = 0;
   int num_observed = 0;
   int neighbor_k = 0;  ///< 0 = full shielding.
+  bool catchment = false;
   bool timed = false;  ///< False when only the analytic sizes are reported.
   double prepare_ms = 0.0;
   double cold_ms = 0.0;  ///< First serve: layout build + predict.
   double warm_ms = 0.0;  ///< Cached-layout serve.
-  int64_t pairs = 0;
+  int num_queries = 0;
+  int cone_rows = 0;            ///< Rows the served layout evaluates (|S_0|).
+  int64_t resolved_pairs = 0;   ///< Legal pairs the served layout resolves.
+  int64_t pairs = 0;            ///< Legal pairs of the request's full plan.
   int64_t plan_bytes = 0;
   int64_t srpe_bytes = 0;
 };
 
-/// Builds the exact serving plan the interpolator would use and returns
-/// its pair count (num_observed-first node order, ascending ids — the same
-/// sequence LayoutFor builds).
-int64_t CountPlanPairs(const SpatialContext& context, const NodeSplit& split,
+/// The ids of `candidates` nearest to station `center`, `count` of them.
+std::vector<int> NearestOf(const std::vector<PointKm>& positions,
+                           const std::vector<int>& candidates, int center,
+                           int count) {
+  std::vector<std::pair<double, int>> by_distance;
+  for (int id : candidates) {
+    by_distance.emplace_back(DistanceKm(positions[center], positions[id]),
+                             id);
+  }
+  std::sort(by_distance.begin(), by_distance.end());
+  std::vector<int> out;
+  for (int i = 0; i < count && i < static_cast<int>(by_distance.size());
+       ++i) {
+    out.push_back(by_distance[i].second);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Every held-out site at once: the request whose cone is the network.
+Request AllHeldOut(const NodeSplit& split) {
+  return {split.train_ids, split.test_ids};
+}
+
+/// A catchment: the 6 held-out sites nearest to one of them queried, the 3
+/// gauges nearest to it out of service.
+Request Catchment(const RainfallSetup& setup) {
+  const std::vector<PointKm> positions = setup.data.Positions();
+  const std::vector<int>& sites = setup.split.test_ids;
+  const int center = sites[sites.size() / 2];
+  Request r;
+  r.query = NearestOf(positions, sites, center, 6);
+  const std::vector<int> down =
+      NearestOf(positions, setup.split.train_ids, center, 3);
+  for (int id : setup.split.train_ids) {
+    if (std::find(down.begin(), down.end(), id) == down.end()) {
+      r.observed.push_back(id);
+    }
+  }
+  return r;
+}
+
+/// The layout `model` serves `r` with (a cache hit once it has served it).
+std::shared_ptr<const SequenceLayout> ServedLayout(
+    const SsinInterpolator& model, const Request& r) {
+  std::vector<int> ids = r.observed;
+  ids.insert(ids.end(), r.query.begin(), r.query.end());
+  return model.layout_cache().Lookup(ids, static_cast<int>(r.observed.size()));
+}
+
+/// Builds the full plan of request `r` (observed ids, then query ids: the
+/// request sequence LayoutFor keys the cache by) and returns its pair
+/// count; a served layout resolves the pairs of its cone only.
+int64_t CountPlanPairs(const SpatialContext& context, const Request& r,
                        int neighbor_k) {
-  std::vector<int> node_ids = split.train_ids;
-  node_ids.insert(node_ids.end(), split.test_ids.begin(),
-                  split.test_ids.end());
+  std::vector<int> node_ids = r.observed;
+  node_ids.insert(node_ids.end(), r.query.begin(), r.query.end());
   std::vector<uint8_t> observed(node_ids.size(), 0);
-  for (size_t i = 0; i < split.train_ids.size(); ++i) observed[i] = 1;
+  std::fill_n(observed.begin(), r.observed.size(), 1);
   SpaFormerConfig config = SpaFormerConfig::Paper();
   config.neighbor_k = neighbor_k;
   return BuildSequencePlan(config, context, node_ids, observed)->num_pairs();
 }
 
-/// Times Prepare + serving for one (L, k) mode over `setup`.
+/// Times Prepare + serving of `r` for one (L, k) mode over `setup`: the
+/// first serve (layout build + predict) and the cached-layout serve.
 ScalePoint TimeMode(const RainfallSetup& setup, int neighbor_k,
-                    int warm_reps) {
+                    const Request& r, int warm_reps) {
   ScalePoint point;
   point.length = setup.data.num_stations();
-  point.num_observed = static_cast<int>(setup.split.train_ids.size());
+  point.num_observed = static_cast<int>(r.observed.size());
   point.neighbor_k = neighbor_k;
   point.timed = true;
+  point.num_queries = static_cast<int>(r.query.size());
 
   SpaFormerConfig config = SpaFormerConfig::Paper();
   config.neighbor_k = neighbor_k;
@@ -120,16 +191,18 @@ ScalePoint TimeMode(const RainfallSetup& setup, int neighbor_k,
 
   const std::vector<double> values = setup.data.Values(0);
   start = SteadyClock::now();
-  model.InterpolateTimestamp(values, setup.split.train_ids,
-                             setup.split.test_ids);
+  model.InterpolateTimestamp(values, r.observed, r.query);
   point.cold_ms = MsSince(start);
 
   start = SteadyClock::now();
-  for (int r = 0; r < warm_reps; ++r) {
-    model.InterpolateTimestamp(values, setup.split.train_ids,
-                               setup.split.test_ids);
+  for (int rep = 0; rep < warm_reps; ++rep) {
+    model.InterpolateTimestamp(values, r.observed, r.query);
   }
   point.warm_ms = MsSince(start) / warm_reps;
+
+  const std::shared_ptr<const SequenceLayout> layout = ServedLayout(model, r);
+  point.cone_rows = layout->length();
+  point.resolved_pairs = layout->plan->num_pairs();
   return point;
 }
 
@@ -140,10 +213,14 @@ void FillSizes(ScalePoint* point, int64_t pairs, int d_k) {
 }
 
 void PrintPoint(const ScalePoint& p) {
-  std::printf("%-7d %-5s %8s %12.1f %10.1f %10.1f %12lld %10.1f\n", p.length,
+  std::printf("%-7d %-5s %-9s %8s %12.1f %10.1f %10.1f %9d %12lld %12lld "
+              "%10.1f\n",
+              p.length,
               p.neighbor_k > 0 ? std::to_string(p.neighbor_k).c_str()
                                : "full",
+              p.catchment ? "catchment" : "all",
               p.timed ? "timed" : "sized", p.prepare_ms, p.cold_ms, p.warm_ms,
+              p.cone_rows, static_cast<long long>(p.resolved_pairs),
               static_cast<long long>(p.pairs),
               (p.plan_bytes + p.srpe_bytes) / (1024.0 * 1024.0));
   std::fflush(stdout);
@@ -157,15 +234,23 @@ void WritePoint(JsonWriter* json, const ScalePoint& p) {
   json->Int(p.num_observed);
   json->Key("neighbor_k");
   json->Int(p.neighbor_k);
+  json->Key("request");
+  json->String(p.catchment ? "catchment" : "all_held_out");
   json->Key("timed");
   json->Bool(p.timed);
   if (p.timed) {
+    json->Key("num_queries");
+    json->Int(p.num_queries);
     json->Key("prepare_ms");
     json->Number(p.prepare_ms);
     json->Key("cold_serve_ms");
     json->Number(p.cold_ms);
     json->Key("warm_serve_ms");
     json->Number(p.warm_ms);
+    json->Key("cone_rows");
+    json->Int(p.cone_rows);
+    json->Key("resolved_pairs");
+    json->Int(p.resolved_pairs);
   }
   json->Key("pairs");
   json->Int(p.pairs);
@@ -239,7 +324,7 @@ int main(int argc, char** argv) {
 
     SpatialContext context;
     context.Build(setup.data, setup.split.train_ids);
-    const int64_t pairs = CountPlanPairs(context, setup.split, kSmokeK);
+    const int64_t pairs = CountPlanPairs(context, AllHeldOut(setup.split), kSmokeK);
     // Every query gets at most k observed keys plus self; +2 leaves slack
     // for nothing — the bound is the O(L*k) contract.
     if (pairs > static_cast<int64_t>(length) * (kSmokeK + 2)) {
@@ -282,6 +367,26 @@ int main(int argc, char** argv) {
       }
     }
 
+    // A catchment's layout holds only its cone: fewer rows than the
+    // network, and at most k keys plus self for each row of S_1.
+    const Request catchment = Catchment(setup);
+    const std::vector<double> catchment_preds = model.InterpolateTimestamp(
+        hours[0], catchment.observed, catchment.query);
+    const std::shared_ptr<const SequenceLayout> cone =
+        ServedLayout(model, catchment);
+    const int64_t s1_rows = cone->length() - cone->layer_begin[1];
+    if (catchment_preds.size() != catchment.query.size() ||
+        !AllFinite(catchment_preds) || cone->length() >= length ||
+        cone->plan->num_pairs() > s1_rows * (kSmokeK + 1)) {
+      std::printf("FAIL: catchment of %zu queries served %zu values, cone "
+                  "of %d rows (L=%d), %lld pairs for |S_1|=%lld\n",
+                  catchment.query.size(), catchment_preds.size(),
+                  cone->length(), length,
+                  static_cast<long long>(cone->plan->num_pairs()),
+                  static_cast<long long>(s1_rows));
+      return 1;
+    }
+
     // k >= num_observed must reproduce full shielding bit for bit, end to
     // end, at this scale too (the L=123 equivalence lives in the tests).
     model.SetNeighborK(length);
@@ -303,10 +408,12 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::printf("smoke: L=%d k=%d fit %.0fms, %d timestamps served in "
-                "%.0fms, %lld plan pairs (<= L*(k+2)), k>=m bit-identical "
-                "to full, wall %.1fs\n",
+                "%.0fms, %lld plan pairs (<= L*(k+2)), catchment cone %d "
+                "rows / %lld pairs, k>=m bit-identical to full, wall "
+                "%.1fs\n",
                 length, kSmokeK, fit_ms, setup.data.num_timestamps(),
-                serve_ms, static_cast<long long>(pairs), wall_s);
+                serve_ms, static_cast<long long>(pairs), cone->length(),
+                static_cast<long long>(cone->plan->num_pairs()), wall_s);
 
     json.Key("smoke_result");
     json.BeginObject();
@@ -320,6 +427,10 @@ int main(int argc, char** argv) {
     json.Number(serve_ms);
     json.Key("pairs");
     json.Int(pairs);
+    json.Key("catchment_cone_rows");
+    json.Int(cone->length());
+    json.Key("catchment_pairs");
+    json.Int(cone->plan->num_pairs());
     json.EndObject();
   }
 
@@ -328,8 +439,9 @@ int main(int argc, char** argv) {
     const int kNeighborK = 32;
     json.Key("neighbor_k");
     json.Int(static_cast<int64_t>(kNeighborK));
-    std::printf("%-7s %-5s %8s %12s %10s %10s %12s %10s\n", "L", "k", "mode",
-                "prepare_ms", "cold_ms", "warm_ms", "pairs", "mem_mb");
+    std::printf("%-7s %-5s %-9s %8s %12s %10s %10s %9s %12s %12s %10s\n",
+                "L", "k", "request", "mode", "prepare_ms", "cold_ms",
+                "warm_ms", "cone_rows", "resolved", "plan_pairs", "mem_mb");
     for (int length : {123, 1000, 5000, 10000}) {
       RainfallSetup setup(NationalRegionConfig(length), /*hours=*/3,
                           /*data_seed=*/41);
@@ -343,7 +455,8 @@ int main(int argc, char** argv) {
       // make the case (at L=10k the SRPE tensor would be ~12 GB).
       ScalePoint full;
       if (length <= 1000) {
-        full = TimeMode(setup, /*neighbor_k=*/0, /*warm_reps=*/5);
+        full = TimeMode(setup, /*neighbor_k=*/0, AllHeldOut(setup.split),
+                        /*warm_reps=*/5);
       } else {
         full.length = length;
         full.num_observed = num_observed;
@@ -354,11 +467,22 @@ int main(int argc, char** argv) {
       PrintPoint(full);
       curve.push_back(full);
 
-      ScalePoint knn = TimeMode(setup, kNeighborK,
+      const Request all = AllHeldOut(setup.split);
+      ScalePoint knn = TimeMode(setup, kNeighborK, all,
                                 /*warm_reps=*/length >= 5000 ? 2 : 5);
-      FillSizes(&knn, CountPlanPairs(context, setup.split, kNeighborK), d_k);
+      FillSizes(&knn, CountPlanPairs(context, all, kNeighborK), d_k);
       PrintPoint(knn);
       curve.push_back(knn);
+
+      if (length >= 1000) {
+        const Request r = Catchment(setup);
+        ScalePoint catchment = TimeMode(setup, kNeighborK, r,
+                                        /*warm_reps=*/20);
+        catchment.catchment = true;
+        FillSizes(&catchment, CountPlanPairs(context, r, kNeighborK), d_k);
+        PrintPoint(catchment);
+        curve.push_back(catchment);
+      }
     }
   }
   json.Key("ms_vs_l");
@@ -418,7 +542,7 @@ int main(int argc, char** argv) {
       }
       AccuracyPoint point;
       point.neighbor_k = k;
-      point.pairs = CountPlanPairs(context, setup.split, k);
+      point.pairs = CountPlanPairs(context, AllHeldOut(setup.split), k);
       point.metrics = acc.Compute();
       point.serve_ms = total_ms / served.size();
       std::printf("%-5s %12lld %10.4f %10.4f %12.2f\n",

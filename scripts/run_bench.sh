@@ -153,7 +153,8 @@ if scaling.get("ssin_build_type") != "release":
              % scaling.get("ssin_build_type"))
 
 curve = scaling.get("ms_vs_l", [])
-knn = {p["length"]: p for p in curve if p["neighbor_k"] > 0}
+knn = {p["length"]: p for p in curve
+       if p["neighbor_k"] > 0 and p["request"] == "all_held_out"}
 if sorted(knn) != [123, 1000, 5000, 10000]:
     sys.exit("scaling ms-vs-L lengths %r != [123, 1k, 5k, 10k]" % sorted(knn))
 k = scaling.get("neighbor_k", 0)
@@ -163,6 +164,17 @@ for length, p in knn.items():
     if p["pairs"] > length * (k + 2):
         sys.exit("scaling point L=%d has %d pairs, above the O(L*k) bound"
                  % (length, p["pairs"]))
+# Catchment rows: a handful of queries evaluates a cone, not the network.
+catchments = {p["length"]: p for p in curve if p["request"] == "catchment"}
+if sorted(catchments) != [1000, 5000, 10000]:
+    sys.exit("scaling catchment lengths %r != [1k, 5k, 10k]"
+             % sorted(catchments))
+for length, p in catchments.items():
+    if not p.get("timed") or p.get("warm_serve_ms", 0) <= 0:
+        sys.exit("catchment point L=%d was not timed" % length)
+    if p["cone_rows"] >= length or p["resolved_pairs"] >= p["pairs"]:
+        sys.exit("catchment point L=%d evaluates %d rows and %d of %d pairs"
+                 % (length, p["cone_rows"], p["resolved_pairs"], p["pairs"]))
 
 points = scaling.get("accuracy_vs_k", {}).get("points", [])
 if [p["neighbor_k"] for p in points] != [4, 8, 16, 32, 64, 0]:
@@ -177,9 +189,12 @@ with open("BENCH_attention.json", "w") as f:
     f.write("\n")
 print("scaling: " + ", ".join(
     "L=%d %.0fms" % (length, knn[length]["warm_serve_ms"])
-    for length in sorted(knn)) + " (k=%d warm serve); accuracy full rmse "
-    "%.4f vs k=32 %.4f" % (
-        k, [p for p in points if p["neighbor_k"] == 0][0]["rmse"],
+    for length in sorted(knn)) + " (k=%d warm serve); catchment " % k +
+    ", ".join("L=%d %.1fms over %d rows" % (
+        length, catchments[length]["warm_serve_ms"],
+        catchments[length]["cone_rows"]) for length in sorted(catchments)) +
+    "; accuracy full rmse %.4f vs k=32 %.4f" % (
+        [p for p in points if p["neighbor_k"] == 0][0]["rmse"],
         [p for p in points if p["neighbor_k"] == 32][0]["rmse"]))
 EOF
 rm -f .bench_scaling.json

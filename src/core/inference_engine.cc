@@ -1,6 +1,8 @@
 #include "core/inference_engine.h"
 
+#include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -33,6 +35,19 @@ telemetry::Counter* EvictionsCounter() {
 telemetry::Counter* InvalidationsCounter() {
   static telemetry::Counter* counter = CacheCounter("invalidations");
   return counter;
+}
+
+// The size of each layout build: the rows it evaluates and the legal pairs
+// it resolves (its cone, not the network).
+telemetry::Histogram* LayoutRowsHistogram() {
+  static telemetry::Histogram* histogram =
+      telemetry::GetHistogram("serve.layout.rows");
+  return histogram;
+}
+telemetry::Histogram* LayoutPairsHistogram() {
+  static telemetry::Histogram* histogram =
+      telemetry::GetHistogram("serve.layout.pairs");
+  return histogram;
 }
 
 // Process-wide aggregates across every PairStore; the per-store atomics
@@ -223,21 +238,126 @@ Tensor RelposRowsForPlan(const SpatialContext& context,
 
 namespace {
 
+/// Fills the rows, bands and plan of the cone of the request `request_ids`
+/// (observed ids, then query ids) — see SequenceLayout.
+void BuildCone(const SpaFormerConfig& config, const SpatialContext& context,
+               const std::vector<int>& request_ids, int num_observed,
+               SequenceLayout* layout) {
+  const int length = static_cast<int>(request_ids.size());
+  const int num_layers = config.num_layers;
+  std::vector<uint8_t> observed(length, 0);
+  std::fill_n(observed.begin(), num_observed, 1);
+
+  // The request's full plan (BuildSequencePlan's policy). Under a k-NN cap
+  // it is built after the walk, from neighbour lists of the rows the walk
+  // reached; the other rows keep only themselves.
+  const bool limited = config.shielded && config.neighbor_k > 0;
+  auto full = std::make_shared<AttentionPlan>();
+  std::unique_ptr<SpatialContext::NearestObserved> nearest;
+  std::vector<std::vector<int>> neighbors;
+  if (limited) {
+    nearest = std::make_unique<SpatialContext::NearestObserved>(
+        context, request_ids, observed, config.neighbor_k);
+    neighbors.resize(length);
+  } else {
+    BuildAttentionPlan(observed, config.shielded, full.get());
+  }
+
+  // Walk back from the queries: level[p] is the last layer whose output
+  // needs row p (p is in S_level but not S_level+1), -1 outside the cone.
+  // Only the rows of S_1 need their keys, so only they run k-NN.
+  std::vector<int> level(length, -1);
+  std::vector<int> frontier, next;
+  for (int p = num_observed; p < length; ++p) {
+    level[p] = num_layers;
+    frontier.push_back(p);
+  }
+  for (int t = num_layers; t >= 1 && !frontier.empty(); --t) {
+    next.clear();
+    const auto reach = [&](int j) {
+      if (level[j] < 0) {
+        level[j] = t - 1;
+        next.push_back(j);
+      }
+    };
+    for (int p : frontier) {
+      if (limited) {
+        neighbors[p] = nearest->KeysOf(p);
+        for (int j : neighbors[p]) reach(j);
+      } else {
+        for (int64_t e = full->offset[p]; e < full->offset[p + 1]; ++e) {
+          reach(full->key_index[e]);
+        }
+      }
+    }
+    frontier.swap(next);
+  }
+  if (limited) BuildAttentionPlanLimited(observed, neighbors, full.get());
+
+  // Bands S_0∖S_1 | … | S_T, each in request order. Only queries reach
+  // level T, so the observed rows lead.
+  std::vector<int>& rows = layout->request_rows;
+  layout->layer_begin.assign(num_layers + 1, 0);
+  for (int t = 0; t <= num_layers; ++t) {
+    layout->layer_begin[t] = static_cast<int>(rows.size());
+    for (int p = 0; p < length; ++p) {
+      if (level[p] == t) rows.push_back(p);
+    }
+  }
+  const int n = static_cast<int>(rows.size());
+  std::vector<int> row_of(length, -1);
+  for (int r = 0; r < n; ++r) row_of[rows[r]] = r;
+
+  // Each evaluated row keeps its full-plan keys, in their order, under
+  // their layout rows; rows of S_0∖S_1 get none.
+  std::vector<std::vector<int>> row_keys(n);
+  layout->node_ids.resize(n);
+  layout->observed.resize(n);
+  for (int r = 0; r < n; ++r) {
+    const int p = rows[r];
+    layout->node_ids[r] = request_ids[p];
+    layout->observed[r] = observed[p];
+    if (level[p] == 0) continue;
+    for (int64_t e = full->offset[p]; e < full->offset[p + 1]; ++e) {
+      row_keys[r].push_back(row_of[full->key_index[e]]);
+    }
+  }
+  layout->num_observed = layout->layer_begin[num_layers];
+  auto plan = std::make_shared<AttentionPlan>();
+  BuildAttentionPlanFromKeys(layout->observed, config.shielded, row_keys,
+                             plan.get());
+  layout->plan = std::move(plan);
+}
+
+/// Fills the full layout of the request: every row, in request order.
+void BuildFull(const SpaFormerConfig& config, const SpatialContext& context,
+               const std::vector<int>& request_ids, int num_observed,
+               SequenceLayout* layout) {
+  const int length = static_cast<int>(request_ids.size());
+  layout->node_ids = request_ids;
+  layout->num_observed = num_observed;
+  layout->observed.assign(length, 0);
+  std::fill_n(layout->observed.begin(), num_observed, 1);
+  layout->request_rows.resize(length);
+  std::iota(layout->request_rows.begin(), layout->request_rows.end(), 0);
+  layout->layer_begin.assign(config.num_layers + 1, 0);
+  layout->layer_begin.back() = num_observed;
+  layout->plan =
+      BuildSequencePlan(config, context, layout->node_ids, layout->observed);
+}
+
+/// A layout over `store`: the cone of the request (serving) or its full
+/// layout (standalone).
 std::shared_ptr<SequenceLayout> BuildLayout(
     SpaFormer* model, const SpatialContext& context,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
-    std::shared_ptr<PairStore> store, InferenceWorkspace* ws) {
+    bool cone, std::shared_ptr<PairStore> store, InferenceWorkspace* ws) {
   auto layout = std::make_shared<SequenceLayout>();
-  layout->node_ids = observed_ids;
-  layout->node_ids.insert(layout->node_ids.end(), query_ids.begin(),
-                          query_ids.end());
-  layout->num_observed = static_cast<int>(observed_ids.size());
-
-  layout->observed.assign(layout->node_ids.size(), 0);
-  for (int i = 0; i < layout->num_observed; ++i) layout->observed[i] = 1;
-
-  layout->plan = BuildSequencePlan(model->config(), context, layout->node_ids,
-                                   layout->observed);
+  std::vector<int> request_ids = observed_ids;
+  request_ids.insert(request_ids.end(), query_ids.begin(), query_ids.end());
+  (cone ? BuildCone : BuildFull)(model->config(), context, request_ids,
+                                 static_cast<int>(observed_ids.size()),
+                                 layout.get());
   layout->abspos = context.AbsposFor(layout->node_ids);
 
   if (model->config().position_mode != SpaFormerConfig::PositionMode::kSrpe) {
@@ -278,7 +398,7 @@ std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
     SpaFormer* model, const SpatialContext& context,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
     std::shared_ptr<PairStore> store, InferenceWorkspace* ws) {
-  return BuildLayout(model, context, observed_ids, query_ids,
+  return BuildLayout(model, context, observed_ids, query_ids, /*cone=*/true,
                      std::move(store), ws);
 }
 
@@ -289,7 +409,7 @@ std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
   const bool srpe =
       model->config().position_mode == SpaFormerConfig::PositionMode::kSrpe;
   std::shared_ptr<SequenceLayout> layout =
-      BuildLayout(model, context, observed_ids, query_ids,
+      BuildLayout(model, context, observed_ids, query_ids, /*cone=*/false,
                   srpe ? std::make_shared<PairStore>() : nullptr, ws);
   if (!srpe) return layout;
   const int pairs = static_cast<int>(layout->store_rows.size());
@@ -309,9 +429,9 @@ std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
 }
 
 std::shared_ptr<const SequenceLayout> LayoutCache::Lookup(
-    const std::vector<int>& node_ids, int num_observed) const {
+    const std::vector<int>& request_ids, int num_observed) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  auto it = entries_.find(Key(node_ids, num_observed));
+  auto it = entries_.find(Key(request_ids, num_observed));
   if (it == entries_.end()) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     MissesCounter()->Add(1);
@@ -337,12 +457,16 @@ std::shared_ptr<PairStore> LayoutCache::StoreForBuild() {
   return store_;
 }
 
-void LayoutCache::Insert(std::shared_ptr<const SequenceLayout> layout) {
+void LayoutCache::Insert(const std::vector<int>& request_ids,
+                         int num_observed,
+                         std::shared_ptr<const SequenceLayout> layout) {
   SSIN_CHECK(layout != nullptr);
+  LayoutRowsHistogram()->Observe(static_cast<double>(layout->length()));
+  LayoutPairsHistogram()->Observe(
+      static_cast<double>(layout->plan->num_pairs()));
   std::lock_guard<std::mutex> lock(mutex_);
   if (entries_.size() >= capacity_) EvictAllLocked();
-  entries_.emplace(Key(layout->node_ids, layout->num_observed),
-                   std::move(layout));
+  entries_.emplace(Key(request_ids, num_observed), std::move(layout));
 }
 
 void LayoutCache::Clear() {

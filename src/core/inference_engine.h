@@ -126,10 +126,35 @@ class PairStore {
 ///    [L, d_model] absolute positions. Both are weight-dependent, which
 ///    is why a layout (and its store) must be discarded whenever the
 ///    model's weights change.
+///
+/// A serving layout (the store-backed BuildSequenceLayout) holds only the
+/// request's cone: the rows a query output can depend on. With T encoder
+/// layers, S_T is the queries and S_{t-1} = S_t ∪ keys(S_t), where keys(i)
+/// are row i's legal keys in the full plan; the layout's rows are S_0, in
+/// bands S_0∖S_1 | S_1∖S_2 | … | S_{T-1}∖S_T | S_T, each band in request
+/// order, and layer t evaluates only S_t. Every operator outside attention
+/// is row-wise, and each evaluated row lists its full-plan keys in the full
+/// plan's order, so a query's output equals the full layout's bit for bit.
+/// Under full shielding, unshielded attention or k >= the observed count,
+/// S_{T-1} is every row: the layout is then the full layout, in request
+/// order, with layer_begin {0, …, 0, num_observed}.
 struct SequenceLayout {
-  std::vector<int> node_ids;  ///< Observed station ids, then query ids.
+  /// Station id of each row: the cone's observed stations band by band,
+  /// then the query ids in request order. Full layouts: the observed ids,
+  /// then the query ids.
+  std::vector<int> node_ids;
+  /// The leading num_observed rows are observed; the rest are the queries.
   int num_observed = 0;
   std::vector<uint8_t> observed;  ///< Per-node flags (1 = observed).
+  /// Each row's position in the request sequence (the observed ids, then
+  /// the query ids): the row of the request's standardized input it reads.
+  std::vector<int> request_rows;
+  /// T + 1 row offsets: S_t is rows [layer_begin[t], L). Layer t (1..T)
+  /// reads rows [layer_begin[t-1], L) and writes [layer_begin[t], L);
+  /// layer_begin[T] == num_observed.
+  std::vector<int> layer_begin;
+  /// Legal pairs over this layout's rows. Rows of S_0∖S_1 have no keys:
+  /// no layer evaluates them.
   std::shared_ptr<const AttentionPlan> plan;
 
   /// Standardized absolute coordinates, [L, 2]. Relative positions are
@@ -175,20 +200,25 @@ struct SequenceLayout {
   }
 };
 
-/// Builds the complete layout for one (observed_ids, query_ids) sequence:
-/// geometry from `context`, plan from the observation flags, and position
-/// embeddings from `model`'s current weights. In SRPE mode the legal pairs
-/// resolve to rows of `store` (which must be non-null), embedding only the
-/// pairs it lacks — the serving path, where one store backs every cached
-/// layout. SAPE mode builds no store rows (`store` is ignored). `ws`
-/// provides scratch for the embedding forward.
+/// Builds the serving layout for one (observed_ids, query_ids) request:
+/// the cone of its queries (see SequenceLayout), with geometry from
+/// `context`, plan keys from BuildSequencePlan's policy (k-NN runs only for
+/// the rows of S_1) and position embeddings from `model`'s current
+/// weights. In SRPE mode the cone's legal pairs resolve to rows of `store`
+/// (which must be non-null), embedding only the pairs it lacks — the
+/// serving path, where one store backs every cached layout. SAPE mode
+/// embeds the cone's rows and builds no store rows (`store` is ignored).
+/// An empty query list gives an empty layout. `ws` provides scratch for
+/// the embedding forward.
 std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
     SpaFormer* model, const SpatialContext& context,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
     std::shared_ptr<PairStore> store, InferenceWorkspace* ws);
 
-/// Standalone layout: the above over a private store, plus per-pair copies
-/// of its rows in `srpe`/`srpe_f32` for callers that read c by legal pair.
+/// Standalone layout: the full layout — every request row, in request
+/// order, layer_begin {0, …, 0, num_observed}, the plan of
+/// BuildSequencePlan — over a private store, plus per-pair copies of its
+/// rows in `srpe`/`srpe_f32` for callers that read c by legal pair.
 std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
     SpaFormer* model, const SpatialContext& context,
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids,
@@ -198,9 +228,9 @@ std::shared_ptr<const SequenceLayout> BuildSequenceLayout(
 /// shielded (or unshielded) plan, or — when config.shielded and
 /// config.neighbor_k > 0 — the neighbor-limited plan over the k nearest
 /// observed stations per query (SpatialContext::NearestObservedKeys).
-/// The single plan-construction policy shared by training, the serving
-/// layouts, and the autograd reference, so every path agrees on which
-/// pairs are legal.
+/// The plan-construction policy of training and the autograd reference;
+/// a serving layout applies the same plan builders and k-NN to the rows
+/// of its cone, so every path agrees on which pairs are legal.
 std::shared_ptr<const AttentionPlan> BuildSequencePlan(
     const SpaFormerConfig& config, const SpatialContext& context,
     const std::vector<int>& node_ids, const std::vector<uint8_t>& observed);
@@ -214,8 +244,10 @@ Tensor RelposRowsForPlan(const SpatialContext& context,
                          const AttentionPlan& plan,
                          const SpaFormerConfig& config);
 
-/// Thread-safe cache of SequenceLayouts keyed by (node_ids, num_observed),
-/// plus the PairStore its layouts are built over.
+/// Thread-safe cache of SequenceLayouts keyed by the request — its observed
+/// ids followed by its query ids, and the observed count — plus the
+/// PairStore its layouts are built over. A cached layout covers only its
+/// request's cone, so its own node_ids are not the key.
 ///
 /// One store per cache generation: the rows of every cached layout live in
 /// the current store, and each layout keeps only its plan and row indices.
@@ -235,22 +267,26 @@ class LayoutCache {
   /// plans LRU eviction.
   explicit LayoutCache(size_t capacity = 64) : capacity_(capacity) {}
 
-  /// Returns the cached layout for the key, or nullptr (counts a hit or a
-  /// miss accordingly).
+  /// Returns the cached layout for the request (`request_ids`: its
+  /// observed ids, then its query ids), or nullptr (counts a hit or a miss
+  /// accordingly).
   std::shared_ptr<const SequenceLayout> Lookup(
-      const std::vector<int>& node_ids, int num_observed) const;
+      const std::vector<int>& request_ids, int num_observed) const;
 
   /// The store a new SRPE layout is built over, created on first use. A
   /// full cache is emptied first (counted as evictions) and the new layout
   /// gets a fresh store.
   std::shared_ptr<PairStore> StoreForBuild();
 
-  /// Inserts a layout under its own (node_ids, num_observed) key. If two
-  /// threads race to insert the same key, the first one wins and both
-  /// proceed with a valid layout. Insertion past capacity (concurrent
-  /// builders, or SAPE layouts, which never call StoreForBuild) first drops
-  /// every entry and the store.
-  void Insert(std::shared_ptr<const SequenceLayout> layout);
+  /// Inserts the layout built for a request under Lookup's key, and
+  /// records the build's size: serve.layout.rows (the rows it evaluates)
+  /// and serve.layout.pairs (the legal pairs it resolves). If two threads
+  /// race to insert the same key, the first one wins and both proceed with
+  /// a valid layout. Insertion past capacity (concurrent builders, or SAPE
+  /// layouts, which never call StoreForBuild) first drops every entry and
+  /// the store.
+  void Insert(const std::vector<int>& request_ids, int num_observed,
+              std::shared_ptr<const SequenceLayout> layout);
 
   /// Drops all entries and the store (a weight-mutation invalidation).
   void Clear();

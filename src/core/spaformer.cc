@@ -201,6 +201,9 @@ const BasicTensor<T>& SpaFormer::PredictRows(const Tensor& x,
   SSIN_CHECK_EQ(x.dim(1), 1);
   SSIN_CHECK_EQ(layout.length(), x.dim(0));
   SSIN_CHECK(layout.plan != nullptr);
+  SSIN_CHECK(!layout.layer_begin.empty() &&
+             layout.layer_begin.back() == layout.num_observed)
+      << "layout lacks its layer row ranges";
   if (srpe) {
     SSIN_CHECK(layout.store != nullptr) << "layout lacks its pair store";
     SSIN_CHECK_EQ(static_cast<int64_t>(layout.store_rows.size()),
@@ -221,7 +224,7 @@ const BasicTensor<T>& SpaFormer::PredictRows(const Tensor& x,
   const IndexedSrpe<T> c = srpe ? layout.SrpeRows<T>() : IndexedSrpe<T>();
   return ServingForward(w, input, srpe ? &c : nullptr,
                         srpe ? nullptr : &layout.Sape<T>(), *layout.plan,
-                        layout.num_observed, ws);
+                        layout.layer_begin, ws);
 }
 
 const Tensor& SpaFormer::Predict(const Tensor& x, const SequenceLayout& layout,

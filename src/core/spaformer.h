@@ -47,10 +47,10 @@ struct SpaFormerConfig {
   /// (self always stays legal), so attention-plan pair counts and SRPE
   /// rows grow O(L*k) instead of O(L*m) — the knob that makes 1k–10k-
   /// station networks tractable. Requires shielded; applied by
-  /// BuildSequencePlan, which every caller of ForwardWithPlan and the
-  /// serving layouts share. When k >= num_observed the limited plan is
-  /// identical to the full one, pair for pair, so results are
-  /// bit-identical.
+  /// BuildSequencePlan, which every caller of ForwardWithPlan shares, and
+  /// by the serving layouts' cone walk. When k >= num_observed the
+  /// limited plan is identical to the full one, pair for pair, so results
+  /// are bit-identical.
   int neighbor_k = 0;
 
   /// Named constructors for the paper's ablation variants (Table 6).
@@ -96,14 +96,15 @@ class SpaFormer : public Module {
 
   /// Graph-free forward for serving (the f64 instantiation of the serving
   /// chain, nn/serving.h): evaluates the same network as ForwardWithPlan
-  /// with zero autograd bookkeeping, reusing the plan and pre-embedded
-  /// positions of `layout` and the activation arena of `ws` (resetting
-  /// it). Returns the
-  /// [L - num_observed, 1] standardized predictions of the query (trailing)
-  /// rows — row r is sequence row num_observed + r — valid until the
-  /// workspace's next use. The final encoder layer and the prediction head
-  /// are evaluated for those rows only; every returned value matches
-  /// ForwardWithPlan to 1e-12 (the engine == autograd pin).
+  /// with zero autograd bookkeeping, reusing the plan, row ranges and
+  /// pre-embedded positions of `layout` and the activation arena of `ws`
+  /// (resetting it). x holds one standardized input row per layout row.
+  /// Returns the [L - num_observed, 1] standardized predictions of the
+  /// query (trailing) rows — row r is layout row num_observed + r — valid
+  /// until the workspace's next use. Layer t is evaluated only for the
+  /// rows layout.layer_begin[t] onwards, and the prediction head for the
+  /// queries; every returned value matches ForwardWithPlan over the full
+  /// request to 1e-12 (the engine == autograd pin).
   const Tensor& Predict(const Tensor& x, const SequenceLayout& layout,
                         InferenceWorkspace* ws);
 

@@ -80,71 +80,72 @@ Tensor SpatialContext::AbsposFor(const std::vector<int>& ids) const {
 std::vector<std::vector<int>> SpatialContext::NearestObservedKeys(
     const std::vector<int>& ids, const std::vector<uint8_t>& observed,
     int k) const {
+  const NearestObserved nearest(*this, ids, observed, k);
+  std::vector<std::vector<int>> result(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    result[i] = nearest.KeysOf(static_cast<int>(i));
+  }
+  return result;
+}
+
+SpatialContext::NearestObserved::NearestObserved(
+    const SpatialContext& context, const std::vector<int>& ids,
+    const std::vector<uint8_t>& observed, int k)
+    : context_(context), ids_(ids), observed_(observed), k_(k) {
   const int length = static_cast<int>(ids.size());
   SSIN_CHECK_EQ(static_cast<int>(observed.size()), length);
   SSIN_CHECK_GT(k, 0);
 
-  // Sequence positions of the observed stations, ascending — the local
-  // index of the candidate set. Local index order therefore equals
-  // sequence-position order, which keeps tie-breaking deterministic and
-  // identical between the grid and brute-force paths.
-  std::vector<int> obs_pos;
-  obs_pos.reserve(observed.size());
+  // Local index order equals sequence-position order, which keeps
+  // tie-breaking deterministic and identical between the grid and
+  // brute-force paths.
+  obs_pos_.reserve(observed.size());
   for (int i = 0; i < length; ++i) {
-    if (observed[i]) obs_pos.push_back(i);
+    if (observed[i]) obs_pos_.push_back(i);
   }
+  if (context.has_travel_ || obs_pos_.empty()) return;
+  std::vector<PointKm> obs_points;
+  obs_points.reserve(obs_pos_.size());
+  for (int j : obs_pos_) obs_points.push_back(context.positions_[ids[j]]);
+  index_ = std::make_unique<SpatialIndex>(std::move(obs_points));
+}
 
-  std::vector<std::vector<int>> result(length);
-  if (obs_pos.empty()) return result;
+SpatialContext::NearestObserved::~NearestObserved() = default;
 
-  auto finish = [&](int i, std::vector<int>* keys) {
-    std::sort(keys->begin(), keys->end());
-    result[i] = std::move(*keys);
-  };
-
-  if (has_travel_) {
+std::vector<int> SpatialContext::NearestObserved::KeysOf(int i) const {
+  SSIN_CHECK(i >= 0 && i < static_cast<int>(ids_.size()));
+  std::vector<int> keys;
+  if (obs_pos_.empty()) return keys;
+  if (context_.has_travel_) {
     // A road travel metric has no planar embedding, so each query scans
     // all observed candidates (O(L*m) total — the documented fallback).
     std::vector<std::pair<double, int>> cand;
-    for (int i = 0; i < length; ++i) {
-      cand.clear();
-      for (int local = 0; local < static_cast<int>(obs_pos.size()); ++local) {
-        const int j = obs_pos[local];
-        if (j == i) continue;
-        cand.emplace_back(travel_(ids[i], ids[j]), local);
-      }
-      const size_t take = std::min(static_cast<size_t>(k), cand.size());
-      std::partial_sort(cand.begin(), cand.begin() + take, cand.end());
-      std::vector<int> keys;
-      keys.reserve(take);
-      for (size_t t = 0; t < take; ++t) keys.push_back(obs_pos[cand[t].second]);
-      finish(i, &keys);
+    cand.reserve(obs_pos_.size());
+    for (int local = 0; local < static_cast<int>(obs_pos_.size()); ++local) {
+      const int j = obs_pos_[local];
+      if (j == i) continue;
+      cand.emplace_back(context_.travel_(ids_[i], ids_[j]), local);
     }
-    return result;
-  }
-
-  std::vector<PointKm> obs_points;
-  obs_points.reserve(obs_pos.size());
-  for (int j : obs_pos) obs_points.push_back(positions_[ids[j]]);
-  const SpatialIndex index(std::move(obs_points));
-
-  for (int i = 0; i < length; ++i) {
+    const size_t take = std::min(static_cast<size_t>(k_), cand.size());
+    std::partial_sort(cand.begin(), cand.begin() + take, cand.end());
+    keys.reserve(take);
+    for (size_t t = 0; t < take; ++t) keys.push_back(obs_pos_[cand[t].second]);
+  } else {
     // An observed query's own entry in the candidate set is excluded by
-    // local index; binary search works because obs_pos is ascending.
+    // local index; binary search works because obs_pos_ is ascending.
     int exclude = -1;
-    if (observed[i]) {
+    if (observed_[i]) {
       exclude = static_cast<int>(
-          std::lower_bound(obs_pos.begin(), obs_pos.end(), i) -
-          obs_pos.begin());
+          std::lower_bound(obs_pos_.begin(), obs_pos_.end(), i) -
+          obs_pos_.begin());
     }
     const std::vector<int> nearest =
-        index.KNearest(positions_[ids[i]], k, exclude);
-    std::vector<int> keys;
+        index_->KNearest(context_.positions_[ids_[i]], k_, exclude);
     keys.reserve(nearest.size());
-    for (int local : nearest) keys.push_back(obs_pos[local]);
-    finish(i, &keys);
+    for (int local : nearest) keys.push_back(obs_pos_[local]);
   }
-  return result;
+  std::sort(keys.begin(), keys.end());
+  return keys;
 }
 
 }  // namespace ssin

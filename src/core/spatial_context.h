@@ -2,6 +2,7 @@
 #define SSIN_CORE_SPATIAL_CONTEXT_H_
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -13,6 +14,8 @@
 #include "tensor/tensor.h"
 
 namespace ssin {
+
+class SpatialIndex;  // geo/spatial_index.h
 
 /// Global standardization statistics for relative positions (paper §3.2:
 /// positions are static, so distances and azimuths are standardized with
@@ -64,6 +67,33 @@ class SpatialContext {
   std::vector<std::vector<int>> NearestObservedKeys(
       const std::vector<int>& ids, const std::vector<uint8_t>& observed,
       int k) const;
+
+  /// NearestObservedKeys one row at a time: the candidate index over the
+  /// sequence's observed stations is built once, and KeysOf(i) returns
+  /// row i of NearestObservedKeys(ids, observed, k) — same keys, same tie
+  /// order. A serving layout asks only for the rows its queries can see.
+  /// Holds references to `context`, `ids` and `observed`, which must
+  /// outlive it.
+  class NearestObserved {
+   public:
+    NearestObserved(const SpatialContext& context,
+                    const std::vector<int>& ids,
+                    const std::vector<uint8_t>& observed, int k);
+    ~NearestObserved();
+
+    std::vector<int> KeysOf(int i) const;
+
+   private:
+    const SpatialContext& context_;
+    const std::vector<int>& ids_;
+    const std::vector<uint8_t>& observed_;
+    int k_;
+    /// Sequence positions of the observed stations, ascending: the local
+    /// index of the candidate set.
+    std::vector<int> obs_pos_;
+    /// Grid over the observed stations; null on travel-distance networks.
+    std::unique_ptr<SpatialIndex> index_;
+  };
 
   /// Raw (unstandardized) distance and azimuth from station a to b, the
   /// single source of the pairwise geometry: travel-matrix distance when

@@ -164,12 +164,14 @@ bool SsinInterpolator::ResumeTrainerFrom(const std::string& path) {
 
 std::shared_ptr<const SequenceLayout> SsinInterpolator::LayoutFor(
     const std::vector<int>& observed_ids, const std::vector<int>& query_ids) {
-  // Sequence layout: observed stations first, then query nodes.
-  std::vector<int> node_ids = observed_ids;
-  node_ids.insert(node_ids.end(), query_ids.begin(), query_ids.end());
+  // The request sequence: observed stations first, then query nodes. It
+  // keys the cache; the layout built for it covers only its cone.
+  std::vector<int> request_ids = observed_ids;
+  request_ids.insert(request_ids.end(), query_ids.begin(), query_ids.end());
+  const int num_observed = static_cast<int>(observed_ids.size());
 
   std::shared_ptr<const SequenceLayout> layout =
-      layout_cache_.Lookup(node_ids, static_cast<int>(observed_ids.size()));
+      layout_cache_.Lookup(request_ids, num_observed);
   if (layout == nullptr) {
     // SRPE layouts resolve their pairs in the cache generation's shared
     // store; SAPE layouts build none.
@@ -179,37 +181,41 @@ std::shared_ptr<const SequenceLayout> SsinInterpolator::LayoutFor(
     layout = BuildSequenceLayout(
         model_.get(), context_, observed_ids, query_ids,
         srpe ? layout_cache_.StoreForBuild() : nullptr, &ws);
-    layout_cache_.Insert(layout);
+    layout_cache_.Insert(request_ids, num_observed, layout);
   }
   return layout;
 }
 
 std::vector<double> SsinInterpolator::PredictWithLayout(
-    const std::vector<double>& all_values, const SequenceLayout& layout,
+    const std::vector<double>& all_values,
+    const std::vector<int>& observed_ids, const SequenceLayout& layout,
     ServingPrecision precision, InferenceWorkspace* ws) {
   SSIN_TRACE_SPAN("serve.predict");
   const int64_t begin_ns = telemetry::Enabled() ? telemetry::NowNs() : -1;
   std::vector<double> observed_values;
-  observed_values.reserve(layout.num_observed);
-  for (int i = 0; i < layout.num_observed; ++i) {
-    observed_values.push_back(all_values[layout.node_ids[i]]);
-  }
+  observed_values.reserve(observed_ids.size());
+  for (int id : observed_ids) observed_values.push_back(all_values[id]);
 
+  // Standardize the whole request (the instance statistics and the mean
+  // fill read every observed value), then take the layout's rows.
   MaskingOptions options;
   options.mean_fill = train_config_.mean_fill;
-  MaskedSequence seq = BuildInferenceSequence(
+  const MaskedSequence seq = BuildInferenceSequence(
       observed_values, layout.length() - layout.num_observed, options);
+  Tensor x({layout.length(), 1});
+  for (int r = 0; r < layout.length(); ++r) {
+    x[r] = seq.input[layout.request_rows[r]];
+  }
 
-  // Predict returns the query (trailing) rows only; target position p is
-  // its row p - num_observed. Both precisions destandardize and clamp in
-  // f64, so only the network arithmetic narrows in f32.
+  // Predict returns the query rows only, in request order. Both precisions
+  // destandardize and clamp in f64, so only the network arithmetic narrows
+  // in f32.
   std::vector<double> out;
   out.reserve(seq.target_positions.size());
   const auto destandardize = [&](const auto& values) {
-    for (int position : seq.target_positions) {
+    for (size_t q = 0; q < seq.target_positions.size(); ++q) {
       out.push_back(ApplyNonNegative(
-          Destandardize(static_cast<double>(
-                            values[position - layout.num_observed]),
+          Destandardize(static_cast<double>(values[static_cast<int64_t>(q)]),
                         seq.stats),
           non_negative_));
     }
@@ -222,9 +228,9 @@ std::vector<double> SsinInterpolator::PredictWithLayout(
     // Every thread reads the same converted-weight snapshot.
     std::shared_ptr<const F32WeightCache::Map> weights =
         f32_weights_.EnsureFrom(model_.get());
-    destandardize(model_->PredictF32(seq.input, layout, *weights, ws));
+    destandardize(model_->PredictF32(x, layout, *weights, ws));
   } else {
-    destandardize(model_->Predict(seq.input, layout, ws));
+    destandardize(model_->Predict(x, layout, ws));
   }
   if (begin_ns >= 0) {
     PredictLatencyHistogram()->Observe(
@@ -399,7 +405,8 @@ std::vector<std::vector<double>> SsinInterpolator::PredictBatch(
   pool.ParallelFor(static_cast<int64_t>(batch_values.size()),
                    [&](int64_t i, int slot) {
                      telemetry::ScopedTrace trace(trace_id);
-                     out[i] = PredictWithLayout(*batch_values[i], *layout,
+                     out[i] = PredictWithLayout(*batch_values[i],
+                                                observed_ids, *layout,
                                                 precision,
                                                 workspaces[slot].get());
                    });

@@ -204,10 +204,13 @@ class SsinInterpolator : public SpatialInterpolator {
       const std::vector<int>& query_ids, ServingPrecision precision,
       int num_threads);
 
-  /// One graph-free forward pass at `precision`: standardize, Predict or
-  /// PredictF32, destandardize and clamp. `ws` must be used by one thread
-  /// at a time.
+  /// One graph-free forward pass at `precision`: standardize the request
+  /// with the statistics of its observed values, feed the layout's rows to
+  /// Predict or PredictF32, destandardize and clamp. `layout` is the
+  /// request's (LayoutFor(observed_ids, ...)). `ws` must be used by one
+  /// thread at a time.
   std::vector<double> PredictWithLayout(const std::vector<double>& all_values,
+                                        const std::vector<int>& observed_ids,
                                         const SequenceLayout& layout,
                                         ServingPrecision precision,
                                         InferenceWorkspace* ws);

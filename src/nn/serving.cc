@@ -21,36 +21,39 @@ void ResolveNorm(const LayerNormLayer& norm, const WeightResolver<T>& resolve,
   out->eps = static_cast<T>(norm.eps());
 }
 
-// One encoder layer over x [length, dm], evaluated for the queries
-// [tail_begin, length): returns their [length - tail_begin, dm] outputs.
+// One encoder layer over the rows [begin, length) of x [length - begin, dm],
+// evaluated for the rows [q_begin, length): returns their
+// [length - q_begin, dm] outputs.
 template <typename T>
 const T* EncoderLayerRows(const ServingWeights<T>& w,
                           const ServingLayer<T>& layer, const T* x,
-                          int length, int dm, const IndexedSrpe<T>* srpe,
-                          const AttentionPlan& plan, int tail_begin,
+                          int begin, int length, int dm,
+                          const IndexedSrpe<T>* srpe,
+                          const AttentionPlan& plan, int q_begin,
                           InferenceWorkspace* ws) {
   const int H = w.num_heads;
   const int d = w.head_dim;
-  const int nq = length - tail_begin;
+  const int nq = length - q_begin;
   T* concat = ws->arena<T>().Acquire({nq, H * d})->data();
   {
     SSIN_TRACE_SPAN("encoder.attention");
-    // Head-major projection arenas: q [H, nq, d]; kv [2H, L, d] with k_h
-    // at block 2h and v_h at block 2h+1. Each head's attention writes its
-    // column block of the concat directly (stride H*d).
+    // Head-major projection arenas: q [H, nq, d]; kv [2H, L, d] indexed by
+    // sequence row, with k_h at block 2h and v_h at block 2h+1. Each head's
+    // attention writes its column block of the concat directly (stride
+    // H*d).
     T* q = ws->arena<T>().Acquire({H * nq, d})->data();
     T* kv = ws->arena<T>().Acquire({2 * H * length, d})->data();
     const T* const* wq = layer.qkv.data();
-    fused::FusedQkvProjectRows<T, simd::VecOps>(x, length, dm, tail_begin, wq,
-                                                wq + H, wq + 2 * H, H, d, q,
-                                                kv);
+    fused::FusedQkvProjectRows<T, simd::VecOps>(x, begin, length, dm, q_begin,
+                                                wq, wq + H, wq + 2 * H, H, d,
+                                                q, kv);
     std::vector<T>* scores = ws->arena<T>().scores();
     for (int h = 0; h < H; ++h) {
       PackedAttentionForwardRowsStrided<T, simd::VecOps>(
           q + static_cast<int64_t>(h) * nq * d,
           kv + static_cast<int64_t>(2 * h) * length * d,
           kv + static_cast<int64_t>(2 * h + 1) * length * d, srpe, plan, d,
-          tail_begin, scores, /*alpha_out=*/nullptr,
+          q_begin, scores, /*alpha_out=*/nullptr,
           concat + static_cast<int64_t>(h) * d,
           /*z_stride=*/static_cast<int64_t>(H) * d);
     }
@@ -65,7 +68,7 @@ const T* EncoderLayerRows(const ServingWeights<T>& w,
   T* x1 = ws->arena<T>().Acquire({nq, dm})->data();
   fused::FusedAttentionEpilogueRows<T, simd::VecOps>(
       concat, nq, H * d, layer.wo.w, layer.wo.b, dm,
-      x + static_cast<int64_t>(tail_begin) * dm, layer.norm1.gamma,
+      x + static_cast<int64_t>(q_begin - begin) * dm, layer.norm1.gamma,
       layer.norm1.beta, layer.norm1.eps, tmp, x1);
   T* out = ws->arena<T>().Acquire({nq, dm})->data();
   fused::FusedFfnRows<T, simd::VecOps>(
@@ -138,9 +141,12 @@ const BasicTensor<T>& ServingForward(const ServingWeights<T>& w, const T* x,
                                      const IndexedSrpe<T>* srpe,
                                      const BasicTensor<T>* sape,
                                      const AttentionPlan& plan,
-                                     int tail_begin, InferenceWorkspace* ws) {
+                                     const std::vector<int>& layer_begin,
+                                     InferenceWorkspace* ws) {
   const int length = plan.length;
-  SSIN_CHECK(tail_begin >= 0 && tail_begin <= length);
+  const int num_layers = static_cast<int>(w.layers.size());
+  SSIN_CHECK_EQ(static_cast<int>(layer_begin.size()), num_layers + 1);
+  SSIN_CHECK(layer_begin[0] >= 0 && layer_begin[num_layers] <= length);
   BasicTensor<T>& e = FcnRows(w.value_embedding, x, length, ws);
   const int dm = e.dim(1);
   if (sape != nullptr) {
@@ -148,13 +154,14 @@ const BasicTensor<T>& ServingForward(const ServingWeights<T>& w, const T* x,
     SSIN_CHECK(sape->SameShape(e));
     simd::VecOps::Add(sape->data(), e.data(), static_cast<int>(e.numel()));
   }
-  const T* h = e.data();
-  const int num_layers = static_cast<int>(w.layers.size());
-  for (int t = 0; t < num_layers; ++t) {
-    h = EncoderLayerRows(w, w.layers[t], h, length, dm, srpe, plan,
-                         t + 1 == num_layers ? tail_begin : 0, ws);
+  // h holds rows [layer_begin[t], length) of layer t's output.
+  const T* h = e.data() + static_cast<int64_t>(layer_begin[0]) * dm;
+  for (int t = 1; t <= num_layers; ++t) {
+    SSIN_CHECK_LE(layer_begin[t - 1], layer_begin[t]);
+    h = EncoderLayerRows(w, w.layers[t - 1], h, layer_begin[t - 1], length,
+                         dm, srpe, plan, layer_begin[t], ws);
   }
-  return FcnRows(w.head, h, length - tail_begin, ws);
+  return FcnRows(w.head, h, length - layer_begin[num_layers], ws);
 }
 
 #define SSIN_INSTANTIATE_SERVING(T)                                          \
@@ -168,7 +175,8 @@ const BasicTensor<T>& ServingForward(const ServingWeights<T>& w, const T* x,
                                       InferenceWorkspace*);                  \
   template const BasicTensor<T>& ServingForward<T>(                          \
       const ServingWeights<T>&, const T*, const IndexedSrpe<T>*,            \
-      const BasicTensor<T>*, const AttentionPlan&, int, InferenceWorkspace*);
+      const BasicTensor<T>*, const AttentionPlan&, const std::vector<int>&, \
+      InferenceWorkspace*);
 
 SSIN_INSTANTIATE_SERVING(double)
 SSIN_INSTANTIATE_SERVING(float)

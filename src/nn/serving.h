@@ -114,19 +114,22 @@ BasicTensor<T>& FcnRows(const ServingFcn<T>& fcn, const T* x, int rows,
 /// the pre-embedded `sape` [L, d_model] in SAPE mode), the encoder stack
 /// with shielded attention over `plan` (SRPE: legal pair t reads its d_k
 /// row through the index view `srpe` — a layout's PairStore rows; null in
-/// SAPE mode), and the prediction head. The
-/// final encoder layer and the head run only for the query rows
-/// [tail_begin, L) — the rows a prediction reads; keys/values still span
-/// the whole sequence, so every returned value equals the matching row of
-/// a full evaluation. Returns the [L - tail_begin, 1] standardized
-/// predictions, valid until the workspace's next use. The caller resets
-/// `ws`.
+/// SAPE mode), and the prediction head. `layer_begin` holds T + 1 row
+/// offsets (SequenceLayout::layer_begin): layer t projects keys/values for
+/// the rows it reads, [layer_begin[t-1], L), and evaluates only the rows
+/// it writes, [layer_begin[t], L); the head runs over
+/// [layer_begin[T], L). Each evaluated row reads only its plan keys, which
+/// must lie in the layer's read range, so every returned value equals the
+/// matching row of a full evaluation. Returns the [L - layer_begin[T], 1]
+/// standardized predictions, valid until the workspace's next use. The
+/// caller resets `ws`.
 template <typename T>
 const BasicTensor<T>& ServingForward(const ServingWeights<T>& w, const T* x,
                                      const IndexedSrpe<T>* srpe,
                                      const BasicTensor<T>* sape,
                                      const AttentionPlan& plan,
-                                     int tail_begin, InferenceWorkspace* ws);
+                                     const std::vector<int>& layer_begin,
+                                     InferenceWorkspace* ws);
 
 }  // namespace ssin
 

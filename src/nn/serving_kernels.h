@@ -94,27 +94,30 @@ void LinearRows(const T* x, int rows, int k, const T* w, const T* bias,
   }
 }
 
-/// Fused multi-head QKV projection: one pass over the `length` rows of
-/// x [length, dm] computes, for every head h in [0, num_heads):
+/// Fused multi-head QKV projection: one pass over rows [begin, length) of
+/// a sequence computes, for every head h in [0, num_heads):
 ///
-///   k_h[i]              = x_row_i · wk[h]   for all rows i
-///   v_h[i]              = x_row_i · wv[h]   for all rows i
-///   q_h[i - tail_begin] = x_row_i · wq[h]   for rows i >= tail_begin
+///   k_h[i]           = x_row_i · wk[h]   for rows i >= begin
+///   v_h[i]           = x_row_i · wv[h]   for rows i >= begin
+///   q_h[i - q_begin] = x_row_i · wq[h]   for rows i >= q_begin
 ///
-/// wq/wk/wv are arrays of num_heads weight pointers, each [dm, d]
-/// row-major. Outputs are head-major: kv is [2*num_heads, length, d] with
-/// k_h at kv + (2h)*length*d and v_h at kv + (2h+1)*length*d; q is
-/// [num_heads, length - tail_begin, d]. Keys/values span the full sequence
-/// while queries cover only the tail (pass tail_begin = 0 for all rows) —
-/// the serving tail optimization folded into the same pass.
+/// x holds the projected rows only: [length - begin, dm], row i of the
+/// sequence at x + (i - begin)*dm. wq/wk/wv are arrays of num_heads weight
+/// pointers, each [dm, d] row-major. Outputs are head-major: kv is
+/// [2*num_heads, length, d] indexed by sequence row, with k_h at
+/// kv + (2h)*length*d and v_h at kv + (2h+1)*length*d — rows below `begin`
+/// are left unwritten; q is [num_heads, length - q_begin, d]. Keys/values
+/// cover the rows a layer reads, queries the rows it writes
+/// (begin <= q_begin; pass 0 and 0 for a full layer) — a serving layer's
+/// row ranges folded into the same pass.
 template <typename T, typename Ops>
-void FusedQkvProjectRows(const T* x, int length, int dm, int tail_begin,
-                         const T* const* wq, const T* const* wk,
+void FusedQkvProjectRows(const T* x, int begin, int length, int dm,
+                         int q_begin, const T* const* wq, const T* const* wk,
                          const T* const* wv, int num_heads, int d, T* q,
                          T* kv) {
-  const int nq = length - tail_begin;
-  for (int i = 0; i < length; ++i) {
-    const T* x_row = x + static_cast<int64_t>(i) * dm;
+  const int nq = length - q_begin;
+  for (int i = begin; i < length; ++i) {
+    const T* x_row = x + static_cast<int64_t>(i - begin) * dm;
     for (int h = 0; h < num_heads; ++h) {
       MatVecRowInto<T, Ops>(
           x_row, wk[h], dm, d,
@@ -122,10 +125,10 @@ void FusedQkvProjectRows(const T* x, int length, int dm, int tail_begin,
       MatVecRowInto<T, Ops>(
           x_row, wv[h], dm, d,
           kv + (static_cast<int64_t>(2 * h + 1) * length + i) * d);
-      if (i >= tail_begin) {
+      if (i >= q_begin) {
         MatVecRowInto<T, Ops>(
             x_row, wq[h], dm, d,
-            q + (static_cast<int64_t>(h) * nq + (i - tail_begin)) * d);
+            q + (static_cast<int64_t>(h) * nq + (i - q_begin)) * d);
       }
     }
   }
@@ -140,8 +143,9 @@ void FusedQkvProjectRows(const T* x, int length, int dm, int tail_begin,
 /// in one pass, so the projected row goes straight from registers/L1 into
 /// the norm instead of round-tripping a full [rows, n] arena tensor twice.
 /// `residual` points at the rows the attention output pairs with — for a
-/// tail evaluation pass x + tail_begin*n so row r pairs with sequence row
-/// tail_begin + r. `tmp` is caller-provided scratch of n elements.
+/// layer that writes rows [q_begin, L) of an input holding rows
+/// [begin, L), pass x + (q_begin - begin)*n so row r pairs with sequence
+/// row q_begin + r. `tmp` is caller-provided scratch of n elements.
 /// wo_bias may be null (the attention output projection has no bias).
 template <typename T, typename Ops>
 void FusedAttentionEpilogueRows(const T* concat, int rows, int k,

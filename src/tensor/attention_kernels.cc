@@ -122,6 +122,31 @@ void BuildAttentionPlanLimited(
   }
 }
 
+void BuildAttentionPlanFromKeys(const std::vector<uint8_t>& observed,
+                                bool shielded,
+                                const std::vector<std::vector<int>>& keys,
+                                AttentionPlan* plan) {
+  g_plan_builds.fetch_add(1, std::memory_order_relaxed);
+  const int length = static_cast<int>(observed.size());
+  SSIN_CHECK_EQ(static_cast<int>(keys.size()), length);
+  plan->length = length;
+  plan->shielded = shielded;
+  plan->num_observed = 0;
+  for (uint8_t flag : observed) plan->num_observed += flag != 0;
+  plan->key_index.clear();
+  plan->pair_rows.clear();
+  plan->offset.assign(length + 1, 0);
+  for (int i = 0; i < length; ++i) {
+    const int64_t row_base = static_cast<int64_t>(i) * length;
+    for (int j : keys[i]) {
+      SSIN_CHECK(j >= 0 && j < length) << "key " << j << " of row " << i;
+      plan->key_index.push_back(j);
+      plan->pair_rows.push_back(row_base + j);
+    }
+    plan->offset[i + 1] = plan->key_index.size();
+  }
+}
+
 namespace {
 
 // Shape/config validation shared by the forward wrappers.

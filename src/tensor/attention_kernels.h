@@ -82,9 +82,22 @@ void BuildAttentionPlanLimited(
     const std::vector<uint8_t>& observed,
     const std::vector<std::vector<int>>& neighbor_keys, AttentionPlan* plan);
 
-/// Number of BuildAttentionPlan calls since process start. Test hook for
-/// the once-per-sequence contract (SpaFormer::ForwardWithPlan and its
-/// backward reuse the caller's plan in every layer/head and build none).
+/// Plan over explicit per-row key lists: row i's legal keys are keys[i]
+/// (positions in [0, length), self included wherever it is legal), in the
+/// order the packed kernels visit them. A row with no keys must never be a
+/// kernel query (the kernels check). Serving's cone layouts
+/// (core/inference_engine.h) build their plan this way: every row they
+/// evaluate keeps the keys of the full plan's row, in the full plan's
+/// order, renumbered to the layout's row order.
+void BuildAttentionPlanFromKeys(const std::vector<uint8_t>& observed,
+                                bool shielded,
+                                const std::vector<std::vector<int>>& keys,
+                                AttentionPlan* plan);
+
+/// Number of plans built (BuildAttentionPlan* calls) since process start.
+/// Test hook for the once-per-sequence contract (SpaFormer::ForwardWithPlan
+/// and its backward reuse the caller's plan in every layer/head and build
+/// none; a layout-cache hit builds none).
 int64_t AttentionPlanBuildCount();
 
 /// Saved state from one attention forward invocation: the packed softmax
@@ -153,7 +166,8 @@ inline const T* SrpeBlock(const IndexedSrpe<T>* c, int64_t begin,
 ///
 /// Computes attention outputs for queries [tail_begin, plan.length); row r
 /// of q and z corresponds to query tail_begin + r (pass tail_begin = 0 for
-/// the full sequence). k/v span the full sequence: [L, d] row-major.
+/// the full sequence). k/v are indexed by sequence row, [L, d] row-major;
+/// only the rows the processed queries' plan keys name are read.
 /// c: optional relative-position embeddings, either packed — a T*
 /// [num_pairs, d] with row t the c of legal pair t — or an IndexedSrpe<T>*
 /// view; nullptr disables SRPE. Both address forms feed the same

@@ -7,7 +7,8 @@
 /// weight mutation invalidates it (a rejected checkpoint load is none).
 /// Store-backed layouts — one PairStore row per station pair, shared by
 /// every cached layout — predict bit for bit what standalone layouts do,
-/// and hold only their plan plus an int32 row index.
+/// hold only their plan plus an int32 row index, and resolve only the
+/// pairs of their queries' cone.
 
 #include <gtest/gtest.h>
 
@@ -257,6 +258,39 @@ TEST(LayoutCacheBehavior, RepeatedStationSetHitsWithoutPlanRebuild) {
   EXPECT_EQ(ssin.layout_cache().size(), 2u);
 }
 
+TEST(LayoutCacheBehavior, LayoutSizeRecordedOncePerBuild) {
+  Fixture f;
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
+  ssin.Fit(f.data, f.observed_ids);
+  telemetry::Histogram* rows = telemetry::GetHistogram("serve.layout.rows");
+  telemetry::Histogram* pairs = telemetry::GetHistogram("serve.layout.pairs");
+  const telemetry::HistogramSnapshot rows_before = rows->Snapshot();
+  const telemetry::HistogramSnapshot pairs_before = pairs->Snapshot();
+
+  // A miss builds a layout and records its rows and pairs once.
+  ssin.InterpolateTimestamp(f.data.Values(0), f.observed_ids, f.query_ids);
+  ASSERT_EQ(ssin.layout_cache().misses(), 1);
+  std::vector<int> request = f.observed_ids;
+  request.insert(request.end(), f.query_ids.begin(), f.query_ids.end());
+  const std::shared_ptr<const SequenceLayout> layout =
+      ssin.layout_cache().Lookup(request,
+                                 static_cast<int>(f.observed_ids.size()));
+  ASSERT_NE(layout, nullptr);
+  EXPECT_EQ(rows->Snapshot().count, rows_before.count + 1);
+  EXPECT_EQ(pairs->Snapshot().count, pairs_before.count + 1);
+  EXPECT_EQ(rows->Snapshot().sum - rows_before.sum,
+            static_cast<double>(layout->length()));
+  EXPECT_EQ(pairs->Snapshot().sum - pairs_before.sum,
+            static_cast<double>(layout->plan->num_pairs()));
+
+  // Hits record nothing.
+  ssin.InterpolateTimestamp(f.data.Values(1), f.observed_ids, f.query_ids);
+  ssin.InterpolateTimestamp(f.data.Values(2), f.observed_ids, f.query_ids);
+  EXPECT_EQ(ssin.layout_cache().misses(), 1);
+  EXPECT_EQ(rows->Snapshot().count, rows_before.count + 1);
+  EXPECT_EQ(pairs->Snapshot().count, pairs_before.count + 1);
+}
+
 TEST(LayoutCacheBehavior, WeightMutationsInvalidate) {
   Fixture f;
   SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
@@ -394,22 +428,27 @@ struct StoreRig {
   std::vector<int> query_ids;
 };
 
-/// Both layouts predict the same values, bit for bit, in f64 and f32.
-void ExpectSamePredictions(SpaFormer* model, const SequenceLayout& a,
-                           const SequenceLayout& b) {
-  ASSERT_EQ(a.node_ids, b.node_ids);
+/// For the same standardized request input, the layout `served` predicts
+/// the query values of the full layout `full` (request order), bit for
+/// bit, in f64 and f32. `served` reads its own rows of that input.
+void ExpectSamePredictions(SpaFormer* model, const SequenceLayout& full,
+                           const SequenceLayout& served) {
   Rng rng(17);
-  const Tensor x = Tensor::Randn({a.length(), 1}, &rng);
+  const Tensor x = Tensor::Randn({full.length(), 1}, &rng);
+  Tensor served_x({served.length(), 1});
+  for (int r = 0; r < served.length(); ++r) {
+    served_x[r] = x[served.request_rows[r]];
+  }
   InferenceWorkspace ws_a, ws_b;
-  const Tensor& f64_a = model->Predict(x, a, &ws_a);
-  const Tensor& f64_b = model->Predict(x, b, &ws_b);
+  const Tensor& f64_a = model->Predict(x, full, &ws_a);
+  const Tensor& f64_b = model->Predict(served_x, served, &ws_b);
   ASSERT_TRUE(f64_a.SameShape(f64_b));
   EXPECT_EQ(0, std::memcmp(f64_a.data(), f64_b.data(),
                            f64_a.numel() * sizeof(double)));
   F32WeightCache f32_weights;
   const F32WeightCache::Map& w = *f32_weights.EnsureFrom(model);
-  const TensorF32& f32_a = model->PredictF32(x, a, w, &ws_a);
-  const TensorF32& f32_b = model->PredictF32(x, b, w, &ws_b);
+  const TensorF32& f32_a = model->PredictF32(x, full, w, &ws_a);
+  const TensorF32& f32_b = model->PredictF32(served_x, served, w, &ws_b);
   ASSERT_TRUE(f32_a.SameShape(f32_b));
   EXPECT_EQ(0, std::memcmp(f32_a.data(), f32_b.data(),
                            f32_a.numel() * sizeof(float)));
@@ -492,6 +531,46 @@ TEST(PairStoreTest, OneOutageEmbedsExactlyItsNovelPairs) {
   }
 }
 
+TEST(PairStoreTest, CatchmentEmbedsOnlyConePairs) {
+  // A catchment on the HK network under a k-NN cap: three neighbouring
+  // stations queried, the two gauges next to them out.
+  SpaFormerConfig config = TinyModel();
+  config.neighbor_k = 4;
+  StoreRig rig(HkRegionConfig(), config, 123);
+  const std::vector<int> query = {40, 41, 42};
+  std::vector<int> observed;
+  for (int id : rig.observed_ids) {
+    if (id < 38 || id > 44) observed.push_back(id);
+  }
+  std::vector<int> request = observed;
+  request.insert(request.end(), query.begin(), query.end());
+  std::vector<uint8_t> flags(request.size(), 0);
+  std::fill_n(flags.begin(), observed.size(), 1);
+  const std::shared_ptr<const AttentionPlan> full =
+      BuildSequencePlan(config, rig.context, request, flags);
+
+  auto store = std::make_shared<PairStore>();
+  const int64_t global_misses =
+      telemetry::GetCounter("serve.pair_store.misses")->Value();
+  const std::shared_ptr<const SequenceLayout> cone =
+      rig.Build(observed, query, store);
+
+  // The pairs of the S_1 rows, counted from the full plan.
+  int64_t cone_pairs = 0;
+  for (int r = cone->layer_begin[1]; r < cone->length(); ++r) {
+    const int p = cone->request_rows[r];
+    cone_pairs += full->offset[p + 1] - full->offset[p];
+  }
+  EXPECT_EQ(store->misses(), cone_pairs);
+  EXPECT_EQ(store->hits(), 0);
+  EXPECT_EQ(cone->plan->num_pairs(), cone_pairs);
+  EXPECT_LT(cone_pairs, full->num_pairs());
+  EXPECT_LT(cone->length(), static_cast<int>(request.size()));
+  EXPECT_EQ(telemetry::GetCounter("serve.pair_store.misses")->Value() -
+                global_misses,
+            cone_pairs);
+}
+
 TEST(PairStoreTest, RowsNeverExceedPairsBuiltSinceStoreStarted) {
   SpaFormerConfig config = TinyModel();
   config.neighbor_k = 4;
@@ -515,7 +594,9 @@ TEST(PairStoreTest, RowsNeverExceedPairsBuiltSinceStoreStarted) {
     }
     const std::shared_ptr<const SequenceLayout> layout =
         rig.Build(observed, query, store);
-    cache.Insert(layout);
+    std::vector<int> request = observed;
+    request.insert(request.end(), query.begin(), query.end());
+    cache.Insert(request, static_cast<int>(observed.size()), layout);
     pairs_since_start += layout->plan->num_pairs();
     EXPECT_LE(store->rows(), pairs_since_start);
     EXPECT_EQ(cache.pair_store(), store);
@@ -857,6 +938,31 @@ TEST(ServingArenaPeak, EmptyQueryStillObservesLatency) {
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(telemetry::GetHistogram("serve.predict_us")->Snapshot().count,
             count_before + 1);
+}
+
+TEST(ServingArenaPeak, EmptyQueryStillObservesLatencyUnderKnn) {
+  if (!telemetry::CompiledIn()) GTEST_SKIP() << "telemetry compiled out";
+  Fixture f;
+  SsinInterpolator ssin(TinyModel(), FastTraining(/*mean_fill=*/true));
+  ssin.Fit(f.data, f.observed_ids);
+  ssin.SetNeighborK(4);
+
+  // Under a k-NN cap an empty query list has an empty cone: the layout
+  // holds no rows, and the request is still served and observed.
+  telemetry::SetEnabled(true);
+  const int64_t count_before =
+      telemetry::GetHistogram("serve.predict_us")->Snapshot().count;
+  const std::vector<double> out = ssin.InterpolateTimestamp(
+      f.data.Values(0), f.observed_ids, /*query_ids=*/{});
+  telemetry::SetEnabled(false);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(telemetry::GetHistogram("serve.predict_us")->Snapshot().count,
+            count_before + 1);
+  const std::shared_ptr<const SequenceLayout> layout =
+      ssin.layout_cache().Lookup(f.observed_ids,
+                                 static_cast<int>(f.observed_ids.size()));
+  ASSERT_NE(layout, nullptr);
+  EXPECT_EQ(layout->length(), 0);
 }
 
 // ------------------------------------------------- arena footprint

@@ -400,10 +400,13 @@ TEST(KernelDifferentialTest, LinearRowsSweep) {
   }
 }
 
+// x holds rows [begin, length) of the sequence; keys/values are projected
+// for those rows and queries for rows [q_begin, length).
 template <typename T>
-void CheckFusedQkvOnce(int length, int dm, int d, int num_heads,
-                       int tail_begin, Rng* rng) {
-  const std::vector<T> x = RandomVector<T>(int64_t{length} * dm, rng);
+void CheckFusedQkvOnce(int length, int dm, int d, int num_heads, int begin,
+                       int q_begin, Rng* rng) {
+  const int rows = length - begin;
+  const std::vector<T> x = RandomVector<T>(int64_t{rows} * dm, rng);
   std::vector<std::vector<T>> wq, wk, wv;
   std::vector<const T*> wq_p, wk_p, wv_p;
   for (int h = 0; h < num_heads; ++h) {
@@ -415,44 +418,53 @@ void CheckFusedQkvOnce(int length, int dm, int d, int num_heads,
     wv_p.push_back(wv.back().data());
   }
 
-  const int nq = length - tail_begin;
+  // Rows below `begin` keep a sentinel: the kernel must not write them.
+  const T kUnwritten = T(-7);
+  const int nq = length - q_begin;
   const size_t head = static_cast<size_t>(length) * d;
   std::vector<T> q(static_cast<size_t>(num_heads) * nq * d);
-  std::vector<T> kv(static_cast<size_t>(2 * num_heads) * head);
+  std::vector<T> kv(static_cast<size_t>(2 * num_heads) * head, kUnwritten);
   fused::FusedQkvProjectRows<T, simd::VecOps>(
-      x.data(), length, dm, tail_begin, wq_p.data(), wk_p.data(), wv_p.data(),
-      num_heads, d, q.data(), kv.data());
+      x.data(), begin, length, dm, q_begin, wq_p.data(), wk_p.data(),
+      wv_p.data(), num_heads, d, q.data(), kv.data());
 
-  std::vector<T> q_scalar(q.size()), kv_scalar(kv.size());
+  std::vector<T> q_scalar(q.size()), kv_scalar(kv.size(), kUnwritten);
   fused::FusedQkvProjectRows<T, simd::ScalarOps>(
-      x.data(), length, dm, tail_begin, wq_p.data(), wk_p.data(), wv_p.data(),
-      num_heads, d, q_scalar.data(), kv_scalar.data());
+      x.data(), begin, length, dm, q_begin, wq_p.data(), wk_p.data(),
+      wv_p.data(), num_heads, d, q_scalar.data(), kv_scalar.data());
   EXPECT_LE(MaxAbsDiff(kv, kv_scalar), ScaledTol(kv_scalar, PolicyTol<T>()));
   EXPECT_LE(MaxAbsDiff(q, q_scalar), ScaledTol(q_scalar, PolicyTol<T>()));
 
   // Same-policy per-op references (per-head tensor matmuls) must be
   // bit-identical — the claim that lets the serving chain run the fused
   // kernel without changing a single prediction bit.
-  std::vector<T> ref(head);
-  for (int h = 0; h < num_heads && head > 0; ++h) {
-    PerOpMatMul<T, simd::VecOps>(x.data(), wk[h].data(), length, dm, d,
-                                   ref.data());
-    EXPECT_EQ(0, std::memcmp(ref.data(), kv.data() + (2 * h) * head,
-                             head * sizeof(T)))
-        << "k head " << h << " L=" << length << " dm=" << dm << " d=" << d;
-    PerOpMatMul<T, simd::VecOps>(x.data(), wv[h].data(), length, dm, d,
-                                   ref.data());
-    EXPECT_EQ(0, std::memcmp(ref.data(), kv.data() + (2 * h + 1) * head,
-                             head * sizeof(T)))
-        << "v head " << h;
+  const size_t below = static_cast<size_t>(begin) * d;
+  const size_t projected = static_cast<size_t>(rows) * d;
+  std::vector<T> ref(projected);
+  for (int h = 0; h < num_heads && projected > 0; ++h) {
+    for (int block : {2 * h, 2 * h + 1}) {
+      const T* out = kv.data() + block * head;
+      for (size_t e = 0; e < below; ++e) {
+        ASSERT_EQ(out[e], kUnwritten) << "block " << block << " begin "
+                                      << begin;
+      }
+      PerOpMatMul<T, simd::VecOps>(
+          x.data(), (block % 2 == 0 ? wk : wv)[h].data(), rows, dm, d,
+          ref.data());
+      EXPECT_EQ(0, std::memcmp(ref.data(), out + below,
+                               projected * sizeof(T)))
+          << (block % 2 == 0 ? "k" : "v") << " head " << h << " L=" << length
+          << " dm=" << dm << " d=" << d << " begin=" << begin;
+    }
     if (nq > 0) {
       std::vector<T> ref_q(static_cast<size_t>(nq) * d);
-      PerOpMatMul<T, simd::VecOps>(x.data() + int64_t{tail_begin} * dm,
-                                     wq[h].data(), nq, dm, d, ref_q.data());
+      PerOpMatMul<T, simd::VecOps>(
+          x.data() + int64_t{q_begin - begin} * dm, wq[h].data(), nq, dm, d,
+          ref_q.data());
       EXPECT_EQ(0, std::memcmp(ref_q.data(),
                                q.data() + static_cast<size_t>(h) * nq * d,
                                ref_q.size() * sizeof(T)))
-          << "q head " << h << " tail_begin=" << tail_begin;
+          << "q head " << h << " q_begin=" << q_begin;
     }
   }
 }
@@ -465,10 +477,31 @@ TEST(KernelDifferentialTest, FusedQkvProjectSweep) {
         for (int num_heads : {1, 2, 3}) {
           for (int tail_begin : {0, 1, length / 2, length}) {
             if (tail_begin > length) continue;
-            CheckFusedQkvOnce<double>(length, dm, d, num_heads, tail_begin,
-                                      &rng);
-            CheckFusedQkvOnce<float>(length, dm, d, num_heads, tail_begin,
-                                     &rng);
+            CheckFusedQkvOnce<double>(length, dm, d, num_heads, /*begin=*/0,
+                                      tail_begin, &rng);
+            CheckFusedQkvOnce<float>(length, dm, d, num_heads, /*begin=*/0,
+                                     tail_begin, &rng);
+          }
+        }
+      }
+    }
+  }
+}
+
+// A serving layer of a cone layout reads rows [begin, L) and writes rows
+// [q_begin, L): keys/values land at their sequence rows, rows below begin
+// stay unwritten.
+TEST(KernelDifferentialTest, FusedQkvProjectFromFirstRow) {
+  Rng rng(0xE6);
+  for (int length : {2, 5, 23}) {
+    for (int dm : {3, 16}) {
+      for (int num_heads : {1, 2}) {
+        for (int begin : {1, length / 2, length}) {
+          for (int q_begin : {begin, (begin + length) / 2, length}) {
+            CheckFusedQkvOnce<double>(length, dm, /*d=*/5, num_heads, begin,
+                                      q_begin, &rng);
+            CheckFusedQkvOnce<float>(length, dm, /*d=*/5, num_heads, begin,
+                                     q_begin, &rng);
           }
         }
       }
@@ -746,8 +779,10 @@ TEST(KernelDifferentialTest, FusedServingPaperConfig) {
   CheckLinearRowsOnce<float>(123, 1, 16, /*bias=*/true, &rng);
   CheckLinearRowsOnce<double>(10, 16, 1, /*bias=*/true, &rng);
   CheckLinearRowsOnce<float>(10, 16, 1, /*bias=*/true, &rng);
-  CheckFusedQkvOnce<double>(123, 16, 16, 2, /*tail_begin=*/113, &rng);
-  CheckFusedQkvOnce<float>(123, 16, 16, 2, /*tail_begin=*/113, &rng);
+  CheckFusedQkvOnce<double>(123, 16, 16, 2, /*begin=*/0, /*q_begin=*/113,
+                            &rng);
+  CheckFusedQkvOnce<float>(123, 16, 16, 2, /*begin=*/0, /*q_begin=*/113,
+                           &rng);
   CheckFusedEpilogueOnce<double>(123, 32, 16, /*bias=*/false, &rng);
   CheckFusedEpilogueOnce<float>(123, 32, 16, /*bias=*/false, &rng);
   CheckFusedFfnOnce<double>(123, 16, 256, /*relu=*/true, /*bias=*/true, &rng);

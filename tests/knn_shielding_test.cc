@@ -16,20 +16,29 @@
 ///    the engine still matches autograd under a real cap, four threads
 ///    serving an overlapping pool of limited layouts through one shared
 ///    pair store match the serial results bit for bit, and training
-///    runs (and is bit-identical when k covers the sequence).
+///    runs (and is bit-identical when k covers the sequence);
+///  * cone level — a served layout holds only its queries' receptive
+///    field, in request-ordered bands, each evaluated row keeping its
+///    full-plan keys in order; what it serves equals the full-layout
+///    forward bit for bit (f64 and f32, single and batched), and full
+///    shielding or unshielded attention keep the full layout.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
+#include <numeric>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/inference_engine.h"
+#include "core/masking.h"
 #include "core/spatial_context.h"
 #include "core/ssin_interpolator.h"
 #include "data/rainfall_generator.h"
@@ -490,6 +499,372 @@ TEST(KnnServingTest, ConcurrentOverlappingLayoutsMatchSerial) {
       EXPECT_EQ(results[w][j], serial[j]) << "thread " << w << " layout " << j;
     }
   }
+}
+
+// ---------------------------------------------------------- cone serving
+
+/// One request: observed ids, then query ids.
+struct Request {
+  std::vector<int> observed, query;
+};
+
+/// 128 gauges, every fifth a held-out site: enough that a catchment's cone
+/// leaves most of the network out.
+struct ConeFixture {
+  ConeFixture()
+      : generator(SmallRegion(128)), data(generator.GenerateHours(6, 7)) {
+    for (int i = 0; i < data.num_stations(); ++i) {
+      (i % 5 == 4 ? sites : train_ids).push_back(i);
+    }
+    context.Build(data, train_ids);
+  }
+
+  /// The `count` stations of `candidates` nearest to `center`, ascending.
+  std::vector<int> Nearest(const std::vector<int>& candidates, int center,
+                           int count) const {
+    const std::vector<PointKm> positions = data.Positions();
+    std::vector<std::pair<double, int>> by_distance;
+    for (int id : candidates) {
+      by_distance.emplace_back(DistanceKm(positions[center], positions[id]),
+                               id);
+    }
+    std::sort(by_distance.begin(), by_distance.end());
+    std::vector<int> out;
+    for (int i = 0; i < count; ++i) out.push_back(by_distance[i].second);
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  /// A catchment around held-out site `center`: its `num_queries` nearest
+  /// held-out sites queried, the two gauges nearest to it out.
+  Request Catchment(int center, int num_queries) const {
+    Request r;
+    r.query = Nearest(sites, center, num_queries);
+    const std::vector<int> down = Nearest(train_ids, center, 2);
+    for (int id : train_ids) {
+      if (std::find(down.begin(), down.end(), id) == down.end()) {
+        r.observed.push_back(id);
+      }
+    }
+    return r;
+  }
+
+  RainfallGenerator generator;
+  SpatialDataset data;
+  std::vector<int> train_ids;
+  std::vector<int> sites;
+  SpatialContext context;
+};
+
+/// A model trained on the fixture, its output clamp off so every served
+/// bit is compared.
+std::unique_ptr<SsinInterpolator> FitCone(const ConeFixture& f,
+                                          const SpaFormerConfig& config) {
+  auto ssin = std::make_unique<SsinInterpolator>(config, FastTraining());
+  ssin->Fit(f.data, f.train_ids);
+  ssin->set_non_negative(false);
+  return ssin;
+}
+
+/// The full-layout forward the served values must equal: the standalone
+/// layout over the whole request, Predict or PredictF32 on the request's
+/// full standardized input, then destandardize and clamp as serving does.
+std::vector<double> FullLayoutForward(SsinInterpolator* ssin,
+                                      const SpatialContext& context,
+                                      const std::vector<double>& values,
+                                      const Request& r, bool f32) {
+  SpaFormer* model = ssin->model();
+  InferenceWorkspace ws;
+  const std::shared_ptr<const SequenceLayout> layout =
+      BuildSequenceLayout(model, context, r.observed, r.query, &ws);
+  std::vector<double> observed_values;
+  for (int id : r.observed) observed_values.push_back(values[id]);
+  MaskingOptions options;
+  options.mean_fill = FastTraining().mean_fill;
+  const MaskedSequence seq = BuildInferenceSequence(
+      observed_values, static_cast<int>(r.query.size()), options);
+  std::vector<double> out;
+  const auto finish = [&](const auto& predictions) {
+    for (size_t q = 0; q < r.query.size(); ++q) {
+      out.push_back(ApplyNonNegative(
+          Destandardize(static_cast<double>(
+                            predictions[static_cast<int64_t>(q)]),
+                        seq.stats),
+          ssin->non_negative()));
+    }
+  };
+  if (f32) {
+    F32WeightCache weights;
+    finish(model->PredictF32(seq.input, *layout, *weights.EnsureFrom(model),
+                             &ws));
+  } else {
+    finish(model->Predict(seq.input, *layout, &ws));
+  }
+  return out;
+}
+
+void ExpectBitEqual(const std::vector<double>& served,
+                    const std::vector<double>& reference,
+                    const std::string& what) {
+  ASSERT_EQ(served.size(), reference.size()) << what;
+  ASSERT_FALSE(served.empty()) << what;
+  EXPECT_EQ(0, std::memcmp(served.data(), reference.data(),
+                           served.size() * sizeof(double)))
+      << what;
+}
+
+/// Every hour of the fixture served for `r` — through InterpolateTimestamp
+/// and through InterpolateBatch at 1 and 3 threads, in f64 and f32 —
+/// equals the full-layout forward bit for bit.
+void ExpectServedMatchesFull(SsinInterpolator* ssin, const ConeFixture& f,
+                             const Request& r) {
+  std::vector<const std::vector<double>*> batch;
+  for (int t = 0; t < f.data.num_timestamps(); ++t) {
+    batch.push_back(&f.data.Values(t));
+  }
+  for (bool f32 : {false, true}) {
+    ssin->set_serving_precision(
+        f32 ? SsinInterpolator::ServingPrecision::kFloat32
+            : SsinInterpolator::ServingPrecision::kFloat64);
+    const std::string precision = f32 ? "f32" : "f64";
+    std::vector<std::vector<double>> reference;
+    for (const std::vector<double>* values : batch) {
+      reference.push_back(FullLayoutForward(ssin, f.context, *values, r, f32));
+    }
+    for (size_t t = 0; t < batch.size(); ++t) {
+      ExpectBitEqual(ssin->InterpolateTimestamp(*batch[t], r.observed,
+                                                r.query),
+                     reference[t],
+                     precision + " timestamp " + std::to_string(t));
+    }
+    for (int threads : {1, 3}) {
+      const std::vector<std::vector<double>> served =
+          ssin->InterpolateBatch(batch, r.observed, r.query, threads);
+      ASSERT_EQ(served.size(), batch.size());
+      for (size_t t = 0; t < batch.size(); ++t) {
+        ExpectBitEqual(served[t], reference[t],
+                       precision + " batch of " + std::to_string(threads) +
+                           " threads, timestamp " + std::to_string(t));
+      }
+    }
+  }
+  ssin->set_serving_precision(SsinInterpolator::ServingPrecision::kFloat64);
+}
+
+/// The served (cone) layout of `r` under `config`, on a fresh store.
+std::shared_ptr<const SequenceLayout> ServedLayout(
+    SpaFormer* model, const ConeFixture& f, const Request& r) {
+  InferenceWorkspace ws;
+  return BuildSequenceLayout(model, f.context, r.observed, r.query,
+                             std::make_shared<PairStore>(), &ws);
+}
+
+/// The full plan of `r` under `config`, in request order.
+std::shared_ptr<const AttentionPlan> FullPlan(const SpaFormerConfig& config,
+                                              const ConeFixture& f,
+                                              const Request& r) {
+  std::vector<int> ids = r.observed;
+  ids.insert(ids.end(), r.query.begin(), r.query.end());
+  std::vector<uint8_t> observed(ids.size(), 0);
+  std::fill_n(observed.begin(), r.observed.size(), 1);
+  return BuildSequencePlan(config, f.context, ids, observed);
+}
+
+/// A served layout against the full plan of its request: bands in request
+/// order with the queries last, and every row a layer evaluates keeps its
+/// full-plan keys, in order, all inside the rows that layer reads.
+void ExpectConeOf(const SequenceLayout& cone, const AttentionPlan& full,
+                  const Request& r, int num_layers) {
+  const int n = cone.length();
+  const int num_requested = static_cast<int>(r.observed.size());
+  ASSERT_EQ(static_cast<int>(cone.layer_begin.size()), num_layers + 1);
+  EXPECT_EQ(cone.layer_begin[0], 0);
+  EXPECT_EQ(cone.layer_begin[num_layers], cone.num_observed);
+  ASSERT_EQ(n - cone.num_observed, static_cast<int>(r.query.size()));
+  ASSERT_EQ(static_cast<int>(cone.request_rows.size()), n);
+  ASSERT_EQ(cone.plan->length, n);
+  for (int q = 0; q < static_cast<int>(r.query.size()); ++q) {
+    EXPECT_EQ(cone.request_rows[cone.num_observed + q], num_requested + q);
+    EXPECT_EQ(cone.node_ids[cone.num_observed + q], r.query[q]);
+  }
+  const AttentionPlan& plan = *cone.plan;
+  int level = 0;  // The last layer that writes row r.
+  for (int row = 0; row < n; ++row) {
+    while (level < num_layers && row >= cone.layer_begin[level + 1]) ++level;
+    const int p = cone.request_rows[row];
+    if (row > 0 && row != cone.layer_begin[level]) {
+      EXPECT_LT(cone.request_rows[row - 1], p) << "band order at row " << row;
+    }
+    EXPECT_EQ(cone.observed[row], p < num_requested ? 1 : 0);
+    std::vector<int> keys;
+    for (int64_t t = plan.offset[row]; t < plan.offset[row + 1]; ++t) {
+      const int j = plan.key_index[t];
+      if (level > 0) {
+        EXPECT_GE(j, cone.layer_begin[level - 1])
+            << "row " << row << " reads a row its layer does not";
+      }
+      keys.push_back(cone.request_rows[j]);
+    }
+    if (level == 0) {
+      EXPECT_TRUE(keys.empty()) << "row " << row << " is outside S_1";
+      continue;
+    }
+    const std::vector<int> full_keys(
+        full.key_index.begin() + full.offset[p],
+        full.key_index.begin() + full.offset[p + 1]);
+    EXPECT_EQ(keys, full_keys) << "row " << row;
+  }
+}
+
+/// Full-layout structure: request order, layer_begin {0, ..., 0, m}, and
+/// the full plan itself.
+void ExpectRequestOrder(const SequenceLayout& layout, const AttentionPlan& full,
+                        const Request& r, int num_layers) {
+  std::vector<int> ids = r.observed;
+  ids.insert(ids.end(), r.query.begin(), r.query.end());
+  EXPECT_EQ(layout.node_ids, ids);
+  std::vector<int> layer_begin(num_layers + 1, 0);
+  layer_begin.back() = static_cast<int>(r.observed.size());
+  EXPECT_EQ(layout.layer_begin, layer_begin);
+  ExpectPlansIdentical(*layout.plan, full);
+}
+
+TEST(ConeServingTest, CatchmentMatchesFullLayout) {
+  ConeFixture f;
+  std::unique_ptr<SsinInterpolator> ssin = FitCone(f, TinyModel());
+  for (int k : {4, 8}) {
+    ssin->SetNeighborK(k);
+    for (int c = 0; c < 3; ++c) {
+      const Request r = f.Catchment(f.sites[7 * c + k], 3 + (c + k) % 4);
+      const std::string what =
+          "k=" + std::to_string(k) + " catchment " + std::to_string(c);
+      SCOPED_TRACE(what);
+      const std::shared_ptr<const SequenceLayout> cone =
+          ServedLayout(ssin->model(), f, r);
+      ExpectConeOf(*cone, *FullPlan(ssin->model()->config(), f, r), r,
+                   TinyModel().num_layers);
+      // The bands nest strictly, and the cone leaves rows out.
+      const int request_rows =
+          static_cast<int>(r.observed.size() + r.query.size());
+      EXPECT_LT(cone->length(), request_rows);
+      for (int t = 0; t < TinyModel().num_layers; ++t) {
+        EXPECT_LT(cone->layer_begin[t], cone->layer_begin[t + 1]);
+      }
+      ExpectServedMatchesFull(ssin.get(), f, r);
+    }
+  }
+}
+
+TEST(ConeServingTest, OutageGaugeAsQueryMatchesFullLayout) {
+  ConeFixture f;
+  std::unique_ptr<SsinInterpolator> ssin = FitCone(f, TinyModel());
+  ssin->SetNeighborK(4);
+  Request r = f.Catchment(f.sites[3], 4);
+  // One of the two gauges out is asked for, between the sites.
+  const int down = f.Nearest(f.train_ids, f.sites[3], 2)[0];
+  r.query.insert(r.query.begin() + 2, down);
+  ExpectConeOf(*ServedLayout(ssin->model(), f, r),
+               *FullPlan(ssin->model()->config(), f, r), r,
+               TinyModel().num_layers);
+  ExpectServedMatchesFull(ssin.get(), f, r);
+}
+
+TEST(ConeServingTest, AllHeldOutMatchesFullLayout) {
+  ConeFixture f;
+  std::unique_ptr<SsinInterpolator> ssin = FitCone(f, TinyModel());
+  ssin->SetNeighborK(4);
+  const Request r{f.train_ids, f.sites};
+  ExpectConeOf(*ServedLayout(ssin->model(), f, r),
+               *FullPlan(ssin->model()->config(), f, r), r,
+               TinyModel().num_layers);
+  ExpectServedMatchesFull(ssin.get(), f, r);
+}
+
+TEST(ConeServingTest, KCoveringObservedEqualsFullShielding) {
+  ConeFixture f;
+  std::unique_ptr<SsinInterpolator> ssin = FitCone(f, TinyModel());
+  const Request r = f.Catchment(f.sites[5], 5);
+  const std::shared_ptr<const SequenceLayout> full_shielding =
+      ServedLayout(ssin->model(), f, r);
+  ExpectRequestOrder(*full_shielding,
+                     *FullPlan(ssin->model()->config(), f, r), r,
+                     TinyModel().num_layers);
+  std::vector<std::vector<double>> full;
+  for (int t = 0; t < f.data.num_timestamps(); ++t) {
+    full.push_back(
+        ssin->InterpolateTimestamp(f.data.Values(t), r.observed, r.query));
+  }
+
+  ssin->SetNeighborK(static_cast<int>(r.observed.size()));
+  const std::shared_ptr<const SequenceLayout> covering =
+      ServedLayout(ssin->model(), f, r);
+  ExpectRequestOrder(*covering, *full_shielding->plan, r,
+                     TinyModel().num_layers);
+  for (int t = 0; t < f.data.num_timestamps(); ++t) {
+    ExpectBitEqual(
+        ssin->InterpolateTimestamp(f.data.Values(t), r.observed, r.query),
+        full[t], "timestamp " + std::to_string(t));
+  }
+  ExpectServedMatchesFull(ssin.get(), f, r);
+}
+
+TEST(ConeServingTest, SapeWithKnnMatchesFullLayout) {
+  ConeFixture f;
+  SpaFormerConfig config = TinyModel();
+  config.position_mode = SpaFormerConfig::PositionMode::kSape;
+  std::unique_ptr<SsinInterpolator> ssin = FitCone(f, config);
+  ssin->SetNeighborK(4);
+  const Request r = f.Catchment(f.sites[11], 6);
+  const std::shared_ptr<const SequenceLayout> cone =
+      ServedLayout(ssin->model(), f, r);
+  EXPECT_LT(cone->length(),
+            static_cast<int>(r.observed.size() + r.query.size()));
+  // SAPE embeds the cone's rows only.
+  EXPECT_EQ(cone->sape.dim(0), cone->length());
+  ExpectConeOf(*cone, *FullPlan(ssin->model()->config(), f, r), r,
+               config.num_layers);
+  ExpectServedMatchesFull(ssin.get(), f, r);
+}
+
+TEST(ConeServingTest, UnshieldedKeepsRequestOrder) {
+  ConeFixture f;
+  SpaFormerConfig config = TinyModel();
+  config.shielded = false;
+  std::unique_ptr<SsinInterpolator> ssin = FitCone(f, config);
+  const Request r = f.Catchment(f.sites[2], 3);
+  ExpectRequestOrder(*ServedLayout(ssin->model(), f, r),
+                     *FullPlan(config, f, r), r, config.num_layers);
+  ExpectServedMatchesFull(ssin.get(), f, r);
+}
+
+TEST(ConeServingTest, HkFullShieldingKeepsRequestOrder) {
+  // The hk_shared deployment: paper config, 123 gauges, full shielding.
+  // Its served layout is the full layout: request order, every row up to
+  // the last layer, and the full plan.
+  RainfallGenerator generator(HkRegionConfig());
+  const SpatialDataset data = generator.GenerateHours(1, 7);
+  Request r;
+  for (int i = 0; i < data.num_stations(); ++i) {
+    (i < 113 ? r.observed : r.query).push_back(i);
+  }
+  SpatialContext context;
+  context.Build(data, r.observed);
+  Rng rng(7);
+  SpaFormer model(SpaFormerConfig::Paper(), &rng);
+  InferenceWorkspace ws;
+  const std::shared_ptr<const SequenceLayout> served = BuildSequenceLayout(
+      &model, context, r.observed, r.query, std::make_shared<PairStore>(),
+      &ws);
+  EXPECT_EQ(served->layer_begin, (std::vector<int>{0, 0, 0, 113}));
+  std::vector<int> identity(data.num_stations());
+  std::iota(identity.begin(), identity.end(), 0);
+  EXPECT_EQ(served->request_rows, identity);
+  std::vector<uint8_t> observed(identity.size(), 0);
+  std::fill_n(observed.begin(), 113, 1);
+  ExpectRequestOrder(
+      *served,
+      *BuildSequencePlan(model.config(), context, served->node_ids, observed),
+      r, SpaFormerConfig::Paper().num_layers);
 }
 
 TEST(KnnTrainingTest, TrainingRunsUnderNeighborLimit) {
