@@ -1,8 +1,10 @@
 #ifndef SSIN_COMMON_SIMD_H_
 #define SSIN_COMMON_SIMD_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 /// \file
 /// The vector primitives under the hot kernels (matmul, layer norm,
@@ -10,8 +12,8 @@
 /// target.
 ///
 /// Kernels are written once against a *policy struct* carrying the
-/// primitive operations (dot products, axpy, row reductions), templated on
-/// the element type:
+/// primitive operations (dot products, axpy, row reductions, the softmax
+/// exp), templated on the element type:
 ///
 ///   ScalarOps  strictly sequential loops — the historical kernel
 ///              arithmetic, kept callable as the bit-exact f64 reference
@@ -31,9 +33,18 @@
 /// VecOps reassociates reductions (vector-lane partial sums), so its f64
 /// results can differ from ScalarOps in the last bits; the differential
 /// harness (tests/kernel_differential_test.cc) pins the divergence to
-/// <= 1e-12 relative. Both policies are deterministic: the same inputs
-/// always produce the same outputs, independent of thread count, because
-/// every output element is produced by exactly one call in a fixed order.
+/// <= 1e-12 relative. Its elementwise ops evaluate ScalarOps' expression
+/// per element, with one exception: ExpShifted, where ScalarOps calls
+/// std::exp and VecOps runs its own polynomial (within 1 ulp of std::exp,
+/// pinned by the same harness). Both policies are deterministic: the same
+/// inputs always produce the same outputs, independent of thread count,
+/// because every output element is produced by exactly one call in a fixed
+/// order.
+///
+/// scripts/check_vectorized.sh fails unless GCC reports every
+/// '#pragma omp simd' loop below as vectorized. A loop with a branch the
+/// compiler cannot turn into a select stays scalar while every test still
+/// passes; that is why ExpShifted clamps in a loop of its own.
 ///
 /// To add a vectorized kernel: write it as a template over <typename T,
 /// typename Ops> using only Ops primitives (add new primitives to BOTH
@@ -133,6 +144,13 @@ struct ScalarOps {
       out[i] = xh * gamma[i] + beta[i];
     }
   }
+
+  /// x[i] = exp(x[i] - shift), the softmax numerators. Domain: x[i] -
+  /// shift <= 0 (shift is the row maximum); -inf maps to 0, NaN to NaN.
+  template <typename T>
+  static void ExpShifted(T* x, T shift, int n) {
+    for (int i = 0; i < n; ++i) x[i] = std::exp(x[i] - shift);
+  }
 };
 
 #if defined(SSIN_SIMD_DISABLED)
@@ -142,9 +160,66 @@ using VecOps = ScalarOps;
 
 #else
 
+/// Constants of VecOps::ExpShifted for one element type: the underflow
+/// threshold and the argument that replaces anything below it, the
+/// Cody-Waite split of ln 2 (ln2_hi has enough trailing zero bits that
+/// n * ln2_hi is exact for every n the clamp allows), the round-to-integer
+/// shifter 1.5 * 2^mantissa_bits, and the Taylor coefficients 1/k! of e^r
+/// on |r| <= ln(2)/2, highest degree first (the truncation error stays
+/// below 0.1 ulp at both degrees).
+///
+/// kZeroArg rounds to n = -2 * bias, so both scale factors are +0 and the
+/// result is an exact 0 from multiplying by zeros. Clamping to the
+/// threshold itself would instead underflow in the last multiply, which
+/// costs a microcode assist per vector on x86: with trained weights whose
+/// softmax rows hold many such keys, that made the vector exp slower than
+/// std::exp.
+template <typename T>
+struct ExpConstants;
+
+template <>
+struct ExpConstants<double> {
+  using Bits = uint64_t;
+  static constexpr int kMantissaBits = 52;
+  static constexpr Bits kExponentBias = 1023;
+  /// exp(-746) rounds to 0 (exp(-745.14) is below half the smallest
+  /// subnormal).
+  static constexpr double kLowest = -746.0;
+  static constexpr double kZeroArg = -1418.0;  // round(kZeroArg log2 e) = -2046
+  static constexpr double kLog2e = 0x1.71547652b82fep+0;
+  static constexpr double kLn2Hi = 0x1.62e42fee00000p-1;
+  static constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+  static constexpr double kShifter = 0x1.8p52;
+  static constexpr int kDegree = 13;
+  static constexpr double kPoly[kDegree + 1] = {
+      1.0 / 6227020800, 1.0 / 479001600, 1.0 / 39916800, 1.0 / 3628800,
+      1.0 / 362880,     1.0 / 40320,     1.0 / 5040,     1.0 / 720,
+      1.0 / 120,        1.0 / 24,        1.0 / 6,        1.0 / 2,
+      1.0,              1.0};
+};
+
+template <>
+struct ExpConstants<float> {
+  using Bits = uint32_t;
+  static constexpr int kMantissaBits = 23;
+  static constexpr Bits kExponentBias = 127;
+  /// expf(-104) rounds to 0 (expf(-103.98) is below half the smallest
+  /// subnormal).
+  static constexpr float kLowest = -104.0f;
+  static constexpr float kZeroArg = -176.0f;  // round(kZeroArg log2 e) = -254
+  static constexpr float kLog2e = 0x1.715476p+0f;
+  static constexpr float kLn2Hi = 0x1.62e4p-1f;
+  static constexpr float kLn2Lo = 0x1.7f7d1cp-20f;
+  static constexpr float kShifter = 0x1.8p23f;
+  static constexpr int kDegree = 7;
+  static constexpr float kPoly[kDegree + 1] = {
+      1.0f / 5040, 1.0f / 720, 1.0f / 120, 1.0f / 24,
+      1.0f / 6,    1.0f / 2,   1.0f,       1.0f};
+};
+
 /// ScalarOps' loops under '#pragma omp simd'; same interface. Reductions
 /// use vector-lane partial sums (reassociated); elementwise ops evaluate
-/// ScalarOps' expression per element.
+/// ScalarOps' expression per element, except ExpShifted (see there).
 struct VecOps {
   template <typename T>
   static T Dot(const T* x, const T* y, int n) {
@@ -212,6 +287,46 @@ struct VecOps {
   static void NormScale(const T* x, T mean, T istd, const T* gamma,
                         const T* beta, T* out, T* xhat, int n) {
     ScalarOps::NormScale(x, mean, istd, gamma, beta, out, xhat, n);
+  }
+
+  /// x[i] = exp(x[i] - shift), within 1 ulp of std::exp on the domain
+  /// x[i] - shift <= 0, subnormal results included; -inf maps to 0, NaN to
+  /// NaN. Cody-Waite: a = n ln2 + r with n = round(a log2 e) and |r| <=
+  /// ln(2)/2, e^r by a Horner polynomial, then 2^n as two factors
+  /// 2^(n>>1) * 2^(n-(n>>1)), normal down to the threshold, so the one
+  /// rounding of a subnormal result is the last multiply's. The clamp has
+  /// its own loop: inside the polynomial loop GCC turns it into control
+  /// flow and leaves the loop scalar.
+  template <typename T>
+  static void ExpShifted(T* x, T shift, int n) {
+    using C = ExpConstants<T>;
+    using Bits = typename C::Bits;
+    using SignedBits = std::make_signed_t<Bits>;
+#pragma omp simd
+    for (int i = 0; i < n; ++i) {
+      const T a = x[i] - shift;
+      // Written so that NaN fails the comparison and passes through.
+      x[i] = a < C::kLowest ? C::kZeroArg : a;
+    }
+#pragma omp simd
+    for (int i = 0; i < n; ++i) {
+      const T a = x[i];
+      // Adding the shifter rounds a log2 e to an integer held in the low
+      // mantissa bits of kd.
+      const T kd = a * C::kLog2e + C::kShifter;
+      const T nd = kd - C::kShifter;
+      const T r = (a - nd * C::kLn2Hi) - nd * C::kLn2Lo;
+      T p = C::kPoly[0];
+      for (int k = 1; k <= C::kDegree; ++k) p = p * r + C::kPoly[k];
+      const Bits nb =
+          std::bit_cast<Bits>(kd) - std::bit_cast<Bits>(C::kShifter);
+      const Bits n1 = static_cast<Bits>(static_cast<SignedBits>(nb) >> 1);
+      const T s1 = std::bit_cast<T>((n1 + C::kExponentBias)
+                                    << C::kMantissaBits);
+      const T s2 = std::bit_cast<T>((nb - n1 + C::kExponentBias)
+                                    << C::kMantissaBits);
+      x[i] = p * s1 * s2;
+    }
   }
 };
 

@@ -164,6 +164,11 @@ inline const T* SrpeBlock(const IndexedSrpe<T>* c, int64_t begin,
 /// the bit-exact reference for the differential kernel tests — the
 /// ScalarOps/double instantiation is the historical scalar kernel).
 ///
+/// Each query's softmax runs over its whole score row at once:
+/// Ops::ExpShifted for the numerators exp(score - max) (std::exp per element
+/// under ScalarOps, a vectorized polynomial within 1 ulp under VecOps),
+/// Ops::Sum for the denominator, then one division per weight.
+///
 /// Computes attention outputs for queries [tail_begin, plan.length); row r
 /// of q and z corresponds to query tail_begin + r (pass tail_begin = 0 for
 /// the full sequence). k/v are indexed by sequence row, [L, d] row-major;
@@ -212,11 +217,8 @@ void PackedAttentionForwardRowsStrided(const T* q, const T* k, const T* v,
       if (score[t] > max_score) max_score = score[t];
     }
 
-    T denom = 0;
-    for (int64_t t = 0; t < count; ++t) {
-      score[t] = std::exp(score[t] - max_score);
-      denom += score[t];
-    }
+    Ops::ExpShifted(score, max_score, static_cast<int>(count));
+    const T denom = Ops::Sum(score, static_cast<int>(count));
     T* z_row = z + static_cast<int64_t>(r) * z_stride;
     for (int e = 0; e < d; ++e) z_row[e] = T(0);
     for (int64_t t = 0; t < count; ++t) {

@@ -14,7 +14,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/simd.h"
@@ -262,6 +267,115 @@ TEST(KernelDifferentialTest, LayerNormSweep) {
 }
 
 // ---------------------------------------------------------------------------
+// Softmax exp. VecOps::ExpShifted is its own polynomial, not ScalarOps'
+// expression, so both policies are pinned against std::exp itself.
+
+/// exp() of any argument at or below this is exactly 0: it lies below the
+/// log of half the smallest subnormal.
+template <typename T>
+T ExpZeroBelow() {
+  return std::is_same<T, float>::value ? T(-104) : T(-745.2);
+}
+
+/// Distance in units in the last place between two non-negative values:
+/// consecutive non-negative floats have consecutive bit patterns, the
+/// subnormals included.
+template <typename T>
+int64_t UlpDistance(T a, T b) {
+  using Bits = std::conditional_t<sizeof(T) == 8, uint64_t, uint32_t>;
+  const int64_t ia = static_cast<int64_t>(std::bit_cast<Bits>(a));
+  const int64_t ib = static_cast<int64_t>(std::bit_cast<Bits>(b));
+  return ia > ib ? ia - ib : ib - ia;
+}
+
+/// Runs both policies over x[0, x.size() - 1) with the given shift and
+/// checks every element against std::exp(x[i] - shift): ScalarOps bit for
+/// bit, VecOps within 1 ulp; NaN stays NaN and arguments at or below
+/// ExpZeroBelow() give exactly 0. The last element is a guard neither
+/// policy may write.
+template <typename T>
+void CheckExpShifted(const std::vector<T>& x, T shift) {
+  ASSERT_FALSE(x.empty());
+  const int n = static_cast<int>(x.size()) - 1;
+  std::vector<T> scalar = x;
+  std::vector<T> vec = x;
+  simd::ScalarOps::ExpShifted(scalar.data(), shift, n);
+  simd::VecOps::ExpShifted(vec.data(), shift, n);
+  EXPECT_EQ(scalar.back(), x.back());
+  EXPECT_EQ(vec.back(), x.back());
+
+  int scalar_mismatches = 0, vec_mismatches = 0;
+  int64_t worst_ulps = 0;
+  T worst_arg = 0;
+  for (int i = 0; i < n; ++i) {
+    const T arg = x[i] - shift;
+    const T want = std::exp(arg);
+    if (std::isnan(want)) {
+      scalar_mismatches += !std::isnan(scalar[i]);
+      vec_mismatches += !std::isnan(vec[i]);
+      continue;
+    }
+    scalar_mismatches += UlpDistance(scalar[i], want) != 0;
+    if (std::isnan(vec[i]) || (arg <= ExpZeroBelow<T>() && vec[i] != T(0))) {
+      ++vec_mismatches;
+      continue;
+    }
+    const int64_t ulps = UlpDistance(vec[i], want);
+    if (ulps > worst_ulps) {
+      worst_ulps = ulps;
+      worst_arg = arg;
+    }
+  }
+  EXPECT_EQ(scalar_mismatches, 0) << "n=" << n << " shift=" << shift;
+  EXPECT_EQ(vec_mismatches, 0) << "n=" << n << " shift=" << shift;
+  EXPECT_LE(worst_ulps, 1) << "exp(" << worst_arg << ") n=" << n;
+}
+
+template <typename T>
+void RunExpShiftedSweep(uint64_t seed) {
+  Rng rng(seed);
+  const T lo = ExpZeroBelow<T>();
+  const T guard = T(12345);
+
+  // Every length from 0 to 40 (every vector body and tail length), a
+  // non-zero shift, and the special arguments spread over bodies and tails.
+  const T shift = T(2.5);
+  const std::vector<T> specials = {
+      -std::numeric_limits<T>::infinity(),
+      std::numeric_limits<T>::quiet_NaN(),
+      T(0),
+      lo,
+      lo - T(1),
+      T(-1000),
+      std::numeric_limits<T>::lowest()};
+  for (int n = 0; n <= 40; ++n) {
+    std::vector<T> x(static_cast<size_t>(n) + 1, guard);
+    for (int i = 0; i < n; ++i) {
+      x[i] = i % 5 == 2
+                 ? shift + specials[(i / 5 + n) % specials.size()]
+                 : shift + static_cast<T>(rng.Uniform(lo, 0.0));
+    }
+    CheckExpShifted(x, shift);
+  }
+
+  // A dense grid plus random draws over [lo, 0], the subnormal band
+  // included.
+  constexpr int kGrid = 100000;
+  std::vector<T> x;
+  for (int i = 0; i <= kGrid; ++i) x.push_back(lo * T(i) / T(kGrid));
+  for (int i = 0; i < kGrid; ++i) {
+    x.push_back(static_cast<T>(rng.Uniform(lo, 0.0)));
+  }
+  x.push_back(guard);
+  CheckExpShifted(x, T(0));
+}
+
+TEST(KernelDifferentialTest, ExpShiftedMatchesStdExp) {
+  RunExpShiftedSweep<double>(0xE7);
+  RunExpShiftedSweep<float>(0xE8);
+}
+
+// ---------------------------------------------------------------------------
 // Packed attention forward.
 
 template <typename T>
@@ -342,6 +456,115 @@ TEST(KernelDifferentialTest, AttentionPaperConfig) {
                              /*use_srpe=*/true, &rng);
   CheckAttentionOnce<float>(123, 113, 16, /*shielded=*/true,
                             /*use_srpe=*/true, &rng);
+}
+
+// Large logits: each query row of q is scaled so that the query's score
+// spread is at least 2 * |ExpZeroBelow()|, so its lowest-scoring keys get
+// weights of exactly 0. q, k and c are multiples of 1/4 in [-2, 2] and the
+// scales are powers of two, so every dot product is exact and the scores
+// are the same under both policies: the comparison isolates the exp and
+// the denominator sum. Returns the number of queries scaled.
+template <typename T>
+int CheckLargeLogitAttentionOnce(int length, int num_observed, int d,
+                                 bool shielded, bool use_srpe, Rng* rng) {
+  std::vector<uint8_t> observed(length, 0);
+  for (int i = 0; i < num_observed; ++i) observed[i] = 1;
+  AttentionPlan plan;
+  BuildAttentionPlan(observed, shielded, &plan);
+  const int64_t num_pairs = plan.num_pairs();
+
+  auto quarters = [&](int64_t n) {
+    std::vector<T> x = RandomVector<T>(n, rng);
+    for (T& e : x) e = std::clamp(std::round(e * T(4)) / T(4), T(-2), T(2));
+    return x;
+  };
+  std::vector<T> q = quarters(int64_t{length} * d);
+  const std::vector<T> k = quarters(int64_t{length} * d);
+  const std::vector<T> v = RandomVector<T>(int64_t{length} * d, rng);
+  std::vector<T> c;
+  if (use_srpe) c = quarters(num_pairs * d);
+  const T* c_ptr = use_srpe ? c.data() : nullptr;
+
+  const T min_spread = -T(2) * ExpZeroBelow<T>() * std::sqrt(T(d));
+  int scaled_queries = 0;
+  for (int i = 0; i < length; ++i) {
+    T lo = std::numeric_limits<T>::infinity();
+    T hi = -lo;
+    for (int64_t t = plan.offset[i]; t < plan.offset[i + 1]; ++t) {
+      const int j = plan.key_index[t];
+      T s = 0;
+      for (int e = 0; e < d; ++e) {
+        s += q[int64_t{i} * d + e] * k[int64_t{j} * d + e] *
+             (use_srpe ? c[t * d + e] : T(1));
+      }
+      lo = std::min(lo, s);
+      hi = std::max(hi, s);
+    }
+    if (!(hi > lo)) continue;  // One key, or all scores tie.
+    const T scale = std::exp2(std::ceil(std::log2(min_spread / (hi - lo))));
+    for (int e = 0; e < d; ++e) q[int64_t{i} * d + e] *= scale;
+    ++scaled_queries;
+  }
+
+  std::vector<T> scores;
+  std::vector<T> ref_alpha(static_cast<size_t>(num_pairs), T(0));
+  std::vector<T> ref_z(static_cast<size_t>(length) * d);
+  PackedAttentionForwardRows<T, simd::ScalarOps>(
+      q.data(), k.data(), v.data(), c_ptr, plan, d, /*tail_begin=*/0, &scores,
+      ref_alpha.data(), ref_z.data());
+  std::vector<T> vec_alpha(static_cast<size_t>(num_pairs), T(0));
+  std::vector<T> vec_z(static_cast<size_t>(length) * d);
+  PackedAttentionForwardRows<T, simd::VecOps>(
+      q.data(), k.data(), v.data(), c_ptr, plan, d, /*tail_begin=*/0, &scores,
+      vec_alpha.data(), vec_z.data());
+
+  const std::string where = "L=" + std::to_string(length) +
+                            " m=" + std::to_string(num_observed) +
+                            " d=" + std::to_string(d);
+  EXPECT_LE(MaxAbsDiff(ref_z, vec_z), ScaledTol(ref_z, PolicyTol<T>()))
+      << where;
+  EXPECT_LE(MaxAbsDiff(ref_alpha, vec_alpha),
+            ScaledTol(ref_alpha, PolicyTol<T>()))
+      << where;
+  int zeros = 0;
+  for (int64_t t = 0; t < num_pairs; ++t) {
+    EXPECT_EQ(ref_alpha[t] == T(0), vec_alpha[t] == T(0))
+        << where << " pair " << t;
+    zeros += vec_alpha[t] == T(0);
+  }
+  EXPECT_GE(zeros, scaled_queries) << where;
+  int non_finite = 0;
+  for (size_t e = 0; e < vec_z.size(); ++e) {
+    non_finite += !std::isfinite(ref_z[e]) || !std::isfinite(vec_z[e]);
+  }
+  EXPECT_EQ(non_finite, 0) << where;
+  return scaled_queries;
+}
+
+TEST(KernelDifferentialTest, AttentionUnderflowingWeights) {
+  Rng rng(0xD3);
+  int scaled_f64 = 0, scaled_f32 = 0;
+  for (int length : {2, 5, 23}) {
+    for (int num_observed : {1, length / 2, length}) {
+      for (int d : {1, 3, 8, 16}) {
+        for (bool shielded : {true, false}) {
+          for (bool use_srpe : {true, false}) {
+            scaled_f64 += CheckLargeLogitAttentionOnce<double>(
+                length, num_observed, d, shielded, use_srpe, &rng);
+            scaled_f32 += CheckLargeLogitAttentionOnce<float>(
+                length, num_observed, d, shielded, use_srpe, &rng);
+          }
+        }
+      }
+    }
+  }
+  scaled_f64 += CheckLargeLogitAttentionOnce<double>(
+      123, 113, 16, /*shielded=*/true, /*use_srpe=*/true, &rng);
+  scaled_f32 += CheckLargeLogitAttentionOnce<float>(
+      123, 113, 16, /*shielded=*/true, /*use_srpe=*/true, &rng);
+  // Most of the 1,563 queries per precision have two distinct scores.
+  EXPECT_GT(scaled_f64, 1000);
+  EXPECT_GT(scaled_f32, 1000);
 }
 
 // ---------------------------------------------------------------------------
